@@ -14,6 +14,7 @@ __all__ = [
     "sieve_primes",
     "primes_up_to",
     "is_prime",
+    "require_odd_prime",
     "legendre",
     "sqrt_mod",
     "valuation",
@@ -76,6 +77,12 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def require_odd_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
 
 
 def legendre(a: int, p: int) -> int:

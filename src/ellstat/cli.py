@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import prod
 
 from . import __version__
 from .curves import (
@@ -27,9 +28,9 @@ from .curves import (
 from .density import CertifiedValue, density_report, frak_d_p, frak_d_p_prime, sp_doubleprime_density
 from .finitefield import census_torsion_classes, d_count
 from .harness import SampleSpec, estimate, kodaira_frequency
-from .localdata import bad_primes, conductor, tate
+from .localdata import LocalData, bad_primes, tate
 from .quadforms import hurwitz_class_number
-from .arith import factorize
+from .arith import factorize, is_prime
 
 
 def _fail(msg: str) -> SystemExit:
@@ -44,11 +45,20 @@ def _parse_curve(text: str) -> WeierstrassModel:
         raise _fail(f"bad curve spec: {exc}")
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ELLSTAT_THREADS", "1")))
-    except ValueError:
-        return 1
+def _worker_count(value: int | None) -> int:
+    """--threads if given, else ELLSTAT_THREADS, else 1; a positive integer."""
+    text = str(value) if value is not None else os.environ.get("ELLSTAT_THREADS") or "1"
+    if not (text.isdecimal() and int(text) >= 1):
+        raise _fail(f"worker count must be a positive integer, got {text}")
+    return int(text)
+
+
+def _curve_report(model: WeierstrassModel) -> tuple[str, int, list[LocalData]]:
+    """j, the conductor and the Tate data at every prime dividing Delta,
+    which is factored once."""
+    locs = [tate(model, ell) for ell in bad_primes(model)]
+    N = prod(d.prime**d.conductor_exponent for d in locs)
+    return format_rational(j_invariant(model)), N, locs
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -61,6 +71,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 def cmd_local(args) -> int:
     model = _parse_curve(args.curve)
+    if args.prime is not None and not is_prime(args.prime):
+        raise _fail(f"{args.prime} is not prime")
     try:
         if args.prime is not None:
             data = tate(model, args.prime)
@@ -71,17 +83,14 @@ def cmd_local(args) -> int:
                 f"v(delta_min)={data.v_min_delta} {data.reduction}"
             ]
         else:
-            locs = [tate(model, ell) for ell in bad_primes(model)]
-            N = 1
-            for d in locs:
-                N *= d.prime**d.conductor_exponent
+            j, N, locs = _curve_report(model)
             payload = {
                 "curve": str(model),
-                "j": format_rational(j_invariant(model)),
+                "j": j,
                 "conductor": N,
                 "local": [d.to_json_dict() for d in locs],
             }
-            lines = [f"curve {model}", f"j = {payload['j']}", f"conductor = {N}"]
+            lines = [f"curve {model}", f"j = {j}", f"conductor = {N}"]
             for d in locs:
                 lines.append(
                     f"  ell={d.prime}: {d.kodaira.label}  c={d.tamagawa} "
@@ -94,13 +103,14 @@ def cmd_local(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    if args.p == 2 or args.p % 2 == 0:
-        raise _fail("theory needs an odd prime (p=2 is out of range)")
     try:
         tol = Fraction(args.tol)
     except ValueError:
         raise _fail(f"bad tolerance {args.tol!r}")
-    rep = density_report(args.p, tol)
+    try:
+        rep = density_report(args.p, tol)
+    except ValueError as exc:  # p not an odd prime, or tol <= 0
+        raise _fail(str(exc))
     payload = rep.to_json_dict()
     lines = [
         f"p = {rep.p}",
@@ -115,13 +125,14 @@ def cmd_theory(args) -> int:
 
 
 def cmd_census(args) -> int:
-    if args.p == 2 or args.p % 2 == 0:
-        raise _fail("census needs an odd prime")
-    res = census_torsion_classes(args.p)
+    try:
+        res = census_torsion_classes(args.p)
+        dres = d_count(args.p) if args.with_d else None
+    except ValueError as exc:  # p not an odd prime, or outside the supported range
+        raise _fail(str(exc))
     payload = res.to_json_dict()
     lines = [f"p = {args.p}", f"classes with p | #E = {res.classes}"]
-    if args.with_d:
-        dres = d_count(args.p)
+    if dres is not None:
         payload["d"] = dres.d
         payload["d_over_p5"] = format_rational(dres.d_over_p5)
         lines.append(f"d(p) = {dres.d}  (d/p^5 = {format_rational(dres.d_over_p5)})")
@@ -155,20 +166,18 @@ def cmd_empirical(args) -> int:
         )
     except ValueError as exc:
         raise _fail(str(exc))
-    threads = args.threads or _default_threads()
+    threads = _worker_count(args.threads)
     if args.kodaira_at is not None:
+        if not is_prime(args.kodaira_at):
+            raise _fail(f"{args.kodaira_at} is not prime")
         rep = kodaira_frequency(spec, args.kodaira_at, threads=threads)
-        if args.format == "json":
-            print(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True))
-        else:
-            sys.stdout.write(rep.to_csv())
-        return 0
-    theory = {
-        "bad_at_p": CertifiedValue.exact(sp_doubleprime_density(spec.p)),
-        "tamagawa_divisible": CertifiedValue(Fraction(0), frak_d_p(spec.p).hi),
-        "anomalous_good": CertifiedValue(Fraction(0), frak_d_p_prime(spec.p)),
-    }
-    rep = estimate(spec, theory, threads=threads)
+    else:
+        theory = {
+            "bad_at_p": CertifiedValue.exact(sp_doubleprime_density(spec.p)),
+            "tamagawa_divisible": CertifiedValue(Fraction(0), frak_d_p(spec.p).hi),
+            "anomalous_good": CertifiedValue(Fraction(0), frak_d_p_prime(spec.p)),
+        }
+        rep = estimate(spec, theory, threads=threads)
     if args.format == "json":
         print(rep.to_json())
     else:
@@ -221,9 +230,8 @@ def cmd_families(args) -> int:
     lines = []
     for t, E in rows:
         try:
-            N = conductor(E)
-            locs = [tate(E, ell).to_json_dict() for ell in bad_primes(E)]
-            jstr = format_rational(j_invariant(E))
+            jstr, N, locs = _curve_report(E)
+            locs = [d.to_json_dict() for d in locs]
         except SingularCurveError:
             N, locs, jstr = None, [], None
         payload.append({"t": t, "curve": str(E), "j": jstr, "conductor": N, "local": locs})
@@ -244,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("local", help="Tate data and conductor of one curve")
-    p.add_argument("--curve", required=True, help='coefficients "a1,a2,a3,a4,a6"')
+    p.add_argument("--curve", required=True,
+                   help='coefficients "a1,a2,a3,a4,a6"; write --curve=-1,... when a1 < 0')
     p.add_argument("--prime", type=int, default=None)
     add_format(p)
     p.set_defaults(func=cmd_local)
@@ -283,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("families", help="quadratic twist / split-Cartan families")
     p.add_argument("--family", choices=("twist", "zywina"), required=True)
-    p.add_argument("--base", default=None, help="base curve for twists")
+    p.add_argument("--base", default=None,
+                   help="base curve for twists; write --base=-1,... when a1 < 0")
     p.add_argument("--range", required=True, help="t range lo..hi")
     p.add_argument("--min-search", type=int, default=0,
                    help="twist bound for the smallest-conductor search (zywina)")

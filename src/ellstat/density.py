@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log2
 
-from .arith import primes_up_to
+from .arith import primes_up_to, require_odd_prime
 from .curves import format_rational
 from .kodaira import KodairaType
 from .quadforms import hurwitz_class_number
@@ -211,8 +211,7 @@ def zeta_minus_one(s: int, tol=DEFAULT_TOL) -> CertifiedValue:
 
 def frak_d_p(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
     """The S_p density bound: zeta(p)-1 for p >= 5, the 3-4-7 sum at p = 3."""
-    if p == 2 or p % 2 == 0:
-        raise ValueError("p must be an odd prime")
+    require_odd_prime(p)
     tol = Fraction(tol)
     if p == 3:
         parts = [zeta_minus_one(s, tol / 3) for s in (3, 4, 7)]
@@ -224,8 +223,7 @@ def frak_d_p(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
 
 def frak_d_p_prime(p: int) -> Fraction:
     """The S_p' density bound ((p-1)/2p^2) * (class-number sum), exactly."""
-    if p == 2 or p % 2 == 0:
-        raise ValueError("p must be an odd prime")
+    require_odd_prime(p)
     h = hurwitz_class_number(1 - 4 * p).h
     if p <= 5:
         h += hurwitz_class_number(p * p + 1 - 6 * p).h
@@ -261,8 +259,7 @@ def sp_doubleprime_density(p: int) -> Fraction:
 
 def main_bound(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
     """(p^-1 + p^-3 - p^-4) * (1 - p^-1 - frak_d_p - frak_d_p')."""
-    if p == 2 or p % 2 == 0:
-        raise ValueError("p must be an odd prime")
+    require_odd_prime(p)
     front = Fraction(1, p) + Fraction(1, p**3) - Fraction(1, p**4)
     second = 1 - Fraction(1, p) - frak_d_p(p, tol) - frak_d_p_prime(p)
     out = front * second

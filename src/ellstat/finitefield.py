@@ -1,17 +1,21 @@
 """Reduction mod p, point counting over F_p and torsion censuses.
 
-Point counting is a quadratic-character scan over x (fine for the desk-scale
-p < 2^16 used here; no Schoof).  The censuses behind the class-number
-cross-check enumerate short-form representatives modulo the s^4/s^6 scaling
-for p >= 5 and the characteristic-3 normal form y^2 = cubic modulo its
-translation group for p = 3.
+All point counting at odd p goes through one kernel, count_points_b: a
+quadratic-character scan over x of the completed square
+4x^3 + b2 x^2 + 2 b4 x + b6 (fine for the desk-scale p < 2^16 used here;
+no Schoof).  The censuses behind the class-number cross-check enumerate
+short-form representatives modulo the s^4/s^6 scaling for p >= 5 and the
+characteristic-3 normal form y^2 = cubic modulo its translation group for
+p = 3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
+from .arith import require_odd_prime
 from .curves import WeierstrassModel, compute_invariants, format_rational
 
 __all__ = [
@@ -19,6 +23,7 @@ __all__ = [
     "CensusResult",
     "BadReductionError",
     "reduce_model",
+    "count_points_b",
     "group_order",
     "is_anomalous",
     "census_torsion_classes",
@@ -50,26 +55,36 @@ def reduce_model(model: WeierstrassModel, p: int) -> ReducedCurve:
     return ReducedCurve(p, a1, a2, a3, a4, a6)
 
 
-_QR_TABLES: dict[int, bytes] = {}
-
-
+@cache
 def _chi_table(p: int) -> bytes:
     """chi(x) + 1 for x in F_p, so 0 -> 1, residue -> 2, nonresidue -> 0."""
-    tab = _QR_TABLES.get(p)
-    if tab is None:
-        t = bytearray(p)
-        t[0] = 1
-        for x in range(1, p):
-            t[x * x % p] = 2
-        tab = bytes(t)
-        _QR_TABLES[p] = tab
-    return tab
+    t = bytearray(p)
+    t[0] = 1
+    for x in range(1, p):
+        t[x * x % p] = 2
+    return bytes(t)
+
+
+def count_points_b(p: int, b2: int, b4: int, b6: int) -> int:
+    """#E(F_p), the point at infinity included, for odd p, from b2, b4, b6.
+
+    Completing the square turns the curve into
+    (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, so the count is
+    p + 1 + sum_x chi(rhs).  The caller guarantees good reduction.
+    """
+    chi = _chi_table(p)
+    b2, b4, b6 = b2 % p, 2 * b4 % p, b6 % p
+    total = 1  # the point at infinity; the table stores chi + 1
+    for x in range(p):
+        total += chi[(((4 * x + b2) * x + b4) * x + b6) % p]
+    return total
 
 
 def group_order(curve: ReducedCurve) -> int:
     """#E(F_p) including the point at infinity, by full x-scan."""
     p = curve.p
-    if curve.is_singular:
+    inv = compute_invariants(WeierstrassModel(curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
+    if inv.delta % p == 0:
         raise ValueError("group order undefined for a singular reduction")
     if p == 2:
         count = 1
@@ -80,15 +95,7 @@ def group_order(curve: ReducedCurve) -> int:
                 if lhs == rhs:
                     count += 1
         return count
-    m = WeierstrassModel(curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
-    inv = compute_invariants(m)
-    b2, b4, b6 = inv.b2 % p, inv.b4 % p, inv.b6 % p
-    chi = _chi_table(p)
-    # complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
-    total = 1  # the point at infinity
-    for x in range(p):
-        total += chi[(4 * x**3 + b2 * x * x + 2 * b4 * x + b6) % p]
-    return total  # equals p + 1 + sum_x chi, the table storing chi + 1
+    return count_points_b(p, inv.b2, inv.b4, inv.b6)
 
 
 def is_anomalous(model: WeierstrassModel, p: int) -> bool:
@@ -97,8 +104,7 @@ def is_anomalous(model: WeierstrassModel, p: int) -> bool:
     Requires odd p and good reduction at p; reduction is decided on the
     p-minimal model, so non-minimal inputs with good reduction are accepted.
     """
-    if p == 2 or p % 2 == 0:
-        raise ValueError("anomalous test requires an odd prime")
+    require_odd_prime(p)
     delta = compute_invariants(model).delta
     if delta == 0:
         raise BadReductionError("singular curve")
@@ -136,13 +142,6 @@ class CensusResult:
         return out
 
 
-def _short_order(p: int, c: int, d: int, chi: bytes) -> int:
-    total = 1
-    for x in range(p):
-        total += chi[(x**3 + c * x + d) % p]
-    return total
-
-
 def census_torsion_classes(p: int) -> CensusResult:
     """Number of F_p-isomorphism classes of elliptic curves with p | #E(F_p).
 
@@ -151,11 +150,9 @@ def census_torsion_classes(p: int) -> CensusResult:
     y^2 = x^3 + a2 x^2 + a4 x + a6 under x -> x + r (the u-scalings act
     trivially on coefficients in characteristic 3).
     """
-    if p == 2:
-        raise ValueError("census unsupported at p = 2")
-    if p % 2 == 0 or p >= 1 << 10:
+    require_odd_prime(p)
+    if p >= 1 << 10:
         raise ValueError("census expects an odd prime below 2^10")
-    chi = _chi_table(p)
     count = 0
     if p == 3:
         seen = set()
@@ -170,10 +167,10 @@ def census_torsion_classes(p: int) -> CensusResult:
                         na6 = (r**3 + a2 * r * r + a4 * r + a6) % 3
                         orbit.add((a2, na4, na6))
                     seen |= orbit
-                    m = WeierstrassModel(0, a2, 0, a4, a6)
-                    if compute_invariants(m).delta % 3 == 0:
+                    inv = compute_invariants(WeierstrassModel(0, a2, 0, a4, a6))
+                    if inv.delta % 3 == 0:
                         continue
-                    if group_order(ReducedCurve(3, 0, a2, 0, a4, a6)) % 3 == 0:
+                    if count_points_b(3, inv.b2, inv.b4, inv.b6) % 3 == 0:
                         count += 1
         return CensusResult(p, classes=count)
     visited = bytearray(p * p)
@@ -185,7 +182,8 @@ def census_torsion_classes(p: int) -> CensusResult:
                 visited[(c * pow(s, 4, p)) % p * p + (d * pow(s, 6, p)) % p] = 1
             if (4 * c**3 + 27 * d * d) % p == 0:
                 continue
-            if _short_order(p, c, d, chi) % p == 0:
+            # y^2 = x^3 + c x + d has (b2, b4, b6) = (0, 2c, 4d)
+            if count_points_b(p, 0, 2 * c, 4 * d) % p == 0:
                 count += 1
     return CensusResult(p, classes=count)
 
@@ -200,9 +198,9 @@ def d_count(p: int) -> CensusResult:
     (b2, b4, b6).  The test suite re-derives small cases by the literal
     quintuple loop.
     """
-    if p % 2 == 0 or p < 3 or p > 13:
+    require_odd_prime(p)
+    if p > 13:
         raise ValueError("exhaustive d(p) supports odd p <= 13")
-    chi = _chi_table(p)
     inv4 = pow(4, -1, p)
     hits = 0
     for b2 in range(p):
@@ -212,9 +210,6 @@ def d_count(p: int) -> CensusResult:
                 delta = (-b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6) % p
                 if delta == 0:
                     continue
-                total = 1
-                for x in range(p):
-                    total += chi[(4 * x**3 + b2 * x * x + 2 * b4 * x + b6) % p]
-                if total % p == 0:
+                if count_points_b(p, b2, b4, b6) % p == 0:
                     hits += 1
     return CensusResult(p, d=p * p * hits)

@@ -26,13 +26,16 @@ import json
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import gcd, isqrt, sqrt
+from functools import cache
+from math import gcd, isqrt, prod, sqrt
 
-from .arith import FactorBudgetExceeded, factorize, iroot, is_prime, legendre, primes_up_to
-from .curves import WeierstrassModel, compute_invariants, format_rational
-from .density import CertifiedValue
-from .finitefield import _chi_table
-from .localdata import tate
+from . import __version__
+from .arith import FactorBudgetExceeded, factorize, iroot, is_prime, primes_up_to, require_odd_prime
+from .curves import WeierstrassModel, compute_invariants
+from .density import CertifiedValue, rho, rho_Instar_ge1
+from .finitefield import count_points_b
+from .kodaira import parse_kodaira
+from .localdata import _split_multiplicative, tate
 
 __all__ = [
     "SampleSpec",
@@ -50,23 +53,9 @@ _SMALL_BOUND = 10_000
 _SMALL_CUBE = _SMALL_BOUND**3
 _RHO_BUDGET = 1 << 20
 
-_primorial_cache: int | None = None
-
-
+@cache
 def _primorial() -> int:
-    global _primorial_cache
-    if _primorial_cache is None:
-        n = 1
-        for q in primes_up_to(_SMALL_BOUND):
-            n *= q
-        _primorial_cache = n
-    return _primorial_cache
-
-
-def _split_mult(c6: int, ell: int) -> bool:
-    if ell == 2:
-        return (-c6) % 8 == 1
-    return legendre(-c6, ell) == 1
+    return prod(primes_up_to(_SMALL_BOUND))
 
 
 @dataclass(frozen=True)
@@ -87,8 +76,7 @@ def classify(model: WeierstrassModel, p: int, tags: bool = False) -> Classificat
     the given equation, per its literal definition.  With tags=True the
     Kodaira labels of the identified bad primes are attached.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError("classification prime must be odd")
+    require_odd_prime(p)
     inv = compute_invariants(model)
     delta = inv.delta
     if delta == 0:
@@ -121,14 +109,7 @@ def classify(model: WeierstrassModel, p: int, tags: bool = False) -> Classificat
 
     # S_p': p does not divide the given discriminant and the reduction has
     # a rational p-torsion point, i.e. p | #E(F_p).
-    anomalous_good = False
-    if vp == 0:
-        chi = _chi_table(p)
-        b2, b4, b6 = inv.b2 % p, inv.b4 % p, inv.b6 % p
-        total = 1
-        for x in range(p):
-            total += chi[(4 * x**3 + b2 * x * x + 2 * b4 * x + b6) % p]
-        anomalous_good = total % p == 0
+    anomalous_good = vp == 0 and count_points_b(p, inv.b2, inv.b4, inv.b6) % p == 0
 
     # S_p: some ell != p with p | c_ell.
     tam = False
@@ -150,7 +131,7 @@ def classify(model: WeierstrassModel, p: int, tags: bool = False) -> Classificat
                 v += 1
             if c4 % ell:
                 # multiplicative and automatically minimal: c = v if split
-                if v % p == 0 and _split_mult(c6, ell):
+                if v % p == 0 and _split_multiplicative(c6, ell):
                     tam = True
                     if not tags:
                         break
@@ -195,7 +176,7 @@ def _large_cofactor_scan(model, C, c4, c6, p, tags):
     if tags:
         # full factorisation wanted for the tag list
         for q, n in factorize(C, trial_bound=2, rho_budget=_RHO_BUDGET).items():
-            if n % p == 0 and _split_mult(c6, q):
+            if n % p == 0 and _split_multiplicative(c6, q):
                 tam = True
             kod.append((q, f"In:{n}"))
         return 1, tam, kod
@@ -217,7 +198,7 @@ def _large_cofactor_scan(model, C, c4, c6, p, tags):
             return C, tam, kod
     if k % p == 0 or m >= _SMALL_CUBE:
         for q, n in factorize(C, trial_bound=2, rho_budget=_RHO_BUDGET).items():
-            if n % p == 0 and _split_mult(c6, q):
+            if n % p == 0 and _split_multiplicative(c6, q):
                 tam = True
     return C, tam, kod
 
@@ -269,8 +250,7 @@ class SampleSpec:
     def __post_init__(self):
         if not 1 <= self.height <= 10**6:
             raise ValueError("height must lie in [1, 10^6]")
-        if self.p == 2 or not is_prime(self.p):
-            raise ValueError("p must be an odd prime")
+        require_odd_prime(self.p)
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must be a 64-bit integer")
         if self.chunk_size < 1:
@@ -311,7 +291,7 @@ def _iter_chunk(spec: SampleSpec, index: int):
 _FLAG_ORDER = ("singular", "bad_at_p", "tamagawa_divisible", "anomalous_good", "unclassified")
 
 
-def _count_chunk(spec: SampleSpec, index: int) -> tuple[int, ...]:
+def _count_chunk(spec: SampleSpec, index: int) -> dict[str, int]:
     singular = bad = tam = anom = uncl = 0
     p = spec.p
     for model in _iter_chunk(spec, index):
@@ -325,7 +305,37 @@ def _count_chunk(spec: SampleSpec, index: int) -> tuple[int, ...]:
         bad += flags.bad_at_p
         tam += flags.tamagawa_divisible
         anom += flags.anomalous_good
-    return (singular, bad, tam, anom, uncl)
+    return dict(zip(_FLAG_ORDER, (singular, bad, tam, anom, uncl)))
+
+
+def _kodaira_chunk(spec: SampleSpec, ell: int, index: int) -> dict[str, int]:
+    out: dict[str, int] = {}
+    for model in _iter_chunk(spec, index):
+        if compute_invariants(model).delta == 0:
+            key = "singular"
+        else:
+            key = tate(model, ell).kodaira.label
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _run_chunks(spec: SampleSpec, chunk_fn, threads: int) -> dict[str, int]:
+    """Sum the per-chunk counts chunk_fn(index) over every chunk of spec.
+
+    Sums do not depend on the order in which chunks finish, so the result
+    is the same for every thread count.
+    """
+    n_chunks = -(-spec.total // spec.chunk_size)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(chunk_fn, range(n_chunks)))
+    else:
+        parts = map(chunk_fn, range(n_chunks))
+    counts: dict[str, int] = {}
+    for part in parts:
+        for k, v in part.items():
+            counts[k] = counts.get(k, 0) + v
+    return counts
 
 
 def _normal_ci(count: int, n: int, z: float) -> tuple[float, float]:
@@ -355,11 +365,47 @@ class ReportRow:
     z: float | None = None
 
 
-_VERSION = "0.1.0"
+def _build_rows(spec: SampleSpec, entries) -> tuple[ReportRow, ...]:
+    """One row per (label, count, certified theory value or None).
+
+    Each row carries the proportion over the whole run, its normal or
+    Wilson interval at spec.z and, where theory is given, the enclosure
+    and a z-score against its midpoint.
+    """
+    n = spec.total
+    ci_fn = _wilson_ci if spec.wilson else _normal_ci
+    rows = []
+    for label, cnt, cert in entries:
+        phat = cnt / n
+        lo, hi = ci_fn(cnt, n, spec.z)
+        tlo = thi = zscore = None
+        if cert is not None:
+            tlo, thi = float(cert.lo), float(cert.hi)
+            mid = float(cert.midpoint)
+            if 0 < mid < 1:
+                zscore = (phat - mid) / sqrt(mid * (1 - mid) / n)
+        rows.append(ReportRow(label, cnt, n, phat, lo, hi, tlo, thi, zscore))
+    return tuple(rows)
+
+
+def _json_row(r: ReportRow) -> dict:
+    """The JSON keys every report row has; each report adds its label key."""
+    return {
+        "count": r.count,
+        "proportion": r.proportion,
+        "ci": [r.ci_lo, r.ci_hi],
+        "theory": None if r.theory_lo is None else [r.theory_lo, r.theory_hi],
+        "z": r.z,
+    }
 
 
 @dataclass(frozen=True)
-class EmpiricalReport:
+class _Report:
+    """Counts of one run and their rows, in one CSV schema.
+
+    Subclasses supply the CSV metadata header (_metadata) and the JSON form.
+    """
+
     spec: SampleSpec
     counts: dict = field(compare=False)
     rows: tuple[ReportRow, ...] = ()
@@ -369,22 +415,6 @@ class EmpiricalReport:
             if r.flag == flag:
                 return r
         raise KeyError(flag)
-
-    @property
-    def valid(self) -> bool:
-        return self.counts["unclassified"] <= 0.001 * self.spec.total
-
-    def _metadata(self) -> list[tuple[str, str]]:
-        s = self.spec
-        return [
-            ("seed", str(s.seed)),
-            ("height", str(s.height)),
-            ("n", str(s.total)),
-            ("p", str(s.p)),
-            ("mode", "exhaustive" if s.exhaustive else "sample"),
-            ("chunk_size", str(s.chunk_size)),
-            ("version", _VERSION),
-        ]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -410,46 +440,34 @@ class EmpiricalReport:
             )
         return buf.getvalue()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "meta": dict(self._metadata()),
-            "rows": [
-                {
-                    "flag": r.flag,
-                    "count": r.count,
-                    "N": r.n,
-                    "proportion": r.proportion,
-                    "ci": [r.ci_lo, r.ci_hi],
-                    "theory": None
-                    if r.theory_lo is None
-                    else [r.theory_lo, r.theory_hi],
-                    "z": r.z,
-                }
-                for r in self.rows
-            ],
-            "valid": self.valid,
-        }
-
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def _build_rows(counts, n, z, wilson, theory):
-    rows = []
-    ci_fn = _wilson_ci if wilson else _normal_ci
-    for flag in _FLAG_ORDER:
-        cnt = counts[flag]
-        phat = cnt / n
-        lo, hi = ci_fn(cnt, n, z)
-        tlo = thi = zscore = None
-        cert = (theory or {}).get(flag)
-        if cert is not None:
-            tlo, thi = float(cert.lo), float(cert.hi)
-            mid = float(cert.midpoint)
-            if 0 < mid < 1:
-                zscore = (phat - mid) / sqrt(mid * (1 - mid) / n)
-        rows.append(ReportRow(flag, cnt, n, phat, lo, hi, tlo, thi, zscore))
-    return tuple(rows)
+@dataclass(frozen=True)
+class EmpiricalReport(_Report):
+    @property
+    def valid(self) -> bool:
+        return self.counts["unclassified"] <= 0.001 * self.spec.total
+
+    def _metadata(self) -> list[tuple[str, str]]:
+        s = self.spec
+        return [
+            ("seed", str(s.seed)),
+            ("height", str(s.height)),
+            ("n", str(s.total)),
+            ("p", str(s.p)),
+            ("mode", "exhaustive" if s.exhaustive else "sample"),
+            ("chunk_size", str(s.chunk_size)),
+            ("version", __version__),
+        ]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "meta": dict(self._metadata()),
+            "rows": [{"flag": r.flag, "N": r.n, **_json_row(r)} for r in self.rows],
+            "valid": self.valid,
+        }
 
 
 def estimate(
@@ -463,15 +481,9 @@ def estimate(
     and a z-score against its midpoint.  The report depends only on
     (spec, theory), never on the thread count.
     """
-    n_chunks = -(-spec.total // spec.chunk_size)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda i: _count_chunk(spec, i), range(n_chunks)))
-    else:
-        parts = [_count_chunk(spec, i) for i in range(n_chunks)]
-    totals = [sum(col) for col in zip(*parts)] if parts else [0] * len(_FLAG_ORDER)
-    counts = dict(zip(_FLAG_ORDER, totals))
-    rows = _build_rows(counts, spec.total, spec.z, spec.wilson, theory)
+    counts = _run_chunks(spec, lambda i: _count_chunk(spec, i), threads)
+    theory = theory or {}
+    rows = _build_rows(spec, [(flag, counts[flag], theory.get(flag)) for flag in _FLAG_ORDER])
     return EmpiricalReport(spec, counts, rows)
 
 
@@ -479,77 +491,26 @@ def estimate(
 # Kodaira-type frequencies at a fixed prime
 
 
-def _kodaira_chunk(spec: SampleSpec, ell: int, index: int) -> dict:
-    out: dict[str, int] = {}
-    for model in _iter_chunk(spec, index):
-        if compute_invariants(model).delta == 0:
-            key = "singular"
-        else:
-            key = tate(model, ell).kodaira.label
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
 @dataclass(frozen=True)
-class KodairaFrequencyReport:
-    spec: SampleSpec
-    ell: int
-    counts: dict = field(compare=False)
-    rows: tuple[ReportRow, ...] = ()
+class KodairaFrequencyReport(_Report):
+    ell: int = field(kw_only=True)
 
-    def row(self, label: str) -> ReportRow:
-        for r in self.rows:
-            if r.flag == label:
-                return r
-        raise KeyError(label)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        meta = [
-            ("seed", str(self.spec.seed)),
-            ("height", str(self.spec.height)),
-            ("n", str(self.spec.total)),
+    def _metadata(self) -> list[tuple[str, str]]:
+        s = self.spec
+        return [
+            ("seed", str(s.seed)),
+            ("height", str(s.height)),
+            ("n", str(s.total)),
             ("ell", str(self.ell)),
-            ("mode", "exhaustive" if self.spec.exhaustive else "sample"),
-            ("version", _VERSION),
+            ("mode", "exhaustive" if s.exhaustive else "sample"),
+            ("version", __version__),
         ]
-        for k, v in meta:
-            buf.write(f"# {k}={v}\r\n")
-        w = csv.writer(buf)
-        w.writerow(
-            ["flag", "count", "N", "proportion", "ci_lo", "ci_hi", "theory_lo", "theory_hi", "z"]
-        )
-        for r in self.rows:
-            w.writerow(
-                [
-                    r.flag,
-                    r.count,
-                    r.n,
-                    repr(r.proportion),
-                    repr(r.ci_lo),
-                    repr(r.ci_hi),
-                    "" if r.theory_lo is None else repr(r.theory_lo),
-                    "" if r.theory_hi is None else repr(r.theory_hi),
-                    "" if r.z is None else repr(r.z),
-                ]
-            )
-        return buf.getvalue()
 
     def to_json_dict(self) -> dict:
         return {
             "meta": {"seed": self.spec.seed, "height": self.spec.height,
                      "n": self.spec.total, "ell": self.ell},
-            "rows": [
-                {
-                    "label": r.flag,
-                    "count": r.count,
-                    "proportion": r.proportion,
-                    "ci": [r.ci_lo, r.ci_hi],
-                    "theory": None if r.theory_lo is None else [r.theory_lo, r.theory_hi],
-                    "z": r.z,
-                }
-                for r in self.rows
-            ],
+            "rows": [{"label": r.flag, **_json_row(r)} for r in self.rows],
         }
 
 
@@ -560,45 +521,15 @@ def kodaira_frequency(spec: SampleSpec, ell: int, threads: int = 1) -> KodairaFr
     family only has an aggregate table value, reported on the "I*n:>=1"
     row.
     """
-    from .density import rho, rho_Instar_ge1
-    from .kodaira import parse_kodaira
-
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    n_chunks = -(-spec.total // spec.chunk_size)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda i: _kodaira_chunk(spec, ell, i), range(n_chunks)))
-    else:
-        parts = [_kodaira_chunk(spec, ell, i) for i in range(n_chunks)]
-    counts: dict[str, int] = {}
-    for part in parts:
-        for k, v in part.items():
-            counts[k] = counts.get(k, 0) + v
-    n = spec.total
-    ci_fn = _wilson_ci if spec.wilson else _normal_ci
-    rows = []
-    instar_total = 0
+    counts = _run_chunks(spec, lambda i: _kodaira_chunk(spec, ell, i), threads)
+    entries = []
     for label in sorted(counts):
-        cnt = counts[label]
-        if label.startswith("I*n:"):
-            instar_total += cnt
-        theory = None
-        if label != "singular" and not label.startswith("I*n:"):
-            theory = rho(parse_kodaira(label), ell)
-        lo, hi = ci_fn(cnt, n, spec.z)
-        tlo = thi = zscore = None
-        if theory is not None:
-            tlo = thi = float(theory)
-            mid = float(theory)
-            if 0 < mid < 1:
-                zscore = (cnt / n - mid) / sqrt(mid * (1 - mid) / n)
-        rows.append(ReportRow(label, cnt, n, cnt / n, lo, hi, tlo, thi, zscore))
+        table = label != "singular" and not label.startswith("I*n:")
+        theory = CertifiedValue.exact(rho(parse_kodaira(label), ell)) if table else None
+        entries.append((label, counts[label], theory))
+    instar_total = sum(c for label, c in counts.items() if label.startswith("I*n:"))
     if instar_total:
-        agg = float(rho_Instar_ge1(ell))
-        lo, hi = ci_fn(instar_total, n, spec.z)
-        zscore = (instar_total / n - agg) / sqrt(agg * (1 - agg) / n)
-        rows.append(
-            ReportRow("I*n:>=1", instar_total, n, instar_total / n, lo, hi, agg, agg, zscore)
-        )
-    return KodairaFrequencyReport(spec, ell, counts, tuple(rows))
+        entries.append(("I*n:>=1", instar_total, CertifiedValue.exact(rho_Instar_ge1(ell))))
+    return KodairaFrequencyReport(spec, counts, _build_rows(spec, entries), ell=ell)

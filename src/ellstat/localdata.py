@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arith import factorize, is_prime, legendre, valuation
+from .arith import factorize, is_prime, legendre, require_odd_prime, valuation
 from .curves import (
     SingularCurveError,
     WeierstrassModel,
@@ -362,8 +362,7 @@ def tamagawa_p_divisible(model: WeierstrassModel, p: int) -> list[int]:
     on the Tamagawa numbers themselves; the types that can occur are
     I_{pm} (split) for p >= 5 and additionally IV, IV* for p = 3.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
+    require_odd_prime(p)
     out = []
     for ell in bad_primes(model):
         if ell == p:
@@ -394,7 +393,8 @@ def local_torsion_rank_mult(model: WeierstrassModel, ell: int, p: int) -> LocalT
     trivialises, so rank_nr = 1 + [p | v(q)]; over Q_ell only the mu_p line
     survives the unramified involution, giving rank = [ell = -1 mod p].
     """
-    if p == 2 or not is_prime(p) or ell == p:
+    require_odd_prime(p)
+    if ell == p:
         raise ValueError("needs an odd prime p different from ell")
     minimal, data = local_minimal_model(model, ell)
     if not data.kodaira.is_multiplicative:
@@ -422,8 +422,7 @@ def compute_I_p(model: WeierstrassModel, p: int) -> set[int]:
     Split reduction requires rank E(Q_ell)[p] = 1; nonsplit requires both
     the Q_ell and Q_ell^nr ranks to equal 1.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
+    require_odd_prime(p)
     out = set()
     for ell in bad_primes(model):
         if ell == p:

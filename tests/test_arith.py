@@ -10,6 +10,7 @@ from ellstat.arith import (
     is_square,
     legendre,
     primes_up_to,
+    require_odd_prime,
     sieve_primes,
     sqrt_mod,
     valuation,
@@ -110,3 +111,11 @@ def test_factor_budget_raises():
 def test_primes_up_to_cached():
     assert primes_up_to(100) is primes_up_to(100)
     assert primes_up_to(10)[-1] == 7
+
+
+def test_require_odd_prime():
+    for p in (3, 5, 7, 9973):
+        require_odd_prime(p)
+    for n in (-3, 0, 1, 2, 4, 9, 15, 21, 561):
+        with pytest.raises(ValueError):
+            require_odd_prime(n)

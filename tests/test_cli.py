@@ -148,3 +148,52 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def _exit_code(capsys, *args):
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert capsys.readouterr().err.startswith("error:")
+    return exc.value.code
+
+
+@pytest.mark.parametrize("p", ["9", "15"])
+def test_composite_p_exits_2(capsys, p):
+    assert _exit_code(capsys, "theory", "--p", p) == 2
+    assert _exit_code(capsys, "census", "--p", p, "--with-d") == 2
+
+
+def test_census_d_out_of_range_exits_2(capsys):
+    assert _exit_code(capsys, "census", "--p", "17", "--with-d") == 2
+
+
+def test_theory_nonpositive_tol_exits_2(capsys):
+    assert _exit_code(capsys, "theory", "--p", "3", "--tol", "0") == 2
+
+
+def test_local_composite_prime_exits_2(capsys):
+    assert _exit_code(capsys, "local", "--curve=1,0,1,-141,624", "--prime", "4") == 2
+
+
+SMALL_RUN = ["empirical", "--p", "3", "--height", "10", "--samples", "50"]
+
+
+def test_kodaira_at_composite_exits_2(capsys):
+    assert _exit_code(capsys, *SMALL_RUN, "--kodaira-at", "4") == 2
+
+
+@pytest.mark.parametrize("threads", ["-2", "0"])
+def test_nonpositive_threads_exit_2(capsys, threads):
+    assert _exit_code(capsys, *SMALL_RUN, "--threads", threads) == 2
+
+
+def test_non_integer_env_threads_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("ELLSTAT_THREADS", "abc")
+    assert _exit_code(capsys, *SMALL_RUN) == 2
+
+
+def test_env_threads_used_when_flag_absent(capsys, monkeypatch):
+    code, serial, _ = run_cli(capsys, *SMALL_RUN)
+    monkeypatch.setenv("ELLSTAT_THREADS", "2")
+    assert run_cli(capsys, *SMALL_RUN) == (code, serial, "")
+

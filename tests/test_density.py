@@ -256,3 +256,10 @@ def test_density_report_json():
         1 - Fraction(1, 3) - rep.d_p - rep.d_p_prime
     )
     assert (rebuilt.lo, rebuilt.hi) == (rep.bound.lo, rep.bound.hi)
+
+
+@pytest.mark.parametrize("p", [9, 15])
+def test_odd_composites_rejected(p):
+    for fn in (frak_d_p, frak_d_p_prime, main_bound, density_report):
+        with pytest.raises(ValueError):
+            fn(p)

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from ellstat.curves import WeierstrassModel
+from ellstat.curves import WeierstrassModel, compute_invariants
 from ellstat.finitefield import (
     BadReductionError,
     census_torsion_classes,
+    count_points_b,
     d_count,
     group_order,
     is_anomalous,
@@ -49,6 +50,17 @@ def test_group_order_matches_double_loop_sampled():
             if c.is_singular:
                 continue
             assert group_order(c) == naive_group_order(p, *a)
+
+
+def test_count_points_b_on_unreduced_invariants():
+    rng = random.Random(47)
+    for p in (3, 5, 7, 11):
+        for _ in range(200):
+            a = [rng.randrange(-10**6, 10**6) for _ in range(5)]
+            inv = compute_invariants(WeierstrassModel(*a))
+            if inv.delta % p == 0:
+                continue
+            assert count_points_b(p, inv.b2, inv.b4, inv.b6) == naive_group_order(p, *a)
 
 
 def test_hasse_bound():
@@ -149,3 +161,13 @@ def test_census_json():
     assert r.to_json_dict() == {"p": 7, "classes": 2}
     d = d_count(3).to_json_dict()
     assert d["d"] == 54 and d["d_over_p5"] == "2/9"
+
+
+@pytest.mark.parametrize("p", [9, 15])
+def test_odd_composites_rejected(p):
+    with pytest.raises(ValueError):
+        is_anomalous(WeierstrassModel(0, 0, 0, 1, 1), p)
+    with pytest.raises(ValueError):
+        census_torsion_classes(p)
+    with pytest.raises(ValueError):
+        d_count(p)
