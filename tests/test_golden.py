@@ -29,6 +29,10 @@ CASES = {
     "empirical-wilson-json": SAMPLE + ["--wilson", "--format", "json"],
     "empirical-h1000-csv": ["empirical", "--p", "3", "--height", "1000", "--samples", "3000",
                             "--seed", "11", "--chunk-size", "1000"],
+    "empirical-h50000-csv": ["empirical", "--p", "3", "--height", "50000", "--samples", "300",
+                             "--seed", "5", "--chunk-size", "100"],
+    "empirical-p7-csv": ["empirical", "--p", "7", "--height", "1000", "--samples", "6000",
+                         "--seed", "13", "--chunk-size", "500"],
     "empirical-p5-csv": ["empirical", "--p", "5", "--height", "20", "--samples", "300",
                          "--seed", "3", "--z", "2.5"],
     "empirical-exhaustive-csv": ["empirical", "--p", "3", "--height", "1", "--exhaustive"],
@@ -70,6 +74,8 @@ GOLDEN = {
     "empirical-wilson-csv": (0, "eb574e590d27393c5ed711515527208fc3b8bd78489bff6e90f93dcc131e752f"),
     "empirical-wilson-json": (0, "0f60ce1b300d2f2c4d0ccd3c9297829694db88541f65731236425df6f027eb89"),
     "empirical-h1000-csv": (0, "f6ddab7cb9cddefa23d8c6d5875bd97d8b364e5a3add271e5f5ff17733c5ac80"),
+    "empirical-h50000-csv": (0, "c3a3c57efcb1d33c1be71fb51eb17eeb990172159f7d80a375368684112a89de"),
+    "empirical-p7-csv": (0, "f41306ebb81cfa8e29c6f76ae2e95755829fa118702517c11c090382b686d655"),
     "empirical-p5-csv": (0, "82b685029908c3d609c33083bb866e12f239fbb1cf50e424bfc649c165d4bfea"),
     "empirical-exhaustive-csv": (0, "dd974dcacfd4e56b4c38e38896840531e432b80f7532f437d9e10543860e239e"),
     "empirical-exhaustive-json": (0, "18edfd601cd4a45feb7b92179a00752414b14bc2f66ae2b6e46dff5c843e91db"),
