@@ -8,6 +8,7 @@ quadratic residue tests and integer roots.
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, isqrt
 
 __all__ = [
@@ -41,14 +42,10 @@ def sieve_primes(limit: int) -> list[int]:
     return [n for n in range(limit + 1) if flags[n]]
 
 
-_PRIME_CACHE: dict[int, list[int]] = {}
-
-
+@cache
 def primes_up_to(limit: int) -> list[int]:
     """Cached variant of sieve_primes for the bounds used repeatedly."""
-    if limit not in _PRIME_CACHE:
-        _PRIME_CACHE[limit] = sieve_primes(limit)
-    return _PRIME_CACHE[limit]
+    return sieve_primes(limit)
 
 
 # Deterministic for n < 3.317e24 (Sorenson-Webster witness set).
@@ -58,7 +55,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -156,12 +153,17 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
         raise ValueError("iroot requires n >= 0, k >= 1")
     if n in (0, 1) or k == 1:
         return n, True
-    r = int(round(n ** (1.0 / k)))
-    # float seed, then correct by a couple of integer steps
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
+    if k == 2:
+        r = isqrt(n)
+    else:
+        # Newton's iteration from 2^ceil(bits/k) > n^(1/k) decreases
+        # strictly until it reaches the floor of the root
+        r = 1 << -(-n.bit_length() // k)
+        while True:
+            s = ((k - 1) * r + n // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
     return r, r**k == n
 
 

@@ -30,7 +30,7 @@ from .finitefield import census_torsion_classes, d_count
 from .harness import SampleSpec, estimate, kodaira_frequency
 from .localdata import LocalData, bad_primes, tate
 from .quadforms import hurwitz_class_number
-from .arith import factorize, is_prime
+from .arith import FactorBudgetExceeded, factorize, is_prime
 
 
 def _fail(msg: str) -> SystemExit:
@@ -56,7 +56,10 @@ def _worker_count(value: int | None) -> int:
 def _curve_report(model: WeierstrassModel) -> tuple[str, int, list[LocalData]]:
     """j, the conductor and the Tate data at every prime dividing Delta,
     which is factored once."""
-    locs = [tate(model, ell) for ell in bad_primes(model)]
+    try:
+        locs = [tate(model, ell) for ell in bad_primes(model)]
+    except FactorBudgetExceeded:
+        raise _fail("discriminant not factored within budget")
     N = prod(d.prime**d.conductor_exponent for d in locs)
     return format_rational(j_invariant(model)), N, locs
 

@@ -260,9 +260,12 @@ def sp_doubleprime_density(p: int) -> Fraction:
 def main_bound(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
     """(p^-1 + p^-3 - p^-4) * (1 - p^-1 - frak_d_p - frak_d_p')."""
     require_odd_prime(p)
+    return _main_bound(p, frak_d_p(p, tol), frak_d_p_prime(p))
+
+
+def _main_bound(p: int, d_p: CertifiedValue, d_p_prime: Fraction) -> CertifiedValue:
     front = Fraction(1, p) + Fraction(1, p**3) - Fraction(1, p**4)
-    second = 1 - Fraction(1, p) - frak_d_p(p, tol) - frak_d_p_prime(p)
-    out = front * second
+    out = front * (1 - Fraction(1, p) - d_p - d_p_prime)
     return CertifiedValue(out.lo, out.hi, f"main_bound_{p}")
 
 
@@ -340,11 +343,12 @@ class DensityBoundReport:
 
 
 def density_report(p: int, tol=DEFAULT_TOL) -> DensityBoundReport:
+    d_p, d_p_prime = frak_d_p(p, tol), frak_d_p_prime(p)
     return DensityBoundReport(
         p=p,
-        d_p=frak_d_p(p, tol),
-        d_p_prime=frak_d_p_prime(p),
+        d_p=d_p,
+        d_p_prime=d_p_prime,
         sp2_density=sp_doubleprime_density(p),
-        bound=main_bound(p, tol),
+        bound=_main_bound(p, d_p, d_p_prime),
         conjecture_mass=delaunay_mass(p, tol),
     )

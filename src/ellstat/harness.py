@@ -5,16 +5,16 @@ walks the whole box.  Work is split into fixed-size chunks whose RNG streams
 are derived from (master seed, chunk index), so reports are bit-identical
 for a given (seed, chunk size) no matter how many threads run the chunks.
 
-Classification at p never needs a full factorisation of Delta.  Small
-primes come out of a primorial gcd; primes dividing gcd(Delta, c4) (the
-only possible additive or non-minimal ones) are factored exactly and handed
-to Tate; whatever cofactor remains is multiplicative with n = v(Delta), and
-a prime appearing there to multiplicity 1 or 2 has c in {1, 2}, which no
-odd p divides.  The one unverified case is a prime q > 10^4 dividing the
-cofactor to multiplicity >= 3 without making it a perfect power; that has
-probability < 2^-30 per sample and is treated as absent.  Samples that
-genuinely need a factorisation that exceeds its budget land in an explicit
-"unclassified" bucket; a run is valid while that bucket stays under 0.1%.
+Classification at p decides S_p by one rule: p | c_ell needs either
+ell | gcd(Delta, c4), where Tate decides, or ell^3 | Delta with ell prime to
+c4, a split I_v prime with p | v.  Primes below 10^4 come out of a primorial
+gcd; above it only gcd(Delta, c4) is factored, and the multiplicative rest
+matters only through a prime of multiplicity >= 3, which a perfect-power
+test finds.  The one unverified case is a rest q^3 * r that is not a
+perfect power; that has probability < 2^-30 per sample and is treated as
+absent.  Samples that genuinely need a factorisation that exceeds its budget
+land in an explicit "unclassified" bucket; a run is valid while that bucket
+stays under 0.1%.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
-from math import gcd, isqrt, prod, sqrt
+from math import gcd, inf, isqrt, prod, sqrt
 
 from . import __version__
-from .arith import FactorBudgetExceeded, factorize, iroot, is_prime, primes_up_to, require_odd_prime
+from .arith import (FactorBudgetExceeded, factorize, iroot, is_prime, primes_up_to,
+                    require_odd_prime, valuation)
 from .curves import WeierstrassModel, compute_invariants
 from .density import CertifiedValue, rho, rho_Instar_ge1
 from .finitefield import count_points_b
@@ -65,125 +66,84 @@ class ClassificationFlags:
     tamagawa_divisible: bool
     anomalous_good: bool
     unclassified: bool = False
-    kodaira_at: tuple[tuple[int, str], ...] = ()
 
 
-def classify(model: WeierstrassModel, p: int, tags: bool = False) -> ClassificationFlags:
+def classify(model: WeierstrassModel, p: int) -> ClassificationFlags:
     """Membership flags in S_p (some p | c_ell), S_p' (good anomalous) and
     S_p'' (bad reduction at p) for one integral tuple.
 
     S_p'' is decided on the p-minimal model; S_p' uses the discriminant of
-    the given equation, per its literal definition.  With tags=True the
-    Kodaira labels of the identified bad primes are attached.
+    the given equation, per its literal definition.
     """
     require_odd_prime(p)
     inv = compute_invariants(model)
     delta = inv.delta
     if delta == 0:
         return ClassificationFlags(True, False, False, False)
-    c4, c6 = inv.c4, inv.c6
-    kod: list[tuple[int, str]] = []
+    c4 = inv.c4
 
     # S_p'': reduction at p on the minimal model.  v(Delta) < 12 cannot be
     # non-minimal, and v(c4) = 0 forces a (minimal) multiplicative type.
-    D = abs(delta)
+    C = abs(delta)
     vp = 0
-    while D % p == 0:
-        D //= p
+    while C % p == 0:
+        C //= p
         vp += 1
     if vp == 0:
         bad_at_p = False
-    elif c4 % p != 0:
+    elif c4 % p or vp < 12:
         bad_at_p = True
-        if tags:
-            kod.append((p, f"In:{vp}"))
-    elif vp < 12:
-        bad_at_p = True
-        if tags:
-            kod.append((p, tate(model, p).kodaira.label))
     else:
-        local = tate(model, p)
-        bad_at_p = not local.kodaira.is_good
-        if tags and bad_at_p:
-            kod.append((p, local.kodaira.label))
+        bad_at_p = not tate(model, p).kodaira.is_good
 
     # S_p': p does not divide the given discriminant and the reduction has
     # a rational p-torsion point, i.e. p | #E(F_p).
     anomalous_good = vp == 0 and count_points_b(p, inv.b2, inv.b4, inv.b6) % p == 0
 
-    # S_p: some ell != p with p | c_ell.
-    tam = False
-    unclassified = False
-    C = D  # p-part already removed
-    g = gcd(C, _primorial())
-    if g > 1:
-        for ell in primes_up_to(_SMALL_BOUND):
-            if g == 1:
-                break
-            if g % ell:
-                continue
-            g //= ell
-            if ell == p:
-                continue
-            v = 0
-            while C % ell == 0:
-                C //= ell
-                v += 1
-            if c4 % ell:
-                # multiplicative and automatically minimal: c = v if split
-                if v % p == 0 and _split_multiplicative(c6, ell):
-                    tam = True
-                    if not tags:
-                        break
-                if tags:
-                    kod.append((ell, f"In:{v}"))
-            else:
-                local = tate(model, ell)
-                if local.tamagawa % p == 0:
-                    tam = True
-                    if not tags:
-                        break
-                if tags and not local.kodaira.is_good:
-                    kod.append((ell, local.kodaira.label))
-    if C > 1 and not (tam and not tags):
-        try:
-            C, tam2, kod2 = _large_cofactor_scan(model, C, c4, c6, p, tags)
-            tam = tam or tam2
-            kod.extend(kod2)
-        except FactorBudgetExceeded:
-            unclassified = True
-    return ClassificationFlags(
-        False, bad_at_p, tam, anomalous_good, unclassified, tuple(sorted(set(kod)))
-    )
+    try:
+        tam, unclassified = _tamagawa_divisible(model, C, c4, inv.c6, p), False
+    except FactorBudgetExceeded:
+        tam, unclassified = False, True
+    return ClassificationFlags(False, bad_at_p, tam, anomalous_good, unclassified)
 
 
-def _large_cofactor_scan(model, C, c4, c6, p, tags):
-    """Handle the cofactor of Delta made of primes above the trial bound."""
-    tam = False
-    kod: list[tuple[int, str]] = []
-    big_additive = gcd(C, abs(c4)) if c4 else C
+def _tamagawa_divisible(model: WeierstrassModel, C: int, c4: int, c6: int, p: int) -> bool:
+    """Is p | c_ell for some prime ell | C?  C is |Delta| with p divided out.
+
+    Only two kinds of ell can qualify: ell | gcd(Delta, c4), where Tate
+    decides, and ell^3 | Delta with ell not dividing c4, a multiplicative
+    prime where c_ell = v_ell(Delta) if split and c_ell <= 2 otherwise.
+    Budget-free tests run first, so FactorBudgetExceeded means none of them
+    found a divisible c_ell.
+    """
+    # primes below the trial bound: s holds those dividing C, cubed those
+    # dividing it at least three times
+    s = gcd(C, _primorial())
+    s2 = gcd(C // s, s)
+    cubed = gcd(C // s // s2, s2)
+    for ell in factorize(gcd(s, c4) * cubed):
+        if c4 % ell == 0:
+            if tate(model, ell).tamagawa % p == 0:
+                return True
+        elif valuation(C, ell) % p == 0 and _split_multiplicative(c6, ell):
+            return True
+    while s > 1:
+        C //= s
+        s = gcd(C, s)
+
+    # primes above the trial bound: the additive (or non-minimal) ones
+    # divide c4, and gcd(C, 0) = C
+    big_additive = gcd(C, c4)
     if big_additive > 1:
         for q in factorize(big_additive, trial_bound=2, rho_budget=_RHO_BUDGET):
             while C % q == 0:
                 C //= q
-            local = tate(model, q)
-            if local.tamagawa % p == 0:
-                tam = True
-            if tags and not local.kodaira.is_good:
-                kod.append((q, local.kodaira.label))
-    if C == 1:
-        return C, tam, kod
-    if tags:
-        # full factorisation wanted for the tag list
-        for q, n in factorize(C, trial_bound=2, rho_budget=_RHO_BUDGET).items():
-            if n % p == 0 and _split_multiplicative(c6, q):
-                tam = True
-            kod.append((q, f"In:{n}"))
-        return 1, tam, kod
+            if tate(model, q).tamagawa % p == 0:
+                return True
     if C < _SMALL_CUBE:
         # q^3 <= C < bound^3 is impossible, so every multiplicity here is 1
         # or 2 and c lies in {1, 2}: no odd p divides it
-        return C, tam, kod
+        return False
     # the only way left for some multiplicity to reach 3 (short of the
     # assumed-absent q^3 * r event) is C itself being a perfect power
     m = isqrt(C)
@@ -195,12 +155,12 @@ def _large_cofactor_scan(model, C, c4, c6, p, tags):
             if exact:
                 break
         else:
-            return C, tam, kod
+            return False
     if k % p == 0 or m >= _SMALL_CUBE:
         for q, n in factorize(C, trial_bound=2, rho_budget=_RHO_BUDGET).items():
             if n % p == 0 and _split_multiplicative(c6, q):
-                tam = True
-    return C, tam, kod
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +215,8 @@ class SampleSpec:
             raise ValueError("seed must be a 64-bit integer")
         if self.chunk_size < 1:
             raise ValueError("chunk size must be positive")
+        if not 0 < self.z < inf:
+            raise ValueError("z must be positive and finite")
         if self.exhaustive:
             if exhaustive_box_size(self.height) > 10**7:
                 raise ValueError("exhaustive box exceeds 10^7 tuples")

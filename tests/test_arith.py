@@ -72,6 +72,16 @@ def test_valuation_and_iroot():
         r, exact = iroot(n, k)
         assert r**k <= n < (r + 1) ** k
         assert exact == (r**k == n)
+    # exact powers and their neighbours, and n far beyond float range
+    for k in (2, 3, 5, 7):
+        cases = [rng.randrange(1, 10**400) for _ in range(40)] + [10**400 + 7]
+        for m in (2, 3, 10**20 + 39, 3**200, 10**57 + 7):
+            cases += [m**k - 1, m**k, m**k + 1]
+        for n in cases:
+            r, exact = iroot(n, k)
+            assert r**k <= n < (r + 1) ** k
+            assert exact == (r**k == n)
+        assert iroot((10**57 + 7) ** k, k) == (10**57 + 7, True)
 
 
 def test_is_square():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ellstat.arith import FactorBudgetExceeded
 from ellstat.cli import main
 
 
@@ -180,6 +181,21 @@ SMALL_RUN = ["empirical", "--p", "3", "--height", "10", "--samples", "50"]
 
 def test_kodaira_at_composite_exits_2(capsys):
     assert _exit_code(capsys, *SMALL_RUN, "--kodaira-at", "4") == 2
+
+
+@pytest.mark.parametrize("z", ["-1", "0", "nan", "inf"])
+def test_bad_z_exits_2(capsys, z):
+    assert _exit_code(capsys, *SMALL_RUN, f"--z={z}") == 2
+
+
+def test_unfactored_discriminant_exits_2(capsys, monkeypatch):
+    def give_up(n, **kwargs):
+        raise FactorBudgetExceeded(f"no factor of {n} within budget")
+
+    monkeypatch.setattr("ellstat.localdata.factorize", give_up)
+    for args in (["local", "--curve=1,0,1,-141,624"],
+                 ["families", "--family", "zywina", "--range", "1..2"]):
+        assert _exit_code(capsys, *args) == 2
 
 
 @pytest.mark.parametrize("threads", ["-2", "0"])

@@ -16,7 +16,7 @@ from ellstat.harness import (
     kodaira_frequency,
     sample_tuple,
 )
-from ellstat.localdata import bad_primes, tamagawa_p_divisible, tate
+from ellstat.localdata import tamagawa_p_divisible, tate
 
 
 def test_sample_height_one_is_origin():
@@ -69,6 +69,9 @@ def test_spec_validation():
         SampleSpec(height=10, p=3, count=5, seed=1 << 64)
     with pytest.raises(ValueError):
         SampleSpec(height=10**6 + 1, p=3, count=5)
+    for z in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SampleSpec(height=10, p=3, count=5, z=z)
 
 
 def test_classify_singular():
@@ -131,22 +134,21 @@ def test_classify_against_direct_pipeline_tall_box():
         checked += 1
 
 
-def test_classify_tags_match_tate():
-    rng = random.Random(6)
-    done = 0
-    while done < 60:
-        m = sample_tuple(rng, 8)
-        if compute_invariants(m).delta == 0:
-            continue
-        f = classify(m, 3, tags=True)
-        tagged = dict(f.kodaira_at)
-        for ell in bad_primes(m):
-            d = tate(m, ell)
-            if d.kodaira.is_good:
-                assert ell not in tagged
-            else:
-                assert tagged[ell] == d.kodaira.label
-        done += 1
+@pytest.mark.parametrize(
+    "coeffs, ell",
+    [
+        ((1, 0, 7, 0, 0), 7),  # split I3 at a small prime
+        # Delta = q^3 (1 - 27q) with 27q - 1 smooth: the cofactor is q^3, split I3
+        ((1, 0, 10009, 0, 0), 10009),
+        ((0, 0, 0, 10007**2, 10007**2), 10007),  # type IV, c = 3, c4 != 0
+        ((0, 0, 0, 0, 10007**2), 10007),  # type IV, c = 3, c4 = 0
+    ],
+)
+def test_classify_each_kind_of_divisible_prime(coeffs, ell):
+    m = WeierstrassModel(*coeffs)
+    assert ell in tamagawa_p_divisible(m, 3)
+    f = classify(m, 3)
+    assert f.tamagawa_divisible and not f.unclassified
 
 
 def test_estimate_deterministic_across_threads_and_runs():
