@@ -9,7 +9,7 @@ quadratic residue tests and integer roots.
 from __future__ import annotations
 
 from functools import cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 __all__ = [
     "sieve_primes",
@@ -46,6 +46,15 @@ def sieve_primes(limit: int) -> list[int]:
 def primes_up_to(limit: int) -> list[int]:
     """Cached variant of sieve_primes for the bounds used repeatedly."""
     return sieve_primes(limit)
+
+
+# factorize finds the primes below this bound by one gcd with their product
+_SMALL_BOUND = 10_000
+
+
+@cache
+def _primorial() -> int:
+    return prod(primes_up_to(_SMALL_BOUND))
 
 
 # Deterministic for n < 3.317e24 (Sorenson-Webster witness set).
@@ -209,23 +218,29 @@ def _pollard_brent(n: int, max_iter: int) -> int | None:
             return None
 
 
-def factorize(n: int, *, trial_bound: int = 10000, rho_budget: int = 1 << 22) -> dict[int, int]:
+def factorize(n: int, *, rho_budget: int = 1 << 22) -> dict[int, int]:
     """Full factorisation {prime: exponent} of |n|, n != 0.
 
-    Trial division up to trial_bound, then Pollard-Brent on what is left.
-    Raises FactorBudgetExceeded if a composite cofactor survives the rho
-    budget; callers that must not fail should catch it and report.
+    The primes below 10^4 come out of g = gcd(n, their product), divided
+    out in ascending order until g is used up; Pollard-Brent splits what is
+    left.  Raises FactorBudgetExceeded if a composite cofactor survives the
+    rho budget; callers that must not fail should catch it and report.
     """
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
     out: dict[int, int] = {}
-    for p in primes_up_to(trial_bound):
-        if p * p > n:
+    # the primes of g are those of n below the bound; a small n serves as its
+    # own g, since reducing the 14277-bit primorial costs about 4 us
+    g = n if n < _SMALL_BOUND else gcd(n, _primorial())
+    for p in primes_up_to(_SMALL_BOUND):
+        if g == 1 or p * p > n:
             break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+        if g % p == 0:
+            g //= p
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
     if n == 1:
         return out
     stack = [n]

@@ -30,7 +30,7 @@ from .finitefield import census_torsion_classes, d_count
 from .harness import SampleSpec, estimate, kodaira_frequency
 from .localdata import LocalData, bad_primes, tate
 from .quadforms import hurwitz_class_number
-from .arith import FactorBudgetExceeded, factorize, is_prime
+from .arith import FactorBudgetExceeded, is_prime
 
 
 def _fail(msg: str) -> SystemExit:
@@ -188,14 +188,6 @@ def cmd_empirical(args) -> int:
     return 0
 
 
-def _squarefree_range(lo: int, hi: int):
-    for t in range(lo, hi + 1):
-        if t == 0:
-            continue
-        if all(e == 1 for e in factorize(t).values()):
-            yield t
-
-
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     try:
@@ -214,8 +206,11 @@ def cmd_families(args) -> int:
             raise _fail("--family twist needs --base")
         base = _parse_curve(args.base)
         lo, hi = _parse_range(args.range)
-        for t in _squarefree_range(lo, hi):
-            E = quadratic_twist(base, t)
+        for t in range(lo, hi + 1):
+            try:
+                E = quadratic_twist(base, t)
+            except ValueError:
+                continue  # t = 0 or not squarefree
             rows.append((str(t), E))
     else:
         lo, hi = _parse_range(args.range)

@@ -26,12 +26,11 @@ import json
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cache
-from math import gcd, inf, isqrt, prod, sqrt
+from math import gcd, inf, isqrt, sqrt
 
 from . import __version__
-from .arith import (FactorBudgetExceeded, factorize, iroot, is_prime, primes_up_to,
-                    require_odd_prime, valuation)
+from .arith import (_SMALL_BOUND, FactorBudgetExceeded, _primorial, factorize, iroot,
+                    is_prime, require_odd_prime, valuation)
 from .curves import WeierstrassModel, compute_invariants
 from .density import CertifiedValue, rho, rho_Instar_ge1
 from .finitefield import count_points_b
@@ -50,13 +49,8 @@ __all__ = [
     "exhaustive_box_size",
 ]
 
-_SMALL_BOUND = 10_000
 _SMALL_CUBE = _SMALL_BOUND**3
 _RHO_BUDGET = 1 << 20
-
-@cache
-def _primorial() -> int:
-    return prod(primes_up_to(_SMALL_BOUND))
 
 
 @dataclass(frozen=True)
@@ -135,7 +129,7 @@ def _tamagawa_divisible(model: WeierstrassModel, C: int, c4: int, c6: int, p: in
     # divide c4, and gcd(C, 0) = C
     big_additive = gcd(C, c4)
     if big_additive > 1:
-        for q in factorize(big_additive, trial_bound=2, rho_budget=_RHO_BUDGET):
+        for q in factorize(big_additive, rho_budget=_RHO_BUDGET):
             while C % q == 0:
                 C //= q
             if tate(model, q).tamagawa % p == 0:
@@ -157,7 +151,7 @@ def _tamagawa_divisible(model: WeierstrassModel, C: int, c4: int, c6: int, p: in
         else:
             return False
     if k % p == 0 or m >= _SMALL_CUBE:
-        for q, n in factorize(C, trial_bound=2, rho_budget=_RHO_BUDGET).items():
+        for q, n in factorize(C, rho_budget=_RHO_BUDGET).items():
             if n % p == 0 and _split_multiplicative(c6, q):
                 return True
     return False

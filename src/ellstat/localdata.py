@@ -4,6 +4,12 @@ tate() runs the full algorithm at any prime, including the wild cases at
 2 and 3, minimising the model on the way (step-11 rescalings).  The
 conductor exponent comes out of Ogg's relation f = v(D_min) + 1 - m with m
 the component count of the Kodaira type, which is valid at every prime.
+Roots of the I0* cubic are counted by T^p = T mod f and Stickelberger's
+parity rule on its discriminant (brute force only at 2).
+
+The per-curve queries (conductor, tamagawa_p_divisible, compute_I_p,
+prime_scan) factor Delta once and run Tate once per bad prime; prime_scan
+reuses those runs for every p.
 
 Multiplicative reduction is split exactly when -c6 is a square in Q_ell
 (Legendre test for odd ell, unit = 1 mod 8 at ell = 2).  Local p-torsion
@@ -86,63 +92,37 @@ def _quad_has_roots(A: int, B: int, C: int, p: int) -> bool:
     return legendre(B * B - 4 * A * C, p) >= 0
 
 
+def _cubic_disc(b: int, c: int, d: int) -> int:
+    """Discriminant of T^3 + b T^2 + c T + d."""
+    return 18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
+
+
 def _nroots_cubic(b: int, c: int, d: int, p: int) -> int:
-    """Roots in F_p of the separable cubic T^3 + b T^2 + c T + d."""
-    if p < 1000:
-        return sum(
-            1 for t in range(p) if (t**3 + b * t * t + c * t + d) % p == 0
+    """Roots in F_p of the separable cubic f = T^3 + b T^2 + c T + d.
+
+    At odd p, f splits exactly when T^p = T mod f.  Otherwise it has one
+    root or none, and Stickelberger's rule (the number of irreducible
+    factors has the parity of deg f exactly when disc f is a square) picks
+    one root for a non-square discriminant.  The rule fails at p = 2.
+    """
+    if p == 2:
+        return sum(1 for t in (0, 1) if (t**3 + b * t * t + c * t + d) % 2 == 0)
+    b, c, d = b % p, c % p, d % p
+    # x0 + x1 T + x2 T^2 = T^p mod f, by square-and-multiply on the bits of p
+    x0, x1, x2 = 1, 0, 0
+    for bit in bin(p)[2:]:
+        h4 = x2 * x2
+        h3 = 2 * x1 * x2 - b * h4
+        x0, x1, x2 = (
+            (x0 * x0 - d * h3) % p,
+            (2 * x0 * x1 - d * h4 - c * h3) % p,
+            (2 * x0 * x2 + x1 * x1 - c * h4 - b * h3) % p,
         )
-    # deg gcd(T^p - T, P) via Frobenius power, for large p
-    m = (d % p, c % p, b % p, 1)
-
-    def mulmod(f, g):
-        prod = [0] * (len(f) + len(g) - 1)
-        for i, fi in enumerate(f):
-            if fi:
-                for j, gj in enumerate(g):
-                    prod[i + j] = (prod[i + j] + fi * gj) % p
-        # reduce by monic cubic m
-        for i in range(len(prod) - 1, 2, -1):
-            coef = prod[i]
-            if coef:
-                prod[i] = 0
-                prod[i - 1] = (prod[i - 1] - coef * m[2]) % p
-                prod[i - 2] = (prod[i - 2] - coef * m[1]) % p
-                prod[i - 3] = (prod[i - 3] - coef * m[0]) % p
-        return prod[:3] + [0] * (3 - len(prod[:3]))
-
-    result = [1, 0, 0]
-    base = [0, 1, 0]
-    e = p
-    while e:
-        if e & 1:
-            result = mulmod(result, base)
-        base = mulmod(base, base)
-        e >>= 1
-    # gcd(T^p - T, m)
-    f = [m[0], m[1], m[2], 1]
-    g = [result[0], (result[1] - 1) % p, result[2]]
-    while any(g):
-        while g and g[-1] == 0:
-            g.pop()
-        if not g:
-            break
-        inv = pow(g[-1], -1, p)
-        gm = [x * inv % p for x in g]
-        r = list(f)
-        while len(r) >= len(gm) and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < len(gm):
-                break
-            coef = r[-1]
-            shift = len(r) - len(gm)
-            for i, x in enumerate(gm):
-                r[shift + i] = (r[shift + i] - coef * x) % p
-        f, g = gm + [0], r
-    while f and f[-1] == 0:
-        f.pop()
-    return len(f) - 1
+        if bit == "1":
+            x0, x1, x2 = -d * x2 % p, (x0 - c * x2) % p, (x1 - b * x2) % p
+    if (x0, x1, x2) == (0, 1, 0):
+        return 3
+    return 1 if legendre(_cubic_disc(b, c, d), p) == -1 else 0
 
 
 def _cubic_multiple_root(b: int, c: int, d: int, p: int) -> tuple[int, bool]:
@@ -159,8 +139,8 @@ def _cubic_multiple_root(b: int, c: int, d: int, p: int) -> tuple[int, bool]:
     return (b * c - 9 * d) * pow(6 * c - 2 * b * b, -1, p) % p, False
 
 
-def _tate_run(model: WeierstrassModel, ell: int):
-    """Full Tate loop; returns (LocalData, ell-minimal model)."""
+def _tate_run(model: WeierstrassModel, ell: int) -> tuple[WeierstrassModel, LocalData]:
+    """Full Tate loop; returns (ell-minimal model, LocalData)."""
     a1, a2, a3, a4, a6 = model.coefficients()
     p = ell
     scalings = 0
@@ -177,9 +157,9 @@ def _tate_run(model: WeierstrassModel, ell: int):
             # node: type I_n on an automatically minimal model
             ktype = KodairaType("In", n)
             if _split_multiplicative(inv.c6, p):
-                c = n
+                c, reduction = n, SPLIT
             else:
-                c = 2 if n % 2 == 0 else 1
+                c, reduction = 2 - n % 2, NONSPLIT
             break
         # cusp: move the singular point to (0, 0)
         if p == 2:
@@ -228,10 +208,7 @@ def _tate_run(model: WeierstrassModel, ell: int):
         b = (a2 // p) % p
         cc = (a4 // (p * p)) % p
         dd = (a6 // p**3) % p
-        disc = (
-            18 * b * cc * dd - 4 * b**3 * dd + b * b * cc * cc - 4 * cc**3 - 27 * dd * dd
-        ) % p
-        if disc != 0:
+        if _cubic_disc(b, cc, dd) % p != 0:
             ktype = KodairaType("I0*")
             c = 1 + _nroots_cubic(b, cc, dd, p)
             break
@@ -304,7 +281,6 @@ def _tate_run(model: WeierstrassModel, ell: int):
         reduction = GOOD
     elif ktype.is_multiplicative:
         f = 1
-        reduction = SPLIT if _split_multiplicative(inv_min.c6, p) else NONSPLIT
     else:
         f = v_delta + 1 - ktype.components
         reduction = ADDITIVE
@@ -317,7 +293,14 @@ def _tate_run(model: WeierstrassModel, ell: int):
         was_minimal=(scalings == 0),
         reduction=reduction,
     )
-    return data, minimal
+    return minimal, data
+
+
+def local_minimal_model(model: WeierstrassModel, ell: int) -> tuple[WeierstrassModel, LocalData]:
+    """An ell-minimal model (translated/rescaled) together with its LocalData."""
+    if not is_prime(ell):
+        raise ValueError(f"{ell} is not prime")
+    return _tate_run(model, ell)
 
 
 def tate(model: WeierstrassModel, ell: int) -> LocalData:
@@ -326,17 +309,7 @@ def tate(model: WeierstrassModel, ell: int) -> LocalData:
     Works on any integral model; the local minimisation happens inside and
     was_minimal records whether the input was already ell-minimal.
     """
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    return _tate_run(model, ell)[0]
-
-
-def local_minimal_model(model: WeierstrassModel, ell: int) -> tuple[WeierstrassModel, LocalData]:
-    """An ell-minimal model (translated/rescaled) together with its LocalData."""
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    data, minimal = _tate_run(model, ell)
-    return minimal, data
+    return local_minimal_model(model, ell)[1]
 
 
 def bad_primes(model: WeierstrassModel) -> list[int]:
@@ -347,11 +320,17 @@ def bad_primes(model: WeierstrassModel) -> list[int]:
     return sorted(factorize(delta))
 
 
+def _local_table(model: WeierstrassModel) -> dict[int, tuple[WeierstrassModel, LocalData]]:
+    """ell -> (ell-minimal model, LocalData) at every prime dividing Delta,
+    ascending: one factorisation and one Tate run per prime."""
+    return {ell: _tate_run(model, ell) for ell in bad_primes(model)}
+
+
 def conductor(model: WeierstrassModel) -> int:
     """prod ell^f_ell over the primes dividing the discriminant."""
     n = 1
-    for ell in bad_primes(model):
-        n *= ell ** tate(model, ell).conductor_exponent
+    for ell, (_, data) in _local_table(model).items():
+        n *= ell**data.conductor_exponent
     return n
 
 
@@ -363,13 +342,11 @@ def tamagawa_p_divisible(model: WeierstrassModel, p: int) -> list[int]:
     I_{pm} (split) for p >= 5 and additionally IV, IV* for p = 3.
     """
     require_odd_prime(p)
-    out = []
-    for ell in bad_primes(model):
-        if ell == p:
-            continue
-        if tate(model, ell).tamagawa % p == 0:
-            out.append(ell)
-    return out
+    return [
+        ell
+        for ell, (_, data) in _local_table(model).items()
+        if ell != p and data.tamagawa % p == 0
+    ]
 
 
 @dataclass(frozen=True)
@@ -399,21 +376,23 @@ def local_torsion_rank_mult(model: WeierstrassModel, ell: int, p: int) -> LocalT
     minimal, data = local_minimal_model(model, ell)
     if not data.kodaira.is_multiplicative:
         raise ValueError(f"reduction at {ell} is {data.reduction}, not multiplicative")
-    n = data.v_min_delta
-    inv = compute_invariants(minimal)
-    rank_nr_split = 1 + (1 if n % p == 0 else 0)
-    if data.reduction == SPLIT:
-        rank = 1 if ell % p == 1 else 0
-        if n % p == 0:
-            if ell % p != 1:
-                rank += 1
-            else:
-                unit = inv.delta // ell**n * pow(inv.c4, -3, ell) % ell
-                if pow(unit, (ell - 1) // p, ell) == 1:
-                    rank += 1
-        return LocalTorsionRank(ell, rank, rank_nr_split)
-    rank = 1 if (ell + 1) % p == 0 else 0
-    return LocalTorsionRank(ell, rank, rank_nr_split)
+    return _mult_rank(minimal, data, p)
+
+
+def _mult_rank(minimal: WeierstrassModel, data: LocalData, p: int) -> LocalTorsionRank:
+    """local_torsion_rank_mult from the Tate run at a multiplicative prime."""
+    ell, n = data.prime, data.v_min_delta
+    rank_nr = 1 + (n % p == 0)
+    if data.reduction == NONSPLIT:
+        return LocalTorsionRank(ell, int((ell + 1) % p == 0), rank_nr)
+    if ell % p != 1:
+        return LocalTorsionRank(ell, int(n % p == 0), rank_nr)
+    rank = 1
+    if n % p == 0:
+        inv = compute_invariants(minimal)
+        unit = inv.delta // ell**n * pow(inv.c4, -3, ell) % ell
+        rank += pow(unit, (ell - 1) // p, ell) == 1
+    return LocalTorsionRank(ell, rank, rank_nr)
 
 
 def compute_I_p(model: WeierstrassModel, p: int) -> set[int]:
@@ -424,19 +403,12 @@ def compute_I_p(model: WeierstrassModel, p: int) -> set[int]:
     """
     require_odd_prime(p)
     out = set()
-    for ell in bad_primes(model):
-        if ell == p:
+    for ell, (minimal, data) in _local_table(model).items():
+        if ell == p or not data.kodaira.is_multiplicative:
             continue
-        data = tate(model, ell)
-        if not data.kodaira.is_multiplicative:
-            continue
-        ranks = local_torsion_rank_mult(model, ell, p)
-        if data.reduction == SPLIT:
-            if ranks.rank == 1:
-                out.add(ell)
-        else:
-            if ranks.rank == 1 and ranks.rank_nr == 1:
-                out.add(ell)
+        ranks = _mult_rank(minimal, data, p)
+        if ranks.rank == 1 and (data.reduction == SPLIT or ranks.rank_nr == 1):
+            out.add(ell)
     return out
 
 
@@ -487,26 +459,22 @@ def prime_scan(model: WeierstrassModel, p_max: int) -> PrimeScanReport:
     from .arith import primes_up_to
     from .finitefield import is_anomalous
 
-    local = {ell: tate(model, ell) for ell in bad_primes(model)}
-    truly_bad = {ell: d for ell, d in local.items() if not d.kodaira.is_good}
+    truly_bad = {
+        ell: entry for ell, entry in _local_table(model).items() if not entry[1].kodaira.is_good
+    }
     rows = []
     for p in primes_up_to(p_max):
         if p == 2:
             continue
         good = p not in truly_bad
         anomalous = is_anomalous(model, p) if good else False
-        tam = any(d.tamagawa % p == 0 for ell, d in truly_bad.items() if ell != p)
-        torsion = False
-        for ell, d in truly_bad.items():
-            if ell == p:
-                continue
-            if d.kodaira.is_multiplicative:
-                if local_torsion_rank_mult(model, ell, p).rank >= 1:
-                    torsion = True
-                    break
-            elif d.tamagawa % p == 0:
-                torsion = True
-                break
+        away = [entry for ell, entry in truly_bad.items() if ell != p]
+        tam = any(d.tamagawa % p == 0 for _, d in away)
+        torsion = any(
+            _mult_rank(minimal, d, p).rank >= 1 if d.kodaira.is_multiplicative
+            else d.tamagawa % p == 0
+            for minimal, d in away
+        )
         rows.append(PrimeScanRow(p, good, anomalous, tam, torsion))
     total = len(rows) or 1
     fractions = {

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -108,6 +109,22 @@ def test_factorize_structured_inputs():
     assert factorize(big) == {10**9 + 7: 2, 10**9 + 9: 1}
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_factorize_primorial():
+    primes = primes_up_to(10**4)
+    assert len(primes) == 1229
+    assert factorize(math.prod(primes)) == {q: 1 for q in primes}
+
+
+def test_factorize_small_primes_with_large_cofactor():
+    # the largest prime below 10^4, squared, next to one just above it
+    assert factorize(2**5 * 9973**2 * 10007) == {2: 5, 9973: 2, 10007: 1}
+    assert factorize(-(2**5) * 9973**2 * (10**9 + 7)) == {2: 5, 9973: 2, 10**9 + 7: 1}
+    for n in range(1, 10**4):  # below the bound n stands in for the gcd
+        fac = factorize(n)
+        assert all(is_prime(q) for q in fac)
+        assert math.prod(q**e for q, e in fac.items()) == n
 
 
 def test_factor_budget_raises():

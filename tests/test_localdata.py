@@ -488,18 +488,52 @@ def test_local_data_json_schema():
     }
 
 
-def test_nroots_cubic_large_prime_path():
+def test_nroots_cubic_matches_brute_force():
     from ellstat.localdata import _nroots_cubic
 
+    def disc(b, c, d, p):
+        return (18*b*c*d - 4*b**3*d + b*b*c*c - 4*c**3 - 27*d*d) % p
+
+    def brute(b, c, d, p):
+        return sum(1 for t in range(p) if (t**3 + b*t*t + c*t + d) % p == 0)
+
+    # every separable cubic over F_2, F_3, F_5 and F_7
+    for p in (2, 3, 5, 7):
+        for b in range(p):
+            for c in range(p):
+                for d in range(p):
+                    if disc(b, c, d, p):
+                        assert _nroots_cubic(b, c, d, p) == brute(b, c, d, p), (b, c, d, p)
     rng = random.Random(81)
-    for p in (1009, 4001, 10007):
+    for p in (101, 997, 1009, 4001, 10007):
+        seen = set()
         for _ in range(40):
             b, c, d = (rng.randrange(p) for _ in range(3))
-            disc = (18*b*c*d - 4*b**3*d + b*b*c*c - 4*c**3 - 27*d*d) % p
-            if disc == 0:
+            if disc(b, c, d, p) == 0:
                 continue
-            brute = sum(1 for t in range(p) if (t**3 + b*t*t + c*t + d) % p == 0)
-            assert _nroots_cubic(b, c, d, p) == brute
+            n = brute(b, c, d, p)
+            assert _nroots_cubic(b, c, d, p) == n, (b, c, d, p)
+            seen.add(n)
+        assert seen == {0, 1, 3}  # the split, one-root and irreducible cases
+
+
+def test_one_tate_run_per_bad_prime(monkeypatch):
+    import ellstat.localdata as localdata
+
+    calls = []
+    run = localdata._tate_run
+
+    def counting_run(model, ell):
+        calls.append(ell)
+        return run(model, ell)
+
+    monkeypatch.setattr(localdata, "_tate_run", counting_run)
+    # E1 has bad primes {2, 71}; the scan reuses both runs for every p
+    for query in (lambda: prime_scan(E1, 3000), lambda: compute_I_p(E1, 3),
+                  lambda: conductor(E1)):
+        calls.clear()
+        query()
+        assert sorted(calls) == [2, 71]
 
 
 def test_tate_additive_at_large_prime():
