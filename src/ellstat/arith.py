@@ -17,9 +17,7 @@ __all__ = [
     "is_prime",
     "require_odd_prime",
     "legendre",
-    "sqrt_mod",
     "valuation",
-    "is_square",
     "iroot",
     "factorize",
     "FactorBudgetExceeded",
@@ -100,43 +98,6 @@ def legendre(a: int, p: int) -> int:
     return -1 if t == p - 1 else 1
 
 
-def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a modulo prime p, or None if a is a non-residue.
-
-    Tonelli-Shanks for p = 1 mod 8, direct exponentiation otherwise.
-    """
-    a %= p
-    if p == 2 or a == 0:
-        return a
-    if legendre(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    if p % 8 == 5:
-        x = pow(a, (p + 3) // 8, p)
-        if x * x % p != a:
-            x = x * pow(2, (p - 1) // 4, p) % p
-        return x
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m, c, t, x = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, x = t * c % p, x * b % p
-    return x
-
-
 def valuation(n: int, p: int) -> int:
     """Exponent of p in n.  Raises for n = 0 (infinite valuation)."""
     if n == 0:
@@ -147,13 +108,6 @@ def valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
 
 
 def iroot(n: int, k: int) -> tuple[int, bool]:

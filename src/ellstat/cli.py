@@ -136,8 +136,7 @@ def cmd_census(args) -> int:
     payload = res.to_json_dict()
     lines = [f"p = {args.p}", f"classes with p | #E = {res.classes}"]
     if dres is not None:
-        payload["d"] = dres.d
-        payload["d_over_p5"] = format_rational(dres.d_over_p5)
+        payload.update(dres.to_json_dict())
         lines.append(f"d(p) = {dres.d}  (d/p^5 = {format_rational(dres.d_over_p5)})")
     _emit(args, payload, lines)
     return 0

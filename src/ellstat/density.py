@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, log2
 
 from .arith import primes_up_to, require_odd_prime
 from .curves import format_rational
@@ -41,6 +40,9 @@ __all__ = [
 ]
 
 DEFAULT_TOL = Fraction(1, 10**9)
+# zeta_minus_one sums at most this many terms; `theory --p 3 --tol 1e-12`
+# asks zeta(3) for tol 10^-12 / 3, which needs 2.2 * 10^6
+_ZETA_MAX_TERMS = 1 << 22
 
 
 class AmbiguousIntervalComparison(ValueError):
@@ -53,16 +55,15 @@ class CertifiedValue:
 
     lo: Fraction
     hi: Fraction
-    tag: str = ""
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     @classmethod
-    def exact(cls, x, tag: str = "") -> "CertifiedValue":
+    def exact(cls, x) -> "CertifiedValue":
         x = Fraction(x)
-        return cls(x, x, tag)
+        return cls(x, x)
 
     @property
     def width(self) -> Fraction:
@@ -76,9 +77,6 @@ class CertifiedValue:
         x = Fraction(x)
         return self.lo <= x <= self.hi
 
-    def encloses(self, other: "CertifiedValue") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def _coerce(self, other) -> "CertifiedValue":
         if isinstance(other, CertifiedValue):
             return other
@@ -86,12 +84,12 @@ class CertifiedValue:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return CertifiedValue(self.lo + o.lo, self.hi + o.hi, self.tag)
+        return CertifiedValue(self.lo + o.lo, self.hi + o.hi)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CertifiedValue(-self.hi, -self.lo, self.tag)
+        return CertifiedValue(-self.hi, -self.lo)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -102,7 +100,7 @@ class CertifiedValue:
     def __mul__(self, other):
         o = self._coerce(other)
         prods = [self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi]
-        return CertifiedValue(min(prods), max(prods), self.tag)
+        return CertifiedValue(min(prods), max(prods))
 
     __rmul__ = __mul__
 
@@ -184,19 +182,23 @@ def zeta_minus_one(s: int, tol=DEFAULT_TOL) -> CertifiedValue:
     """Certified enclosure of zeta(s) - 1 = sum_{n>=2} n^-s, width < tol.
 
     Partial sum with directed rounding at scale 2^-k plus the integral tail
-    bound 0 <= sum_{n>N} n^-s <= N^(1-s)/(s-1).
+    bound 0 <= sum_{n>N} n^-s <= N^(1-s)/(s-1).  Raises ValueError when the
+    tail needs more than _ZETA_MAX_TERMS terms (about tol < 10^-13 at s = 3).
     """
     if s < 2:
         raise ValueError("s must be an integer >= 2")
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    # choose N so the integral tail is below tol/2, then a scale fine enough
-    # that the N-2 rounding errors stay below tol/2
+    # choose N so the integral tail is below tol/2, then the least scale 2^k
+    # >= 2 (N + 1) / tol, so that the N-2 rounding errors stay below tol/2
     N = 2
     while Fraction(N, (s - 1) * N**s) >= tol / 2:
         N = max(N + 1, int(1.3 * N))
-    k = max(1, ceil(log2(max(2 * (N + 1) / float(tol), 2.0))))
+        if N > _ZETA_MAX_TERMS:
+            raise ValueError(f"tol too small: zeta({s}) needs more than {_ZETA_MAX_TERMS} terms")
+    x = 2 * (N + 1) / tol
+    k = max(1, (-(-x.numerator // x.denominator) - 1).bit_length())
     scale = 1 << k
     lo_sum = 0
     terms = 0
@@ -206,7 +208,7 @@ def zeta_minus_one(s: int, tol=DEFAULT_TOL) -> CertifiedValue:
     tail_hi = Fraction(N, (s - 1) * N**s)  # = N^(1-s)/(s-1)
     lo = Fraction(lo_sum, scale)
     hi = Fraction(lo_sum + terms, scale) + tail_hi
-    return CertifiedValue(lo, hi, f"zeta({s})-1")
+    return CertifiedValue(lo, hi)
 
 
 def frak_d_p(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
@@ -214,11 +216,8 @@ def frak_d_p(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
     require_odd_prime(p)
     tol = Fraction(tol)
     if p == 3:
-        parts = [zeta_minus_one(s, tol / 3) for s in (3, 4, 7)]
-        out = parts[0] + parts[1] + parts[2]
-    else:
-        out = zeta_minus_one(p, tol)
-    return CertifiedValue(out.lo, out.hi, f"frak_d_{p}")
+        return sum(zeta_minus_one(s, tol / 3) for s in (3, 4, 7))
+    return zeta_minus_one(p, tol)
 
 
 def frak_d_p_prime(p: int) -> Fraction:
@@ -246,7 +245,7 @@ def product_density(s_values: dict[int, Fraction], tail_majorant) -> CertifiedVa
         if not 0 <= s < 1:
             raise ValueError(f"s_{ell} = {s} outside [0, 1)")
         prod *= 1 - s
-    return CertifiedValue(prod * (1 - tail), prod, "product-density")
+    return CertifiedValue(prod * (1 - tail), prod)
 
 
 def sp_doubleprime_density(p: int) -> Fraction:
@@ -265,8 +264,7 @@ def main_bound(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
 
 def _main_bound(p: int, d_p: CertifiedValue, d_p_prime: Fraction) -> CertifiedValue:
     front = Fraction(1, p) + Fraction(1, p**3) - Fraction(1, p**4)
-    out = front * (1 - Fraction(1, p) - d_p - d_p_prime)
-    return CertifiedValue(out.lo, out.hi, f"main_bound_{p}")
+    return front * (1 - Fraction(1, p) - d_p - d_p_prime)
 
 
 def delaunay_mass(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
@@ -290,7 +288,7 @@ def delaunay_mass(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
     prod = Fraction(1)
     for i in range(1, K + 1):
         prod *= 1 - Fraction(1, p ** (2 * i - 1))
-    return CertifiedValue(1 - prod, 1 - prod * (1 - tail_sum(K)), f"delaunay_mass_{p}")
+    return CertifiedValue(1 - prod, 1 - prod * (1 - tail_sum(K)))
 
 
 def corollary_gap_check(p_max: int, eps: float, tol=DEFAULT_TOL) -> dict[int, float]:

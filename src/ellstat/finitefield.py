@@ -104,20 +104,16 @@ def is_anomalous(model: WeierstrassModel, p: int) -> bool:
     Requires odd p and good reduction at p; reduction is decided on the
     p-minimal model, so non-minimal inputs with good reduction are accepted.
     """
-    require_odd_prime(p)
-    delta = compute_invariants(model).delta
-    if delta == 0:
-        raise BadReductionError("singular curve")
-    if delta % p != 0:
-        reduced = reduce_model(model, p)
-    else:
-        from .localdata import local_minimal_model  # deferred import
+    from .localdata import _good_invariants  # localdata imports this module
 
-        minimal, data = local_minimal_model(model, p)
-        if not data.kodaira.is_good:
-            raise BadReductionError(f"bad reduction at {p}")
-        reduced = reduce_model(minimal, p)
-    return group_order(reduced) % p == 0
+    require_odd_prime(p)
+    inv = compute_invariants(model)
+    if inv.delta == 0:
+        raise BadReductionError("singular curve")
+    good = _good_invariants(model, inv, p)
+    if good is None:
+        raise BadReductionError(f"bad reduction at {p}")
+    return count_points_b(p, good.b2, good.b4, good.b6) % p == 0
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .curves import WeierstrassModel, compute_invariants
 from .density import CertifiedValue, rho, rho_Instar_ge1
 from .finitefield import count_points_b
 from .kodaira import parse_kodaira
-from .localdata import _split_multiplicative, tate
+from .localdata import _good_invariants, _split_multiplicative, tate
 
 __all__ = [
     "SampleSpec",
@@ -76,19 +76,13 @@ def classify(model: WeierstrassModel, p: int) -> ClassificationFlags:
         return ClassificationFlags(True, False, False, False)
     c4 = inv.c4
 
-    # S_p'': reduction at p on the minimal model.  v(Delta) < 12 cannot be
-    # non-minimal, and v(c4) = 0 forces a (minimal) multiplicative type.
     C = abs(delta)
     vp = 0
     while C % p == 0:
         C //= p
         vp += 1
-    if vp == 0:
-        bad_at_p = False
-    elif c4 % p or vp < 12:
-        bad_at_p = True
-    else:
-        bad_at_p = not tate(model, p).kodaira.is_good
+    # S_p'': bad reduction at p on the p-minimal model
+    bad_at_p = vp > 0 and _good_invariants(model, inv, p) is None
 
     # S_p': p does not divide the given discriminant and the reduction has
     # a rational p-torsion point, i.e. p | #E(F_p).
@@ -205,6 +199,8 @@ class SampleSpec:
         if not 1 <= self.height <= 10**6:
             raise ValueError("height must lie in [1, 10^6]")
         require_odd_prime(self.p)
+        if self.p >= 1 << 16:
+            raise ValueError("p must be below 2^16, the point-count range")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must be a 64-bit integer")
         if self.chunk_size < 1:

@@ -11,6 +11,13 @@ The per-curve queries (conductor, tamagawa_p_divisible, compute_I_p,
 prime_scan) factor Delta once and run Tate once per bad prime; prime_scan
 reuses those runs for every p.
 
+Good reduction at an odd prime p is decided by one rule, _good_invariants:
+p prime to Delta is good on the given model; a model with v(c4) = 0 or
+v(Delta) < 12 is already p-minimal (Cremona, Algorithms for Modular Elliptic
+Curves, 3.2), so p | Delta makes it bad; otherwise Tate's algorithm decides,
+and the points are counted on the p-minimal model it returns.  classify,
+is_anomalous and prime_scan all use it.
+
 Multiplicative reduction is split exactly when -c6 is a square in Q_ell
 (Legendre test for odd ell, unit = 1 mod 8 at ell = 2).  Local p-torsion
 ranks at multiplicative primes follow the Tate parametrisation: the rank
@@ -24,13 +31,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arith import factorize, is_prime, legendre, require_odd_prime, valuation
+from .arith import factorize, is_prime, legendre, primes_up_to, require_odd_prime, valuation
 from .curves import (
+    Invariants,
     SingularCurveError,
     WeierstrassModel,
     compute_invariants,
     transform,
 )
+from .finitefield import count_points_b
 from .kodaira import KodairaType
 
 __all__ = [
@@ -303,6 +312,17 @@ def local_minimal_model(model: WeierstrassModel, ell: int) -> tuple[WeierstrassM
     return _tate_run(model, ell)
 
 
+def _good_invariants(model: WeierstrassModel, inv: Invariants, p: int) -> Invariants | None:
+    """Invariants of a p-minimal model of E if E has good reduction at the
+    odd prime p, else None; inv are the invariants of model, Delta != 0."""
+    if inv.delta % p:
+        return inv
+    if inv.c4 % p or valuation(inv.delta, p) < 12:
+        return None  # already p-minimal, so bad
+    minimal, data = _tate_run(model, p)
+    return compute_invariants(minimal) if data.kodaira.is_good else None
+
+
 def tate(model: WeierstrassModel, ell: int) -> LocalData:
     """Kodaira type, Tamagawa number and conductor exponent of E at ell.
 
@@ -456,18 +476,17 @@ def prime_scan(model: WeierstrassModel, p_max: int) -> PrimeScanReport:
     The failure fractions of the four conditions are reported; all four
     failure sets are expected to thin out for non-CM curves.
     """
-    from .arith import primes_up_to
-    from .finitefield import is_anomalous
-
-    truly_bad = {
-        ell: entry for ell, entry in _local_table(model).items() if not entry[1].kodaira.is_good
-    }
+    table = _local_table(model)
+    # _good_invariants read off the Tate runs: an I0 entry counts points on
+    # its p-minimal model, a prime away from Delta on the given model
+    minimal_inv = {ell: compute_invariants(minimal)
+                   for ell, (minimal, data) in table.items() if data.kodaira.is_good}
+    truly_bad = {ell: entry for ell, entry in table.items() if ell not in minimal_inv}
+    inv = compute_invariants(model)
     rows = []
-    for p in primes_up_to(p_max):
-        if p == 2:
-            continue
-        good = p not in truly_bad
-        anomalous = is_anomalous(model, p) if good else False
+    for p in primes_up_to(p_max)[1:]:
+        good = None if p in truly_bad else minimal_inv.get(p, inv)
+        anomalous = good is not None and count_points_b(p, good.b2, good.b4, good.b6) % p == 0
         away = [entry for ell, entry in truly_bad.items() if ell != p]
         tam = any(d.tamagawa % p == 0 for _, d in away)
         torsion = any(
@@ -475,7 +494,7 @@ def prime_scan(model: WeierstrassModel, p_max: int) -> PrimeScanReport:
             else d.tamagawa % p == 0
             for minimal, d in away
         )
-        rows.append(PrimeScanRow(p, good, anomalous, tam, torsion))
+        rows.append(PrimeScanRow(p, good is not None, anomalous, tam, torsion))
     total = len(rows) or 1
     fractions = {
         "bad_reduction": sum(not r.good_reduction for r in rows) / total,

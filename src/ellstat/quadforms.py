@@ -31,9 +31,6 @@ class BinaryQuadraticForm:
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    def value(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
-
     @property
     def is_reduced(self) -> bool:
         a, b, c = self.a, self.b, self.c

@@ -8,12 +8,10 @@ from ellstat.arith import (
     factorize,
     iroot,
     is_prime,
-    is_square,
     legendre,
     primes_up_to,
     require_odd_prime,
     sieve_primes,
-    sqrt_mod,
     valuation,
 )
 
@@ -48,16 +46,6 @@ def test_legendre_by_square_enumeration():
         assert legendre(0, p) == 0
 
 
-def test_sqrt_mod_all_residues():
-    for p in (3, 5, 7, 13, 17, 41, 73, 97, 193):  # covers 3, 5, 1 mod 8
-        for a in range(p):
-            r = sqrt_mod(a, p)
-            if legendre(a, p) >= 0:
-                assert r is not None and r * r % p == a % p
-            else:
-                assert r is None
-
-
 def test_valuation_and_iroot():
     assert valuation(2**5 * 9, 2) == 5
     assert valuation(-27, 3) == 3
@@ -83,12 +71,6 @@ def test_valuation_and_iroot():
             assert r**k <= n < (r + 1) ** k
             assert exact == (r**k == n)
         assert iroot((10**57 + 7) ** k, k) == (10**57 + 7, True)
-
-
-def test_is_square():
-    squares = {n * n for n in range(200)}
-    for n in range(-10, 40000):
-        assert is_square(n) == (n in squares)
 
 
 def test_factorize_roundtrip():

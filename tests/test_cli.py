@@ -172,6 +172,12 @@ def test_theory_nonpositive_tol_exits_2(capsys):
     assert _exit_code(capsys, "theory", "--p", "3", "--tol", "0") == 2
 
 
+@pytest.mark.parametrize("tol", ["1e-20", "1e-400"])
+def test_theory_tiny_tol_exits_2(capsys, tol):
+    # zeta(3) would need about tol^(-1/2) terms; the cap refuses them up front
+    assert _exit_code(capsys, "theory", "--p", "3", "--tol", tol) == 2
+
+
 def test_local_composite_prime_exits_2(capsys):
     assert _exit_code(capsys, "local", "--curve=1,0,1,-141,624", "--prime", "4") == 2
 
@@ -181,6 +187,14 @@ SMALL_RUN = ["empirical", "--p", "3", "--height", "10", "--samples", "50"]
 
 def test_kodaira_at_composite_exits_2(capsys):
     assert _exit_code(capsys, *SMALL_RUN, "--kodaira-at", "4") == 2
+
+
+def test_empirical_p_below_2_16(capsys):
+    # 65537 is the first prime past the point-count range, 65521 the last inside
+    tiny = ["empirical", "--height", "10", "--samples", "5"]
+    assert _exit_code(capsys, *tiny, "--p", "65537") == 2
+    code, out, _ = run_cli(capsys, *tiny, "--p", "65521")
+    assert code == 0 and "# p=65521" in out
 
 
 @pytest.mark.parametrize("z", ["-1", "0", "nan", "inf"])

@@ -453,14 +453,17 @@ def test_prime_scan_large_primes_all_clear():
 
 
 def test_prime_scan_anomalous_matches_direct_count():
-    rep = prime_scan(E1, 100)
-    for row in rep.rows:
-        if not row.good_reduction:
-            assert not row.anomalous
-            continue
-        minimal, _ = local_minimal_model(E1, row.p)
-        direct = group_order(reduce_model(minimal, row.p)) % row.p == 0
-        assert row.anomalous == direct
+    # E2 is not minimal at 3, 5 and 7 but has good reduction there, so the
+    # scan must count points on the minimal model
+    for E in (E1, E2):
+        rep = prime_scan(E, 100)
+        for row in rep.rows:
+            if not row.good_reduction:
+                assert not row.anomalous
+                continue
+            minimal, _ = local_minimal_model(E, row.p)
+            direct = group_order(reduce_model(minimal, row.p)) % row.p == 0
+            assert row.anomalous == direct
 
 
 def test_prime_scan_report_shape():
@@ -534,6 +537,23 @@ def test_one_tate_run_per_bad_prime(monkeypatch):
         calls.clear()
         query()
         assert sorted(calls) == [2, 71]
+    # E2 is not minimal at 3, 5 and 7; their runs also decide good reduction
+    calls.clear()
+    prime_scan(E2, 3000)
+    assert sorted(calls) == [2, 3, 5, 7, 59]
+
+
+def test_is_anomalous_minimal_bad_prime_needs_no_tate(monkeypatch):
+    import ellstat.localdata as localdata
+    from ellstat.finitefield import BadReductionError, is_anomalous
+
+    def no_run(model, ell):
+        raise AssertionError("Tate run on a model that is already minimal")
+
+    monkeypatch.setattr(localdata, "_tate_run", no_run)
+    # v_11(Delta) = 5 < 12: I_5 at 11 on a minimal model
+    with pytest.raises(BadReductionError):
+        is_anomalous(WeierstrassModel(0, -1, 1, -10, -20), 11)
 
 
 def test_tate_additive_at_large_prime():
