@@ -57,6 +57,21 @@ def _primorial() -> int:
 
 # Deterministic for n < 3.317e24 (Sorenson-Webster witness set).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (psi_k, k): psi_k is the least strong pseudoprime to each of the first k
+# witnesses, so below it those k decide primality.  Jaeschke, Math. Comp. 61
+# (1993); Sorenson-Webster, Math. Comp. 86 (2017).  psi_8 = psi_7 and
+# psi_11 = psi_10 = psi_9, so those prefixes gain nothing.
+_MR_PREFIXES = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+)
 
 
 def is_prime(n: int) -> bool:
@@ -70,7 +85,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    rounds = next((k for bound, k in _MR_PREFIXES if n < bound), len(_MR_WITNESSES))
+    for a in _MR_WITNESSES[:rounds]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

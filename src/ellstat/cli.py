@@ -2,8 +2,9 @@
 empirical runs and the twist / split-Cartan family generators.
 
 Exit codes: 0 success, 1 internal error, 2 invalid input.  All randomness
-flows from --seed; --threads (default: env ELLSTAT_THREADS, then 1) only
-changes wall time, never output bytes.
+flows from --seed; --threads (default: env ELLSTAT_THREADS, then 1) is the
+number of forked worker processes, capped at the chunk and CPU counts, and
+only changes wall time, never output bytes.
 """
 
 from __future__ import annotations
@@ -279,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chunk-size", type=int, default=65536)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes, at most one per chunk and per CPU "
+                        "(default: ELLSTAT_THREADS, then 1)")
     p.add_argument("--z", type=float, default=4.0)
     p.add_argument("--wilson", action="store_true")
     p.add_argument("--kodaira-at", type=int, default=None, metavar="ELL",

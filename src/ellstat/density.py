@@ -43,6 +43,11 @@ DEFAULT_TOL = Fraction(1, 10**9)
 # zeta_minus_one sums at most this many terms; `theory --p 3 --tol 1e-12`
 # asks zeta(3) for tol 10^-12 / 3, which needs 2.2 * 10^6
 _ZETA_MAX_TERMS = 1 << 22
+# delaunay_mass keeps an exact product whose denominator is about p^(K^2),
+# K growing like log(1/tol) / log p.  Down to this tolerance it stays far
+# below Python's 4300-digit int-to-str limit at every p whose zeta tail fits
+# the cap above (p >= 17); at 10^-400 and p = 10007 it would not.
+_MIN_TOL = Fraction(1, 10**100)
 
 
 class AmbiguousIntervalComparison(ValueError):
@@ -272,11 +277,13 @@ def delaunay_mass(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
 
     Truncates at the smallest K whose geometric tail sum is below tol/2;
     the dropped factors multiply the finite product by something in
-    [1 - tail, 1].
+    [1 - tail, 1].  Raises ValueError for tol below 10^-100.
     """
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if tol < _MIN_TOL:
+        raise ValueError("tol must be at least 10^-100")
 
     def tail_sum(k: int) -> Fraction:
         # sum_{i>k} p^-(2i-1), a geometric series

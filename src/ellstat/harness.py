@@ -3,7 +3,9 @@
 Sampling draws each coefficient uniformly from |a_i| < H^i; exhaustive mode
 walks the whole box.  Work is split into fixed-size chunks whose RNG streams
 are derived from (master seed, chunk index), so reports are bit-identical
-for a given (seed, chunk size) no matter how many threads run the chunks.
+for a given (seed, chunk size) no matter how many worker processes run the
+chunks.  Workers are forked (os.fork), so call with more than one worker
+only from a single-threaded process.
 
 Classification at p decides S_p by one rule: p | c_ell needs either
 ell | gcd(Delta, c4), where Tate decides, or ell^3 | Delta with ell prime to
@@ -23,10 +25,14 @@ import csv
 import hashlib
 import io
 import json
+import os
+import pickle
 import random
-from concurrent.futures import ThreadPoolExecutor
+import signal
 from dataclasses import dataclass, field
+from functools import partial
 from math import gcd, inf, isqrt, sqrt
+from typing import NoReturn
 
 from . import __version__
 from .arith import (_SMALL_BOUND, FactorBudgetExceeded, _primorial, factorize, iroot,
@@ -271,23 +277,99 @@ def _kodaira_chunk(spec: SampleSpec, ell: int, index: int) -> dict[str, int]:
     return out
 
 
-def _run_chunks(spec: SampleSpec, chunk_fn, threads: int) -> dict[str, int]:
-    """Sum the per-chunk counts chunk_fn(index) over every chunk of spec.
-
-    Sums do not depend on the order in which chunks finish, so the result
-    is the same for every thread count.
-    """
-    n_chunks = -(-spec.total // spec.chunk_size)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(chunk_fn, range(n_chunks)))
-    else:
-        parts = map(chunk_fn, range(n_chunks))
+def _sum_counts(parts) -> dict[str, int]:
     counts: dict[str, int] = {}
     for part in parts:
         for k, v in part.items():
             counts[k] = counts.get(k, 0) + v
     return counts
+
+
+def _run_chunks(spec: SampleSpec, chunk_fn, workers: int) -> dict[str, int]:
+    """Sum the per-chunk counts chunk_fn(index) over every chunk of spec.
+
+    The chunks are shared by min(workers, chunks, os.cpu_count()) forked
+    processes; with fewer than two, or where os.fork is missing, they run
+    in this process and nothing is started.  Sums do not depend on which
+    process ran which chunk, so the result is the same for every worker
+    count.
+    """
+    n_chunks = -(-spec.total // spec.chunk_size)
+    k = min(workers, n_chunks, os.cpu_count() or 1)
+    if k < 2 or not hasattr(os, "fork"):
+        return _sum_counts(map(chunk_fn, range(n_chunks)))
+    return _sum_counts(_fork_join(chunk_fn, n_chunks, k))
+
+
+def _fork_join(chunk_fn, n_chunks: int, k: int) -> list[dict[str, int]]:
+    """Fork k children, child w summing chunks w, w + k, w + 2k, ...
+
+    Each child sends its sum, pickled, through its own pipe.  Every child
+    is reaped before this returns or raises; children still running when
+    the parent itself fails (an interrupt, a failed fork) are killed first.
+    A child's exception is re-raised here, and a child that ends without a
+    result raises RuntimeError.
+    """
+    children = []  # (pid, read end of its pipe)
+    replies: list[bytes] = []
+    try:
+        for w in range(k):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(wr)
+                raise
+            if pid == 0:
+                os.close(r)
+                _child(wr, chunk_fn, range(w, n_chunks, k))
+            os.close(wr)
+            children.append((pid, open(r, "rb")))
+        for _, pipe in children:
+            replies.append(pipe.read())
+    finally:
+        statuses = []
+        for pid, pipe in children:
+            pipe.close()
+            if len(replies) < len(children):
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    parts = []
+    for (pid, _), data, status in zip(children, replies, statuses):
+        # a child exits 0 only once its whole reply is written
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            how = f"by signal {-code}" if code < 0 else f"with exit code {code}"
+            raise RuntimeError(f"chunk worker {pid} ended {how} without a result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        parts.append(value)
+    return parts
+
+
+def _child(wr: int, chunk_fn, indices) -> NoReturn:
+    """Body of a forked worker: sum its chunks, write (ok, sum or exception)
+    to wr and leave by os._exit, so that the parent's stdio buffers and exit
+    hooks never run here.  An exception that does not survive pickling is
+    sent as a RuntimeError carrying its repr."""
+    code = 1
+    try:
+        try:
+            reply = (True, _sum_counts(map(chunk_fn, indices)))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            data = pickle.dumps(reply)
+            pickle.loads(data)
+        except Exception:
+            data = pickle.dumps((False, RuntimeError(repr(reply[1]))))
+        with open(wr, "wb") as f:
+            f.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _normal_ci(count: int, n: int, z: float) -> tuple[float, float]:
@@ -430,10 +512,10 @@ def estimate(
     """Classify the sample (or the whole box) and report proportions.
 
     theory maps flag names to certified values; rows carry the enclosure
-    and a z-score against its midpoint.  The report depends only on
-    (spec, theory), never on the thread count.
+    and a z-score against its midpoint.  threads is the worker count (see
+    _run_chunks); the report depends only on (spec, theory), never on it.
     """
-    counts = _run_chunks(spec, lambda i: _count_chunk(spec, i), threads)
+    counts = _run_chunks(spec, partial(_count_chunk, spec), threads)
     theory = theory or {}
     rows = _build_rows(spec, [(flag, counts[flag], theory.get(flag)) for flag in _FLAG_ORDER])
     return EmpiricalReport(spec, counts, rows)
@@ -475,7 +557,7 @@ def kodaira_frequency(spec: SampleSpec, ell: int, threads: int = 1) -> KodairaFr
     """
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    counts = _run_chunks(spec, lambda i: _kodaira_chunk(spec, ell, i), threads)
+    counts = _run_chunks(spec, partial(_kodaira_chunk, spec, ell), threads)
     entries = []
     for label in sorted(counts):
         table = label != "singular" and not label.startswith("I*n:")

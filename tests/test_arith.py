@@ -30,6 +30,33 @@ def test_is_prime_against_sieve():
         assert is_prime(n) == (n in primes)
 
 
+def test_is_prime_against_sieve_to_a_million():
+    primes = sieve_primes(10**6)
+    assert [n for n in range(10**6 + 1) if is_prime(n)] == primes
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+
+
+# the least strong pseudoprime to each of the first k prime bases, k = 1..9
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051)
+
+
+@pytest.mark.parametrize("k, n", list(enumerate(_PSI, start=1)))
+def test_is_prime_rejects_least_strong_pseudoprimes(k, n):
+    # n fools the first k witnesses, so a shorter prefix than the one used
+    # at n would call it prime
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23)[:k]
+    assert all(_strong_probable_prime(n, a) for a in bases)
+    assert not is_prime(n)
+
+
 def test_is_prime_large_semiprimes():
     p, q = 1000003, 1000033
     assert is_prime(p) and is_prime(q)

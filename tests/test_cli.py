@@ -178,6 +178,18 @@ def test_theory_tiny_tol_exits_2(capsys, tol):
     assert _exit_code(capsys, "theory", "--p", "3", "--tol", tol) == 2
 
 
+def test_theory_tol_below_floor_exits_2(capsys):
+    # zeta(10007) needs two terms, but the conjecture-mass product at this
+    # tolerance would print as a rational of tens of thousands of digits
+    assert _exit_code(capsys, "theory", "--p", "10007", "--tol", "1e-400") == 2
+
+
+def test_theory_tol_at_floor_answers(capsys):
+    code, out, _ = run_cli(capsys, "theory", "--p", "10007", "--tol", "1e-100", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["p"] == 10007
+
+
 def test_local_composite_prime_exits_2(capsys):
     assert _exit_code(capsys, "local", "--curve=1,0,1,-141,624", "--prime", "4") == 2
 

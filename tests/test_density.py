@@ -215,6 +215,12 @@ def test_delaunay_mass_nested_as_tol_shrinks():
             assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
 
 
+def test_delaunay_mass_refuses_tol_below_floor():
+    assert delaunay_mass(10007, Fraction(1, 10**100)).width < Fraction(1, 10**100)
+    with pytest.raises(ValueError):
+        delaunay_mass(10007, Fraction(1, 10**101))
+
+
 def test_corollary_gap_check():
     gaps = corollary_gap_check(200, 0.4)
     assert all(v > 0 for v in gaps.values())

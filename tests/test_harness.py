@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from ellstat.finitefield import reduce_model, group_order
 from ellstat.harness import (
     ClassificationFlags,
     SampleSpec,
+    _run_chunks,
     classify,
     estimate,
     exhaustive_box_size,
@@ -276,3 +279,101 @@ def test_kodaira_frequency_at_three_matches_table():
         row = rep.row(label)
         se = math.sqrt(row.theory_lo * (1 - row.theory_lo) / spec.total)
         assert abs(row.proportion - row.theory_lo) < 4.5 * se, label
+
+
+# ---------------------------------------------------------------------------
+# the forked chunk runner
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+EIGHT_CHUNKS = SampleSpec(height=2, p=3, count=8, chunk_size=1)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _count_forks(monkeypatch, cpus: int) -> list[int]:
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    forks: list[int] = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@needs_fork
+def test_run_chunks_sums_every_chunk_in_children(monkeypatch):
+    forks = _count_forks(monkeypatch, cpus=4)
+    parent = os.getpid()
+    counts = _run_chunks(EIGHT_CHUNKS, lambda i: {"index": i, "in_child": os.getpid() != parent}, 3)
+    assert counts == {"index": sum(range(8)), "in_child": 8}
+    assert len(forks) == 3
+    _assert_no_children()
+
+
+@needs_fork
+def test_run_chunks_caps_workers_at_cpu_count(monkeypatch):
+    # the 8 chunks bound the forks even if the cap were wrong
+    forks = _count_forks(monkeypatch, cpus=2)
+    assert _run_chunks(EIGHT_CHUNKS, lambda i: {"n": 1}, 64) == {"n": 8}
+    assert len(forks) == 2
+    _assert_no_children()
+
+
+@needs_fork
+def test_run_chunks_one_worker_runs_in_process(monkeypatch):
+    forks = _count_forks(monkeypatch, cpus=1)
+    parent = os.getpid()
+    counts = _run_chunks(EIGHT_CHUNKS, lambda i: {"here": os.getpid() == parent}, 8)
+    assert counts == {"here": 8} and forks == []
+
+
+def test_run_chunks_without_fork_runs_in_process(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(os, "fork", raising=False)
+    parent = os.getpid()
+    assert _run_chunks(EIGHT_CHUNKS, lambda i: {"here": os.getpid() == parent}, 4) == {"here": 8}
+
+
+@needs_fork
+def test_run_chunks_reraises_child_exception(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parent = os.getpid()
+
+    def chunk(i):
+        if i == 5:
+            raise KeyError(os.getpid())
+        return {"n": 1}
+
+    with pytest.raises(KeyError) as exc:
+        _run_chunks(EIGHT_CHUNKS, chunk, 2)
+    assert exc.value.args[0] != parent
+    _assert_no_children()
+
+
+@needs_fork
+def test_run_chunks_child_without_result_raises(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="exit code 3"):
+        _run_chunks(EIGHT_CHUNKS, lambda i: os._exit(3), 2)
+    _assert_no_children()
+    with pytest.raises(RuntimeError, match=f"signal {int(signal.SIGKILL)}"):
+        _run_chunks(EIGHT_CHUNKS, lambda i: os.kill(os.getpid(), signal.SIGKILL), 2)
+    _assert_no_children()
+
+
+@needs_fork
+def test_run_chunks_unpicklable_exception_arrives_as_runtime_error(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def chunk(i):
+        raise ValueError(lambda: None)
+
+    with pytest.raises(RuntimeError, match="ValueError"):
+        _run_chunks(EIGHT_CHUNKS, chunk, 2)
+    _assert_no_children()
