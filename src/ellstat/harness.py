@@ -288,11 +288,11 @@ def _sum_counts(parts) -> dict[str, int]:
 def _run_chunks(spec: SampleSpec, chunk_fn, workers: int) -> dict[str, int]:
     """Sum the per-chunk counts chunk_fn(index) over every chunk of spec.
 
-    The chunks are shared by min(workers, chunks, os.cpu_count()) forked
-    processes; with fewer than two, or where os.fork is missing, they run
-    in this process and nothing is started.  Sums do not depend on which
-    process ran which chunk, so the result is the same for every worker
-    count.
+    k = min(workers, chunks, os.cpu_count()) processes share the chunks:
+    this one and k - 1 forked children.  With k < 2, or where os.fork is
+    missing, every chunk runs here and nothing is started.  Sums do not
+    depend on which process ran which chunk, so the result is the same for
+    every worker count.
     """
     n_chunks = -(-spec.total // spec.chunk_size)
     k = min(workers, n_chunks, os.cpu_count() or 1)
@@ -302,18 +302,20 @@ def _run_chunks(spec: SampleSpec, chunk_fn, workers: int) -> dict[str, int]:
 
 
 def _fork_join(chunk_fn, n_chunks: int, k: int) -> list[dict[str, int]]:
-    """Fork k children, child w summing chunks w, w + k, w + 2k, ...
+    """Worker w of k sums chunks w, w + k, w + 2k, ...  Worker 0 is this
+    process, so the caches its chunks fill stay here; workers 1 to k - 1 are
+    forked children.
 
     Each child sends its sum, pickled, through its own pipe.  Every child
     is reaped before this returns or raises; children still running when
-    the parent itself fails (an interrupt, a failed fork) are killed first.
-    A child's exception is re-raised here, and a child that ends without a
-    result raises RuntimeError.
+    this process fails (its own chunk raising, an interrupt, a failed fork)
+    are killed first.  A child's exception is re-raised here, and a child
+    that ends without a result raises RuntimeError.
     """
     children = []  # (pid, read end of its pipe)
     replies: list[bytes] = []
     try:
-        for w in range(k):
+        for w in range(1, k):
             r, wr = os.pipe()
             try:
                 pid = os.fork()
@@ -326,6 +328,7 @@ def _fork_join(chunk_fn, n_chunks: int, k: int) -> list[dict[str, int]]:
                 _child(wr, chunk_fn, range(w, n_chunks, k))
             os.close(wr)
             children.append((pid, open(r, "rb")))
+        own = _sum_counts(map(chunk_fn, range(0, n_chunks, k)))
         for _, pipe in children:
             replies.append(pipe.read())
     finally:
@@ -335,9 +338,8 @@ def _fork_join(chunk_fn, n_chunks: int, k: int) -> list[dict[str, int]]:
             if len(replies) < len(children):
                 os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitpid(pid, 0)[1])
-    parts = []
+    parts = [own]
     for (pid, _), data, status in zip(children, replies, statuses):
-        # a child exits 0 only once its whole reply is written
         code = os.waitstatus_to_exitcode(status)
         if code != 0:
             how = f"by signal {-code}" if code < 0 else f"with exit code {code}"
@@ -352,21 +354,15 @@ def _fork_join(chunk_fn, n_chunks: int, k: int) -> list[dict[str, int]]:
 def _child(wr: int, chunk_fn, indices) -> NoReturn:
     """Body of a forked worker: sum its chunks, write (ok, sum or exception)
     to wr and leave by os._exit, so that the parent's stdio buffers and exit
-    hooks never run here.  An exception that does not survive pickling is
-    sent as a RuntimeError carrying its repr."""
+    hooks never run here.  It exits 0 only once the reply is written."""
     code = 1
     try:
         try:
             reply = (True, _sum_counts(map(chunk_fn, indices)))
         except Exception as exc:
             reply = (False, exc)
-        try:
-            data = pickle.dumps(reply)
-            pickle.loads(data)
-        except Exception:
-            data = pickle.dumps((False, RuntimeError(repr(reply[1]))))
         with open(wr, "wb") as f:
-            f.write(data)
+            f.write(pickle.dumps(reply))
         code = 0
     finally:
         os._exit(code)

@@ -2,6 +2,7 @@ import math
 import os
 import random
 import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -307,12 +308,13 @@ def _count_forks(monkeypatch, cpus: int) -> list[int]:
 
 
 @needs_fork
-def test_run_chunks_sums_every_chunk_in_children(monkeypatch):
+def test_run_chunks_shares_chunks_with_children(monkeypatch):
+    # three workers: this process runs chunks 0, 3, 6 and two children the rest
     forks = _count_forks(monkeypatch, cpus=4)
     parent = os.getpid()
     counts = _run_chunks(EIGHT_CHUNKS, lambda i: {"index": i, "in_child": os.getpid() != parent}, 3)
-    assert counts == {"index": sum(range(8)), "in_child": 8}
-    assert len(forks) == 3
+    assert counts == {"index": sum(range(8)), "in_child": 5}
+    assert len(forks) == 2
     _assert_no_children()
 
 
@@ -321,7 +323,7 @@ def test_run_chunks_caps_workers_at_cpu_count(monkeypatch):
     # the 8 chunks bound the forks even if the cap were wrong
     forks = _count_forks(monkeypatch, cpus=2)
     assert _run_chunks(EIGHT_CHUNKS, lambda i: {"n": 1}, 64) == {"n": 8}
-    assert len(forks) == 2
+    assert len(forks) == 1
     _assert_no_children()
 
 
@@ -346,7 +348,7 @@ def test_run_chunks_reraises_child_exception(monkeypatch):
     parent = os.getpid()
 
     def chunk(i):
-        if i == 5:
+        if i == 5:  # an odd chunk, run by the child
             raise KeyError(os.getpid())
         return {"n": 1}
 
@@ -357,23 +359,37 @@ def test_run_chunks_reraises_child_exception(monkeypatch):
 
 
 @needs_fork
-def test_run_chunks_child_without_result_raises(monkeypatch):
+def test_run_chunks_own_exception_kills_children(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    with pytest.raises(RuntimeError, match="exit code 3"):
-        _run_chunks(EIGHT_CHUNKS, lambda i: os._exit(3), 2)
-    _assert_no_children()
-    with pytest.raises(RuntimeError, match=f"signal {int(signal.SIGKILL)}"):
-        _run_chunks(EIGHT_CHUNKS, lambda i: os.kill(os.getpid(), signal.SIGKILL), 2)
+    parent = os.getpid()
+
+    def chunk(i):
+        if os.getpid() == parent:
+            raise KeyError(i)
+        time.sleep(60)  # a child far slower than the test
+
+    t0 = time.monotonic()
+    with pytest.raises(KeyError):
+        _run_chunks(EIGHT_CHUNKS, chunk, 2)
+    assert time.monotonic() - t0 < 30
     _assert_no_children()
 
 
 @needs_fork
-def test_run_chunks_unpicklable_exception_arrives_as_runtime_error(monkeypatch):
+def test_run_chunks_child_without_result_raises(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parent = os.getpid()
 
-    def chunk(i):
-        raise ValueError(lambda: None)
+    def leave(how):
+        def chunk(i):
+            if os.getpid() != parent:
+                how()
+            return {"n": 1}
+        return chunk
 
-    with pytest.raises(RuntimeError, match="ValueError"):
-        _run_chunks(EIGHT_CHUNKS, chunk, 2)
+    with pytest.raises(RuntimeError, match="exit code 3"):
+        _run_chunks(EIGHT_CHUNKS, leave(lambda: os._exit(3)), 2)
+    _assert_no_children()
+    with pytest.raises(RuntimeError, match=f"signal {int(signal.SIGKILL)}"):
+        _run_chunks(EIGHT_CHUNKS, leave(lambda: os.kill(os.getpid(), signal.SIGKILL)), 2)
     _assert_no_children()
