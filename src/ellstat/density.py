@@ -44,9 +44,10 @@ DEFAULT_TOL = Fraction(1, 10**9)
 # asks zeta(3) for tol 10^-12 / 3, which needs 2.2 * 10^6
 _ZETA_MAX_TERMS = 1 << 22
 # delaunay_mass keeps an exact product whose denominator is about p^(K^2),
-# K growing like log(1/tol) / log p.  Down to this tolerance it stays far
-# below Python's 4300-digit int-to-str limit at every p whose zeta tail fits
-# the cap above (p >= 17); at 10^-400 and p = 10007 it would not.
+# K growing like log(1/tol) / log p.  Down to this tolerance it has at most
+# about 2200 digits wherever the zeta cap above lets `theory` answer, inside
+# Python's 4300-digit int-to-str limit; at 10^-400 and p = 10007 it has
+# about 10^4.
 _MIN_TOL = Fraction(1, 10**100)
 
 
