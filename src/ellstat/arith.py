@@ -3,7 +3,8 @@
 Everything here is exact big-integer arithmetic: deterministic primality
 (Miller-Rabin with a proven witness set below 3.3 * 10^24, extra rounds
 above), Pollard-Brent factorisation with an iteration budget, prime sieves,
-quadratic residue tests and integer roots.
+quadratic residue tests, integer roots and a power-residue sieve that
+rejects almost every non-power before a root is taken.
 """
 
 from __future__ import annotations
@@ -146,6 +147,38 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
     return r, r**k == n
 
 
+# the primes q = 1 (mod k) whose k-th power residues _may_be_kth_power tests;
+# only about 1/k of the residues mod such a q are k-th powers, so a random
+# non-power passes all of them with probability near k^-_SIEVE_PRIMES
+_SIEVE_PRIMES = 8
+
+
+@cache
+def _power_residue_tables(k: int) -> tuple[tuple[int, bytes], ...]:
+    """(q, table) for the first _SIEVE_PRIMES primes q = 1 (mod k): table[r]
+    is 1 exactly when r is x^k mod q for some x, 0 included."""
+    out = []
+    for q in primes_up_to(1000):
+        if q % k == 1:
+            table = bytearray(q)
+            for x in range(q):
+                table[pow(x, k, q)] = 1
+            out.append((q, bytes(table)))
+            if len(out) == _SIEVE_PRIMES:
+                break
+    return tuple(out)
+
+
+def _may_be_kth_power(n: int, k: int) -> bool:
+    """False only if n >= 0 is certainly not a k-th power (k >= 2): a k-th
+    power is a k-th power residue modulo every prime (Bernstein, "Detecting
+    perfect powers in essentially linear time", Math. Comp. 67, 1998)."""
+    for q, table in _power_residue_tables(k):
+        if not table[n % q]:
+            return False
+    return True
+
+
 def _pollard_brent(n: int, max_iter: int) -> int | None:
     """A nontrivial factor of composite n, or None if the budget runs out."""
     if n % 2 == 0:
@@ -222,10 +255,11 @@ def factorize(n: int, *, rho_budget: int = 1 << 22) -> dict[int, int]:
             out[m] = out.get(m, 0) + 1
             continue
         for k in (2, 3, 5):
-            r, exact = iroot(m, k)
-            if exact:
-                stack.extend([r] * k)
-                break
+            if _may_be_kth_power(m, k):
+                r, exact = iroot(m, k)
+                if exact:
+                    stack.extend([r] * k)
+                    break
         else:
             d = _pollard_brent(m, rho_budget)
             if d is None:

@@ -5,6 +5,8 @@ import pytest
 
 from ellstat.arith import (
     FactorBudgetExceeded,
+    _may_be_kth_power,
+    _power_residue_tables,
     factorize,
     iroot,
     is_prime,
@@ -98,6 +100,34 @@ def test_valuation_and_iroot():
             assert r**k <= n < (r + 1) ** k
             assert exact == (r**k == n)
         assert iroot((10**57 + 7) ** k, k) == (10**57 + 7, True)
+
+
+def test_power_residue_tables_hold_every_power():
+    for k in (2, 3, 5, 7):
+        tables = _power_residue_tables(k)
+        assert tables
+        for q, table in tables:
+            assert q < 1000 and q % k == 1 and is_prime(q)
+            powers = {pow(x, k, q) for x in range(q)}
+            assert 0 in powers
+            # exactly the k-th powers: every power passes, and (q - 1)/k
+            # nonzero residues plus 0 is all that does
+            assert {r for r in range(q) if table[r]} == powers
+            assert len(powers) == (q - 1) // k + 1
+
+
+def test_may_be_kth_power_accepts_powers():
+    rng = random.Random(21)
+    for k in (2, 3, 5, 7):
+        sieve = math.prod(q for q, _ in _power_residue_tables(k))
+        xs = [0, 1, 2, sieve, 10**40 + 1] + [rng.randrange(10**30) for _ in range(200)]
+        # multiples of the table primes land on residue 0
+        xs += [q * rng.randrange(1, 10**20) for q, _ in _power_residue_tables(k)]
+        for x in xs:
+            assert _may_be_kth_power(x**k, k), (x, k)
+        # and non-powers are mostly rejected
+        kept = sum(_may_be_kth_power(rng.randrange(10**30), k) for _ in range(2000))
+        assert kept < 100
 
 
 def test_factorize_roundtrip():

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import os
 import random
@@ -7,12 +9,14 @@ from fractions import Fraction
 
 import pytest
 
+from ellstat.arith import valuation
 from ellstat.curves import WeierstrassModel, compute_invariants
 from ellstat.density import CertifiedValue, sp_doubleprime_density
 from ellstat.finitefield import reduce_model, group_order
 from ellstat.harness import (
     ClassificationFlags,
     SampleSpec,
+    _classify_chunk,
     _run_chunks,
     classify,
     estimate,
@@ -153,6 +157,74 @@ def test_classify_each_kind_of_divisible_prime(coeffs, ell):
     assert ell in tamagawa_p_divisible(m, 3)
     f = classify(m, 3)
     assert f.tamagawa_divisible and not f.unclassified
+
+
+def test_classify_flags_pinned():
+    # every flag of every sample, hashed; the hash was recorded on the
+    # per-sample classify that preceded the grouped one
+    h = hashlib.sha256()
+    unclassified = 0
+    for height in (2, 8, 1000, 50000):
+        rng = random.Random(height)
+        models = [sample_tuple(rng, height) for _ in range(1000)]
+        for p in (3, 5, 7, 11):
+            for m in models:
+                flags = dataclasses.astuple(classify(m, p))
+                unclassified += flags[4]
+                h.update(repr((height, p, flags)).encode())
+    assert unclassified == 0
+    assert h.hexdigest() == "b0d09e17ad8d4984776f055021beb97a08b2b2b986baf25ceae6f0f305115903"
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
+def test_classify_chunk_matches_classify(n):
+    # S_3 members alternate with non-members, so a model handed its
+    # neighbour's small-prime gcd is likely to change flags
+    rng = random.Random(n)
+    pools = ([], [])
+    while min(map(len, pools)) < n:
+        m = sample_tuple(rng, 8)
+        if compute_invariants(m).delta:
+            pools[classify(m, 3).tamagawa_divisible].append(m)
+    drawn = [pools[i % 2][i] for i in range(n)]
+    # the singular model first, in the middle of a group, and last: a
+    # singular model has no discriminant, so it must not shift the gcds of
+    # the models after it
+    for at in (0, min(n - 1, 17), n - 1):
+        models = drawn[:at] + [WeierstrassModel(0, 0, 0, 0, 0)] + drawn[at + 1 :]
+        for p in (3, 5):
+            assert list(_classify_chunk(models, p)) == [classify(m, p) for m in models]
+    assert list(_classify_chunk(iter(drawn), 3)) == [classify(m, 3) for m in drawn]
+    assert list(_classify_chunk([], 3)) == []
+
+
+def test_ogg_bound_on_tamagawa_numbers():
+    # classify runs Tate at ell | gcd(Delta, c4) only when v_ell(Delta) > p,
+    # because p | c_ell needs it; check that on curves where it would bite
+    rng = random.Random(31)
+    seen = 0
+    for i in range(600):
+        ell = (2, 3, 5, 7)[i % 4]
+        a = [rng.randrange(1 - 30**j, 30**j) for j in (1, 2, 3, 4, 6)]
+        if i % 8 >= 4:
+            # make ell divide every coefficient, so it divides c4 and Delta
+            a = [ell * x for x in a]
+        m = WeierstrassModel(*a)
+        inv = compute_invariants(m)
+        if inv.delta == 0 or math.gcd(inv.delta, inv.c4) % ell:
+            continue
+        v = valuation(inv.delta, ell)
+        c = tate(m, ell).tamagawa
+        for p in (3, 5, 7):
+            if v <= p:
+                seen += 1
+                assert c % p != 0, (a, ell, p)
+    assert seen > 300
+    # the tight case: type IV at 5 with v_5(Delta) = 4 = p + 1 and c_5 = 3
+    m = WeierstrassModel(0, 0, 0, 0, 25)
+    assert valuation(compute_invariants(m).delta, 5) == 4
+    assert tate(m, 5).kodaira.label == "IV" and tate(m, 5).tamagawa == 3
+    assert classify(m, 3).tamagawa_divisible
 
 
 def test_estimate_deterministic_across_threads_and_runs():
