@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
-from .arith import primes_up_to, require_odd_prime
+from .arith import iroot, primes_up_to, require_odd_prime
 from .curves import format_rational
 from .kodaira import KodairaType
 from .quadforms import hurwitz_class_number
@@ -40,15 +41,27 @@ __all__ = [
 ]
 
 DEFAULT_TOL = Fraction(1, 10**9)
-# zeta_minus_one sums at most this many terms; `theory --p 3 --tol 1e-12`
-# asks zeta(3) for tol 10^-12 / 3, which needs 2.2 * 10^6
+# zeta_minus_one truncates the series at N <= this; `theory --p 3 --tol
+# 1e-12` asks zeta(3) for tol 10^-12 / 3, which needs N = 2.2 * 10^6.  The
+# cap bounds N and the scale 2^k ~ 2N/tol, not the loop: _floor_power_sum
+# takes about M + 2^k / M^s steps, 10^4 for zeta(3) at the default tol and
+# 2 * 10^5 near the cap
 _ZETA_MAX_TERMS = 1 << 22
+# zeta_minus_one sums term by term up to M = _ZETA_DIRECT * floor(2^(k/(s+1)));
+# 2 was the fastest of 1, 1.5, 2, 2.5, 3 and 4 for zeta(3) at tol 10^-9 / 3
+# and 10^-12 / 3
+_ZETA_DIRECT = 2
 # delaunay_mass keeps an exact product whose denominator is about p^(K^2),
 # K growing like log(1/tol) / log p.  Down to this tolerance it has at most
 # about 2200 digits wherever the zeta cap above lets `theory` answer, inside
 # Python's 4300-digit int-to-str limit; at 10^-400 and p = 10007 it has
 # about 10^4.
 _MIN_TOL = Fraction(1, 10**100)
+# the main bound's endpoints have denominators of about 0.301 p + 6 log10 p
+# digits, through the zeta(p) tail 1/((p-1) 2^(p-1)), whatever the tolerance
+# down to _MIN_TOL; 14177 is the largest prime whose report (4297 digits)
+# prints inside Python's 4300-digit int-to-str limit, 14197 needs 4303
+_MAX_REPORT_P = 14177
 
 
 class AmbiguousIntervalComparison(ValueError):
@@ -184,36 +197,63 @@ def rho_Instar_ge1(ell: int) -> Fraction:
 # zeta tails and the d_p / d_p' quantities
 
 
+def _floor_power_sum(scale: int, s: int, N: int, M: int) -> int:
+    """sum_{n=2}^{N} scale // n^s: term by term for n <= M, then one block
+    per distinct quotient q, ending at the largest n with n^s <= scale // q.
+
+    Past M ~ scale^(1/(s+1)) the quotient takes at most about scale / M^s
+    values, so the whole sum costs about M + scale / M^s steps instead of N
+    (Deleglise-Rivat, Experiment. Math. 5 (1996)).
+    """
+    M = min(M, N)
+    total = sum(map(scale.__floordiv__, map(pow, range(2, M + 1), repeat(s))))
+    n = M + 1
+    while n <= N:
+        q = scale // n**s
+        if not q:
+            break  # every later term is 0 too
+        x = scale // q
+        # Newton from any r >= 1 lands on or above floor(x^(1/s)) after one
+        # step and then decreases to it; starting at n, the root is near
+        r = ((s - 1) * n + x // n ** (s - 1)) // s
+        while r**s > x:
+            r = ((s - 1) * r + x // r ** (s - 1)) // s
+        end = min(r, N)
+        total += q * (end - n + 1)
+        n = end + 1
+    return total
+
+
 def zeta_minus_one(s: int, tol=DEFAULT_TOL) -> CertifiedValue:
     """Certified enclosure of zeta(s) - 1 = sum_{n>=2} n^-s, width < tol.
 
-    Partial sum with directed rounding at scale 2^-k plus the integral tail
-    bound 0 <= sum_{n>N} n^-s <= N^(1-s)/(s-1).  Raises ValueError when the
-    tail needs more than _ZETA_MAX_TERMS terms (about tol < 10^-13 at s = 3).
+    The partial sum to N is taken with directed rounding at scale 2^-k,
+    sum floor(2^k / n^s), plus the integral tail bound
+    0 <= sum_{n>N} n^-s <= N^(1-s)/(s-1).  Each floor is exact, so the
+    enclosure depends only on N and k, however the sum is grouped.  Raises
+    ValueError when the tail needs N > _ZETA_MAX_TERMS (about tol < 10^-13
+    at s = 3).
     """
     if s < 2:
         raise ValueError("s must be an integer >= 2")
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    # choose N so the integral tail is below tol/2, then the least scale 2^k
-    # >= 2 (N + 1) / tol, so that the N-2 rounding errors stay below tol/2
+    # choose N so the integral tail 1/((s-1) N^(s-1)) is below tol/2, then
+    # the least scale 2^k >= 2 (N + 1) / tol, so that the N-1 rounding errors
+    # stay below tol/2
     N = 2
-    while Fraction(N, (s - 1) * N**s) >= tol / 2:
+    while 2 * tol.denominator >= tol.numerator * (s - 1) * N ** (s - 1):
         N = max(N + 1, int(1.3 * N))
         if N > _ZETA_MAX_TERMS:
             raise ValueError(f"tol too small: zeta({s}) needs more than {_ZETA_MAX_TERMS} terms")
     x = 2 * (N + 1) / tol
     k = max(1, (-(-x.numerator // x.denominator) - 1).bit_length())
     scale = 1 << k
-    lo_sum = 0
-    terms = 0
-    for n in range(2, N + 1):
-        lo_sum += scale // n**s
-        terms += 1
+    lo_sum = _floor_power_sum(scale, s, N, _ZETA_DIRECT * iroot(scale, s + 1)[0])
     tail_hi = Fraction(N, (s - 1) * N**s)  # = N^(1-s)/(s-1)
     lo = Fraction(lo_sum, scale)
-    hi = Fraction(lo_sum + terms, scale) + tail_hi
+    hi = Fraction(lo_sum + N - 1, scale) + tail_hi
     return CertifiedValue(lo, hi)
 
 
@@ -349,6 +389,10 @@ class DensityBoundReport:
 
 
 def density_report(p: int, tol=DEFAULT_TOL) -> DensityBoundReport:
+    """Every quantity `theory` prints at p; ValueError for p > _MAX_REPORT_P."""
+    if p > _MAX_REPORT_P:
+        raise ValueError(f"p must be at most {_MAX_REPORT_P}: the exact bounds at larger p "
+                         f"have more than 4300 digits")
     d_p, d_p_prime = frak_d_p(p, tol), frak_d_p_prime(p)
     return DensityBoundReport(
         p=p,

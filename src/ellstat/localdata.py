@@ -283,22 +283,22 @@ def _tate_run(model: WeierstrassModel, ell: int) -> tuple[WeierstrassModel, Loca
         scalings += 1
 
     minimal = WeierstrassModel(a1, a2, a3, a4, a6)
-    inv_min = compute_invariants(minimal)
-    v_delta = 0 if inv_min.delta % p != 0 else valuation(inv_min.delta, p)
+    # the last pass changed variables only with u = 1, which fixes Delta, so
+    # v(Delta_min) is its n
     if ktype.is_good:
         f = 0
         reduction = GOOD
     elif ktype.is_multiplicative:
         f = 1
     else:
-        f = v_delta + 1 - ktype.components
+        f = n + 1 - ktype.components
         reduction = ADDITIVE
     data = LocalData(
         prime=p,
         kodaira=ktype,
         tamagawa=c,
         conductor_exponent=f,
-        v_min_delta=v_delta,
+        v_min_delta=n,
         was_minimal=(scalings == 0),
         reduction=reduction,
     )

@@ -2,6 +2,7 @@
 
 Nothing here shares a code path with the library: point counts walk the
 full (x, y) grid, class numbers come from reducing every form in a box,
+reduced forms from filtering one box by the reduction inequalities,
 heights are compared by cross-powering, and local p-torsion ranks come
 from Hensel-lifting roots of the p-division polynomial to precision
 ell^40.  The torsion oracle is one-sided by construction: it can only
@@ -57,6 +58,28 @@ def class_count_boxed(disc: int, bound: int | None = None) -> int:
                 continue
             seen.add(reduce_form(BinaryQuadraticForm(a, b, c)).as_tuple())
     return len(seen)
+
+
+def reduced_forms_by_disc(bound: int) -> dict[int, list[tuple[int, int, int]]]:
+    """D -> the reduced forms (a, b, c) of discriminant D, sorted, for every
+    -bound <= D < 0, from one pass over a box of (a, b, c).
+
+    A reduced form has 3a^2 <= 4ac - b^2 = |D|, so a <= sqrt(bound/3) and
+    c <= (bound + a^2)/(4a) cover them all.
+    """
+    out: dict[int, list[tuple[int, int, int]]] = {}
+    a = 1
+    while 3 * a * a <= bound:
+        for b in range(-a + 1, a + 1):
+            for c in range(a, (bound + a * a) // (4 * a) + 1):
+                disc = b * b - 4 * a * c
+                if not -bound <= disc < 0:
+                    continue
+                if b < 0 and a == c:
+                    continue
+                out.setdefault(disc, []).append((a, b, c))
+        a += 1
+    return {disc: sorted(forms) for disc, forms in out.items()}
 
 
 def height_less_by_crosspower(ai: int, i: int, bj: int, j: int) -> bool:

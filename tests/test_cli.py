@@ -190,6 +190,22 @@ def test_theory_tol_at_floor_answers(capsys):
     assert json.loads(out)["p"] == 10007
 
 
+@pytest.mark.parametrize("tol", ["1/1000000000", "1e-100"])
+def test_theory_largest_reported_prime_answers(capsys, tol):
+    code, out, _ = run_cli(capsys, "theory", "--p", "14177", "--tol", tol, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["p"] == 14177
+
+
+def test_theory_beyond_largest_reported_prime_exits_2(capsys):
+    # the main bound at 14197 would print a denominator of 4303 digits
+    assert _exit_code(capsys, "theory", "--p", "14197") == 2
+
+
+def test_hurwitz_beyond_disc_bound_exits_2(capsys):
+    assert _exit_code(capsys, "hurwitz", "--disc", "-1000000003") == 2
+
+
 def test_local_composite_prime_exits_2(capsys):
     assert _exit_code(capsys, "local", "--curve=1,0,1,-141,624", "--prime", "4") == 2
 

@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+
+from ellstat.arith import iroot
 
 from ellstat.kodaira import KodairaType
 from ellstat.density import (
@@ -23,6 +26,7 @@ from ellstat.density import (
     sp_doubleprime_density,
     zeta_minus_one,
 )
+from ellstat.density import _ZETA_MAX_TERMS, _floor_power_sum
 
 ZETA3_REF = Fraction("0.202056903159594285")  # well below default width
 ZETA7_REF = Fraction("0.008349277381922827")
@@ -103,6 +107,64 @@ def test_zeta_nested_intervals_as_tol_shrinks():
         for coarse, fine in zip(vals, vals[1:]):
             assert fine.width < coarse.width
             assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
+
+
+def _direct_floor_sum(S, s, N):
+    return sum(S // n**s for n in range(2, N + 1))
+
+
+def test_floor_power_sum_matches_direct_sum():
+    rng = random.Random(8)
+    for _ in range(150):
+        s = rng.randrange(2, 13)
+        S = rng.randrange(1, 1 << rng.randrange(4, 70))
+        N = rng.randrange(2, 1500)
+        want = _direct_floor_sum(S, s, N)
+        # all term by term (M >= N), one block past N - 1, every term in a
+        # block from n = 2, and the split zeta_minus_one uses
+        for M in (N, N + 7, N - 1, 1, 2 * iroot(S, s + 1)[0]):
+            assert _floor_power_sum(S, s, N, M) == want, (S, s, N, M)
+
+
+def test_floor_power_sum_one_term_blocks():
+    # at n = 2, 3, 4 every quotient differs from the next, so the first
+    # blocks past M = 1 hold one term each
+    S, s, N = 10**12, 3, 20000
+    assert len({S // n**s for n in (2, 3, 4, 5)}) == 4
+    assert _floor_power_sum(S, s, N, 1) == _direct_floor_sum(S, s, N)
+
+
+def _zeta_minus_one_term_by_term(s, tol):
+    """zeta_minus_one as it summed before the quotient blocks: N - 1 floors."""
+    tol = Fraction(tol)
+    N = 2
+    while Fraction(N, (s - 1) * N**s) >= tol / 2:
+        N = max(N + 1, int(1.3 * N))
+        if N > _ZETA_MAX_TERMS:
+            return None
+    x = 2 * (N + 1) / tol
+    k = max(1, (-(-x.numerator // x.denominator) - 1).bit_length())
+    scale = 1 << k
+    lo_sum = 0
+    terms = 0
+    for n in range(2, N + 1):
+        lo_sum += scale // n**s
+        terms += 1
+    tail_hi = Fraction(N, (s - 1) * N**s)
+    return Fraction(lo_sum, scale), Fraction(lo_sum + terms, scale) + tail_hi
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 7, 11])
+def test_zeta_minus_one_matches_term_by_term_sum(s):
+    for e in (3, 6, 9, 12):
+        tol = Fraction(1, 10**e)
+        want = _zeta_minus_one_term_by_term(s, tol)
+        if want is None:
+            with pytest.raises(ValueError):
+                zeta_minus_one(s, tol)
+        else:
+            z = zeta_minus_one(s, tol)
+            assert (z.lo, z.hi) == want
 
 
 def test_frak_d_p_values():

@@ -9,7 +9,7 @@ from ellstat.quadforms import (
     reduce_form,
 )
 
-from oracles import class_count_boxed
+from oracles import class_count_boxed, reduced_forms_by_disc
 
 
 def random_form(rng, amax=40):
@@ -109,6 +109,23 @@ def test_hurwitz_matches_boxed_oracle_small():
     for disc in range(-60, 0):
         if disc % 4 in (0, 1):
             assert hurwitz_class_number(disc).h == class_count_boxed(disc)
+
+
+def test_representatives_match_box_of_reduced_forms():
+    box = reduced_forms_by_disc(5000)
+    checked = 0
+    for disc in range(-3, -5001, -1):
+        if disc % 4 not in (0, 1):
+            continue
+        forms = hurwitz_class_number(disc).representatives
+        assert [f.as_tuple() for f in forms] == box[disc], disc
+        checked += 1
+    assert checked == 2500
+
+
+def test_discriminant_beyond_bound_rejected():
+    with pytest.raises(ValueError):
+        hurwitz_class_number(-(10**9) - 3)
 
 
 def test_json_shape():
