@@ -115,23 +115,17 @@ def _direct_floor_sum(S, s, N):
 
 def test_floor_power_sum_matches_direct_sum():
     rng = random.Random(8)
-    for _ in range(150):
-        s = rng.randrange(2, 13)
-        S = rng.randrange(1, 1 << rng.randrange(4, 70))
-        N = rng.randrange(2, 1500)
+    cases = [(rng.randrange(1, 1 << rng.randrange(4, 70)), rng.randrange(2, 13),
+              rng.randrange(2, 1500)) for _ in range(150)]
+    # 10^12 // n^3 differs at n = 2, 3, 4, 5, so past M = 1 the first
+    # blocks hold one term each
+    cases.append((10**12, 3, 20000))
+    for S, s, N in cases:
         want = _direct_floor_sum(S, s, N)
         # all term by term (M >= N), one block past N - 1, every term in a
         # block from n = 2, and the split zeta_minus_one uses
         for M in (N, N + 7, N - 1, 1, 2 * iroot(S, s + 1)[0]):
             assert _floor_power_sum(S, s, N, M) == want, (S, s, N, M)
-
-
-def test_floor_power_sum_one_term_blocks():
-    # at n = 2, 3, 4 every quotient differs from the next, so the first
-    # blocks past M = 1 hold one term each
-    S, s, N = 10**12, 3, 20000
-    assert len({S // n**s for n in (2, 3, 4, 5)}) == 4
-    assert _floor_power_sum(S, s, N, 1) == _direct_floor_sum(S, s, N)
 
 
 def _zeta_minus_one_term_by_term(s, tol):
