@@ -10,9 +10,11 @@ only changes wall time, never output bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from math import prod
 
@@ -65,9 +67,11 @@ def _curve_report(model: WeierstrassModel) -> tuple[str, int, list[LocalData]]:
     return format_rational(j_invariant(model)), N, locs
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: Callable[[], dict], text_lines: list[str]) -> None:
+    """Print payload() as JSON under --format json, else the text lines; the
+    payload, which spells out every exact rational, is built only for JSON."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
@@ -102,20 +106,19 @@ def cmd_local(args) -> int:
                 )
     except SingularCurveError as exc:
         raise _fail(f"singular: {exc}")
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload, lines)
     return 0
 
 
 def cmd_theory(args) -> int:
     try:
         tol = Fraction(args.tol)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):  # not a number, or a zero denominator
         raise _fail(f"bad tolerance {args.tol!r}")
     try:
         rep = density_report(args.p, tol)
     except ValueError as exc:  # p not an odd prime, or tol <= 0
         raise _fail(str(exc))
-    payload = rep.to_json_dict()
     lines = [
         f"p = {rep.p}",
         f"frak_d_p        in {rep.d_p}",
@@ -124,7 +127,7 @@ def cmd_theory(args) -> int:
         f"main bound      in {rep.bound}",
         f"conjecture mass in {rep.conjecture_mass}",
     ]
-    _emit(args, payload, lines)
+    _emit(args, rep.to_json_dict, lines)
     return 0
 
 
@@ -134,11 +137,16 @@ def cmd_census(args) -> int:
         dres = d_count(args.p) if args.with_d else None
     except ValueError as exc:  # p not an odd prime, or outside the supported range
         raise _fail(str(exc))
-    payload = res.to_json_dict()
     lines = [f"p = {args.p}", f"classes with p | #E = {res.classes}"]
     if dres is not None:
-        payload.update(dres.to_json_dict())
         lines.append(f"d(p) = {dres.d}  (d/p^5 = {format_rational(dres.d_over_p5)})")
+
+    def payload() -> dict:
+        out = res.to_json_dict()
+        if dres is not None:
+            out.update(dres.to_json_dict())
+        return out
+
     _emit(args, payload, lines)
     return 0
 
@@ -148,10 +156,9 @@ def cmd_hurwitz(args) -> int:
         cls = hurwitz_class_number(args.disc)
     except ValueError as exc:
         raise _fail(str(exc))
-    payload = cls.to_json_dict()
     lines = [f"H({args.disc}) = {cls.h}"]
     lines += [f"  ({f.a},{f.b},{f.c})" for f in cls.representatives]
-    _emit(args, payload, lines)
+    _emit(args, cls.to_json_dict, lines)
     return 0
 
 
@@ -175,17 +182,26 @@ def cmd_empirical(args) -> int:
             raise _fail(f"{args.kodaira_at} is not prime")
         rep = kodaira_frequency(spec, args.kodaira_at, threads=threads)
     else:
-        theory = {
-            "bad_at_p": CertifiedValue.exact(sp_doubleprime_density(spec.p)),
-            "tamagawa_divisible": CertifiedValue(Fraction(0), frak_d_p(spec.p).hi),
-            "anomalous_good": CertifiedValue(Fraction(0), frak_d_p_prime(spec.p)),
-        }
-        rep = estimate(spec, theory, threads=threads)
+        rep = estimate(spec, dict(_theory_column(spec.p)), threads=threads)
     if args.format == "json":
         print(rep.to_json())
     else:
         sys.stdout.write(rep.to_csv())
     return 0
+
+
+@functools.cache
+def _theory_column(p: int) -> tuple[tuple[str, CertifiedValue], ...]:
+    """The certified densities `empirical` reports beside its counts at p.
+
+    Cached here rather than in `density`: a `theory` sweep over many p would
+    fill a cache of `frak_d_p` with enclosures it never asks for again.
+    """
+    return (
+        ("bad_at_p", CertifiedValue.exact(sp_doubleprime_density(p))),
+        ("tamagawa_divisible", CertifiedValue(Fraction(0), frak_d_p(p).hi)),
+        ("anomalous_good", CertifiedValue(Fraction(0), frak_d_p_prime(p))),
+    )
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -234,11 +250,15 @@ def cmd_families(args) -> int:
             N, locs, jstr = None, [], None
         payload.append({"t": t, "curve": str(E), "j": jstr, "conductor": N, "local": locs})
         lines.append(f"t={t}  curve={E}  j={jstr}  conductor={N}")
-    _emit(args, {"family": args.family, "curves": payload}, lines)
+    _emit(args, lambda: {"family": args.family, "curves": payload}, lines)
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one (and by `main`); parse_args keeps no state between calls, but
+    a caller that adds arguments changes them for the whole process."""
     ap = argparse.ArgumentParser(
         prog="ellstat",
         description="Local invariants and height-ordered statistics of elliptic curves over Q.",

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +63,26 @@ def test_theory_json_round_trip(capsys):
     assert payload["frak_d_p_prime"] == "4/25"
     lo, hi = payload["main_bound"]["lo"], payload["main_bound"]["hi"]
     assert "/" in lo and "/" in hi
+
+
+def test_theory_text_builds_no_json_payload(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("JSON payload built for text output")
+
+    monkeypatch.setattr("ellstat.density.DensityBoundReport.to_json_dict", refuse)
+    code, out, _ = run_cli(capsys, "theory", "--p", "3")
+    assert code == 0 and out.startswith("p = 3")
+
+
+def test_module_entry_point_matches_in_process_call(capsys):
+    argv = ["theory", "--p", "3", "--format", "json"]
+    _, in_process, _ = run_cli(capsys, *argv)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ellstat.cli", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == in_process.encode()
 
 
 def test_theory_rejects_two(capsys):
@@ -170,6 +194,11 @@ def test_census_d_out_of_range_exits_2(capsys):
 
 def test_theory_nonpositive_tol_exits_2(capsys):
     assert _exit_code(capsys, "theory", "--p", "3", "--tol", "0") == 2
+
+
+@pytest.mark.parametrize("tol", ["1/0", "0/0", "abc"])
+def test_theory_unparsable_tol_exits_2(capsys, tol):
+    assert _exit_code(capsys, "theory", "--p", "3", "--tol", tol) == 2
 
 
 @pytest.mark.parametrize("tol", ["1e-20", "1e-400"])

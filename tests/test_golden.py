@@ -124,3 +124,10 @@ def test_golden_stdout(name):
 def test_golden_stdout_independent_of_threads(name):
     for threads in ("1", "3"):
         assert _run(CASES[name] + ["--threads", threads]) == GOLDEN[name]
+
+
+def test_golden_stdout_replayed_in_reverse():
+    # main reuses one parser and caches per-p theory values across calls, so
+    # an option or value left over from one call would change a later pin
+    names = sorted(CASES, reverse=True)
+    assert [(name, _run(CASES[name])) for name in names] == [(name, GOLDEN[name]) for name in names]
