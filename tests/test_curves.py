@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -213,6 +214,27 @@ def test_serialization_round_trip():
     assert format_rational(Fraction(-64)) == "-64"
     assert parse_rational("857375/8") == Fraction(857375, 8)
     assert parse_rational("-64") == -64
+
+
+def test_value_type_contract():
+    # what callers may rely on, whatever class backs the two value types
+    inv = compute_invariants(E1)
+    assert repr(E1) == "WeierstrassModel(a1=1, a2=0, a3=1, a4=-141, a6=624)"
+    assert str(E1) == "1,0,1,-141,624"
+    text = "Invariants(b2=1, b4=-281, b6=2497, b8=-19116, c4=6745, c6=-549469, delta=2863288)"
+    assert repr(inv) == str(inv) == text
+    assert hash(E1) == hash(E1.coefficients())
+    assert type(E1.coefficients()) is tuple
+    assert WeierstrassModel.from_string(str(E1)) == E1
+    assert E1 != E3 and E1 != WeierstrassModel(1, 0, 1, -141, 625)
+    assert compute_invariants(E3) != inv
+    with pytest.raises(AttributeError):
+        E1.a1 = 2
+    with pytest.raises(AttributeError):
+        inv.delta = 0
+    for value in (E1, E2, inv):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and type(copy) is type(value) and hash(copy) == hash(value)
 
 
 def test_height_sort_key_orders_by_height_then_lex():
