@@ -8,12 +8,18 @@ Singular tuples (discriminant 0) are first-class values: samplers and
 censuses count them, so constructing one is never an error.  Heights are
 compared through the exponent-12 integer normalisation |a_i|^(12/i), which
 makes every comparison exact at box boundaries.
+
+WeierstrassModel and Invariants are typing.NamedTuple classes: immutable,
+hashed as their field tuple, iterable, and equal to a plain tuple of the
+same values.  The samplers build one of each per draw, and a tuple is the
+cheapest immutable record to build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import factorize
 
@@ -46,8 +52,7 @@ class NonIntegralTransformError(ValueError):
     """The requested change of variables does not land in integer coefficients."""
 
 
-@dataclass(frozen=True)
-class WeierstrassModel:
+class WeierstrassModel(NamedTuple):
     a1: int
     a2: int
     a3: int
@@ -55,14 +60,14 @@ class WeierstrassModel:
     a6: int
 
     def coefficients(self) -> tuple[int, int, int, int, int]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a6)
+        return tuple(self)
 
     @property
     def is_singular(self) -> bool:
         return compute_invariants(self).delta == 0
 
     def __str__(self) -> str:
-        return ",".join(str(a) for a in self.coefficients())
+        return ",".join(map(str, self))
 
     @classmethod
     def from_string(cls, text: str) -> "WeierstrassModel":
@@ -73,8 +78,7 @@ class WeierstrassModel:
         return cls(*(int(p.strip()) for p in parts))
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(NamedTuple):
     b2: int
     b4: int
     b6: int
@@ -86,7 +90,7 @@ class Invariants:
 
 def compute_invariants(model: WeierstrassModel) -> Invariants:
     """The b-, c- and discriminant invariants of a long Weierstrass tuple."""
-    a1, a2, a3, a4, a6 = model.coefficients()
+    a1, a2, a3, a4, a6 = model
     b2 = a1 * a1 + 4 * a2
     b4 = a1 * a3 + 2 * a4
     b6 = a3 * a3 + 4 * a6

@@ -1,10 +1,12 @@
 """Height-ordered sampling, classification and empirical density reports.
 
 Sampling draws each coefficient uniformly from |a_i| < H^i; exhaustive mode
-walks the whole box.  Work is split into fixed-size chunks whose RNG streams
-are derived from (master seed, chunk index), so reports are bit-identical
-for a given (seed, chunk size) no matter how many worker processes run the
-chunks.  Workers are forked (os.fork), so call with more than one worker
+walks the whole box.  A draw calls rng.getrandbits with the rejection loop
+of random.Random.randrange, so a seed gives the stream of five randrange
+calls per sample, while the bounds are worked out once per chunk.  Work is
+split into fixed-size chunks whose RNG streams are derived from (master
+seed, chunk index), so reports are bit-identical for a given (seed, chunk
+size) no matter how many worker processes run the chunks.  Workers are forked (os.fork), so call with more than one worker
 only from a single-threaded process.
 
 Classification at p decides S_p by one rule: p | c_ell needs either
@@ -34,14 +36,14 @@ import random
 import signal
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import islice, product
 from math import gcd, inf, prod, sqrt
 from typing import NoReturn
 
 from . import __version__
 from .arith import (_SMALL_BOUND, FactorBudgetExceeded, _may_be_kth_power, _primorial,
                     factorize, iroot, is_prime, require_odd_prime, valuation)
-from .curves import WeierstrassModel, compute_invariants
+from .curves import SingularCurveError, WeierstrassModel, compute_invariants
 from .density import CertifiedValue, rho, rho_Instar_ge1
 from .finitefield import count_points_b
 from .kodaira import parse_kodaira
@@ -76,6 +78,9 @@ class ClassificationFlags:
 
 
 _SINGULAR = ClassificationFlags(True, False, False, False)
+# the flags of a nonsingular model, one shared instance per
+# (bad_at_p, tamagawa_divisible, anomalous_good, unclassified)
+_NONSINGULAR = {key: ClassificationFlags(False, *key) for key in product((False, True), repeat=4)}
 
 
 def classify(model: WeierstrassModel, p: int) -> ClassificationFlags:
@@ -129,7 +134,7 @@ def _classify_chunk(models, p: int):
                 tam, unclassified = _tamagawa_divisible(model, C, s, inv.c4, inv.c6, p), False
             except FactorBudgetExceeded:
                 tam, unclassified = False, True
-            yield ClassificationFlags(False, bad_at_p, tam, anomalous_good, unclassified)
+            yield _NONSINGULAR[bad_at_p, tam, anomalous_good, unclassified]
 
 
 def _primorial_gcds(ns: list[int]) -> list[int]:
@@ -219,19 +224,33 @@ def _tamagawa_divisible(model: WeierstrassModel, C: int, s: int, c4: int, c6: in
 
 def sample_tuple(rng: random.Random, height: int) -> WeierstrassModel:
     """One uniform draw from the height box |a_i| < H^i."""
+    return next(_sampler(rng, height))
+
+
+def _sampler(rng: random.Random, height: int):
+    """Uniform draws from the height box |a_i| < H^i, without end.
+
+    Each a_i is rng.randrange(1 - H^i, H^i) drawn as random.Random draws it
+    (_randbelow_with_getrandbits): getrandbits(k) with k the bit length of
+    the width, redrawn until it falls below the width.  So the models, and
+    the state rng is left in, are those of five randrange calls per draw,
+    while the bounds are worked out once per sampler.
+    """
     if height < 1:
         raise ValueError("height must be >= 1")
-    h2 = height * height
-    h3 = h2 * height
-    h4 = h3 * height
-    h6 = h4 * h2
-    return WeierstrassModel(
-        rng.randrange(1 - height, height),
-        rng.randrange(1 - h2, h2),
-        rng.randrange(1 - h3, h3),
-        rng.randrange(1 - h4, h4),
-        rng.randrange(1 - h6, h6),
-    )
+    bounds = []
+    for i in (1, 2, 3, 4, 6):
+        h = height**i
+        bounds.append((1 - h, 2 * h - 1, (2 * h - 1).bit_length()))
+    getrandbits = rng.getrandbits
+    while True:
+        a = []
+        for lo, n, k in bounds:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            a.append(lo + r)
+        yield WeierstrassModel(*a)
 
 
 def exhaustive_box_size(height: int) -> int:
@@ -297,9 +316,7 @@ def _iter_chunk(spec: SampleSpec, index: int):
             a.reverse()
             yield WeierstrassModel(*a)
     else:
-        rng = _chunk_rng(spec.seed, index)
-        for _ in range(hi - lo):
-            yield sample_tuple(rng, spec.height)
+        yield from islice(_sampler(_chunk_rng(spec.seed, index), spec.height), hi - lo)
 
 
 _FLAG_ORDER = ("singular", "bad_at_p", "tamagawa_divisible", "anomalous_good", "unclassified")
@@ -323,10 +340,11 @@ def _count_chunk(spec: SampleSpec, index: int) -> dict[str, int]:
 def _kodaira_chunk(spec: SampleSpec, ell: int, index: int) -> dict[str, int]:
     out: dict[str, int] = {}
     for model in _iter_chunk(spec, index):
-        if compute_invariants(model).delta == 0:
-            key = "singular"
-        else:
+        # tate computes the invariants once and raises on a singular model
+        try:
             key = tate(model, ell).kodaira.label
+        except SingularCurveError:
+            key = "singular"
         out[key] = out.get(key, 0) + 1
     return out
 

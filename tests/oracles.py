@@ -5,7 +5,7 @@ full (x, y) grid, class numbers come from reducing every form in a box,
 reduced forms from filtering one box by the reduction inequalities,
 heights are compared by cross-powering, and local p-torsion ranks come
 from Hensel-lifting roots of the p-division polynomial to precision
-ell^40.  The torsion oracle is one-sided by construction: it can only
+ell^40, and height-box draws from one randrange call per coefficient.  The torsion oracle is one-sided by construction: it can only
 declare "no torsion" when no root survives at full precision.
 """
 
@@ -80,6 +80,21 @@ def reduced_forms_by_disc(bound: int) -> dict[int, list[tuple[int, int, int]]]:
                 out.setdefault(disc, []).append((a, b, c))
         a += 1
     return {disc: sorted(forms) for disc, forms in out.items()}
+
+
+def sample_tuple_by_randrange(rng, height: int) -> WeierstrassModel:
+    """One draw from the height box |a_i| < H^i by five randrange calls."""
+    h2 = height * height
+    h3 = h2 * height
+    h4 = h3 * height
+    h6 = h4 * h2
+    return WeierstrassModel(
+        rng.randrange(1 - height, height),
+        rng.randrange(1 - h2, h2),
+        rng.randrange(1 - h3, h3),
+        rng.randrange(1 - h4, h4),
+        rng.randrange(1 - h6, h6),
+    )
 
 
 def height_less_by_crosspower(ai: int, i: int, bj: int, j: int) -> bool:

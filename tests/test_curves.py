@@ -237,6 +237,14 @@ def test_value_type_contract():
         assert copy == value and type(copy) is type(value) and hash(copy) == hash(value)
 
 
+def test_models_and_invariants_are_tuples():
+    inv = compute_invariants(E1)
+    assert E1 == (1, 0, 1, -141, 624) and tuple(E1) == E1.coefficients()
+    assert inv == (1, -281, 2497, -19116, 6745, -549469, 2863288)
+    a1, a2, a3, a4, a6 = E1
+    assert WeierstrassModel(a1, a2, a3, a4, a6) == E1 and len(inv) == 7
+
+
 def test_height_sort_key_orders_by_height_then_lex():
     from ellstat.curves import height_sort_key
 

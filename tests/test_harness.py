@@ -17,6 +17,9 @@ from ellstat.harness import (
     ClassificationFlags,
     SampleSpec,
     _classify_chunk,
+    _chunk_rng,
+    _iter_chunk,
+    _kodaira_chunk,
     _run_chunks,
     classify,
     estimate,
@@ -25,6 +28,8 @@ from ellstat.harness import (
     sample_tuple,
 )
 from ellstat.localdata import tamagawa_p_divisible, tate
+
+from oracles import sample_tuple_by_randrange
 
 
 def test_sample_height_one_is_origin():
@@ -57,6 +62,21 @@ def test_sample_marginal_uniformity():
     sigma = math.sqrt(n * (1 / 3) * (2 / 3))
     for v in counts.values():
         assert abs(v - n / 3) < 4 * sigma
+
+
+@pytest.mark.parametrize("height", [1, 2, 8, 10**3, 5 * 10**4, 10**6])
+def test_sample_stream_matches_randrange(height):
+    # the sampler draws with getrandbits as randrange does: same models,
+    # same generator state afterwards
+    ours, oracle = random.Random(height), random.Random(height)
+    for _ in range(2000):
+        assert sample_tuple(ours, height) == sample_tuple_by_randrange(oracle, height)
+    assert ours.getstate() == oracle.getstate()
+    spec = SampleSpec(height=height, p=3, count=300, seed=height, chunk_size=200)
+    for index in (0, 1):
+        oracle = _chunk_rng(spec.seed, index)
+        draws = [sample_tuple_by_randrange(oracle, height) for _ in range(200 - 100 * index)]
+        assert list(_iter_chunk(spec, index)) == draws
 
 
 def test_exhaustive_box_size_formula():
@@ -196,6 +216,17 @@ def test_classify_chunk_matches_classify(n):
             assert list(_classify_chunk(models, p)) == [classify(m, p) for m in models]
     assert list(_classify_chunk(iter(drawn), 3)) == [classify(m, 3) for m in drawn]
     assert list(_classify_chunk([], 3)) == []
+
+
+def test_classification_flags_are_bools():
+    # astuple and the pinned hash read the flags; they stay True/False
+    rng = random.Random(9)
+    models = [sample_tuple(rng, 8) for _ in range(300)] + [WeierstrassModel(0, 0, 0, 0, 0)]
+    seen = set()
+    for flags in _classify_chunk(models, 3):
+        assert all(type(v) is bool for v in dataclasses.astuple(flags))
+        seen.add(dataclasses.astuple(flags))
+    assert len(seen) >= 4
 
 
 def test_ogg_bound_on_tamagawa_numbers():
@@ -342,6 +373,27 @@ def test_exhaustive_and_sampled_h2_agree():
         p_hat = sampled.counts[flag] / n
         se = math.sqrt(max(p_true * (1 - p_true), 1e-12) / n)
         assert abs(p_hat - p_true) < 4 * se, (flag, p_hat, p_true)
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_kodaira_chunk_matches_direct_loop(ell):
+    # exhaustive H = 2 chunks with a singular tuple first, in the middle and
+    # last: tate's SingularCurveError is counted as "singular"
+    head = list(_iter_chunk(SampleSpec(height=2, p=3, exhaustive=True, chunk_size=2000), 0))
+    g, h = [i for i, m in enumerate(head) if compute_invariants(m).delta == 0][1:3]
+    # [g, 2g), [0, g] and [0, 2h)
+    for size, index, at in ((g, 1, 0), (g + 1, 0, g), (2 * h, 0, h)):
+        spec = SampleSpec(height=2, p=3, exhaustive=True, chunk_size=size)
+        models = list(_iter_chunk(spec, index))
+        assert compute_invariants(models[at]).delta == 0
+        want = {}
+        for m in models:
+            if compute_invariants(m).delta == 0:
+                key = "singular"
+            else:
+                key = tate(m, ell).kodaira.label
+            want[key] = want.get(key, 0) + 1
+        assert _kodaira_chunk(spec, ell, index) == want
 
 
 def test_kodaira_frequency_at_three_matches_table():
