@@ -11,8 +11,8 @@ makes every comparison exact at box boundaries.
 
 WeierstrassModel and Invariants are typing.NamedTuple classes: immutable,
 hashed as their field tuple, iterable, and equal to a plain tuple of the
-same values.  The samplers build one of each per draw, and a tuple is the
-cheapest immutable record to build.
+same values.  Sampling builds a model and its invariants for every draw,
+and a tuple is the cheapest immutable record to build.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ of random.Random.randrange, so a seed gives the stream of five randrange
 calls per sample, while the bounds are worked out once per chunk.  Work is
 split into fixed-size chunks whose RNG streams are derived from (master
 seed, chunk index), so reports are bit-identical for a given (seed, chunk
-size) no matter how many worker processes run the chunks.  Workers are forked (os.fork), so call with more than one worker
-only from a single-threaded process.
+size) no matter how many worker processes run the chunks.  Workers are
+forked (os.fork), so call with more than one worker only from a
+single-threaded process.
 
 Classification at p decides S_p by one rule: p | c_ell needs either
 ell | gcd(Delta, c4), where Tate decides, or ell^3 | Delta with ell prime to
