@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from ellstat.arith import factorize, valuation
 from ellstat.curves import SingularCurveError, WeierstrassModel, compute_invariants, transform
 from ellstat.kodaira import KodairaType, parse_kodaira
 from ellstat.localdata import (
+    _tate_run,
     bad_primes,
     compute_I_p,
     conductor,
@@ -567,3 +569,53 @@ def test_tate_additive_at_large_prime():
     assert d.conductor_exponent == 2
     m2 = WeierstrassModel(0, 0, 0, 0, q**5)  # v(c4)=inf, v(delta)=10: II*
     assert tate(m2, q).kodaira == KodairaType("II*")
+
+
+# --- Tate runs pinned byte for byte
+
+_KINDS = ("I0", "In", "II", "III", "IV", "I0*", "In*", "IV*", "III*", "II*")
+
+
+def _rescaled(m, u):
+    return WeierstrassModel(u * m.a1, u**2 * m.a2, u**3 * m.a3, u**4 * m.a4, u**6 * m.a6)
+
+
+def _pinned_tate_models(ell):
+    """Seeded draws at four heights, some of them rescaled by u = 2, 3, 5, 6
+    and by ell, then directed models: y^2 = x^3 + ell^a x + ell^b, the
+    I_nu* families y^2 = x^3 + ell x^2 + ell^m and y^2 = x^3 + ell x^2 +
+    ell^k x, and all of these rescaled by ell."""
+    draws = []
+    for height, n in ((2, 200), (8, 200), (1000, 200), (10**6, 100)):
+        rng = random.Random(height)
+        batch = [
+            WeierstrassModel(*(rng.randrange(1 - height**i, height**i) for i in (1, 2, 3, 4, 6)))
+            for _ in range(n)
+        ]
+        draws += batch + [_rescaled(m, u) for m in batch[:25] for u in (2, 3, 5, 6)]
+    draws = [m for m in draws if compute_invariants(m).delta != 0]
+    directed = [WeierstrassModel(0, 0, 0, ell**a, ell**b) for a in range(5) for b in range(6)]
+    directed += [WeierstrassModel(0, ell, 0, 0, ell**m) for m in (4, 5, 6)]
+    directed += [WeierstrassModel(0, ell, 0, ell**k, 0) for k in (3, 4)]
+    directed = [m for m in directed if compute_invariants(m).delta != 0]
+    return draws + directed + [_rescaled(m, ell) for m in directed + draws[::8]]
+
+
+def test_tate_runs_pinned():
+    # sha256 of every (ell-minimal model, LocalData) pair; recorded before
+    # the body of _tate_run was restructured, so any change in its output
+    # fails here
+    h = hashlib.sha256()
+    for ell in (2, 3, 5, 7, 11, 13):
+        cells, nus = set(), set()
+        for m in _pinned_tate_models(ell):
+            minimal, data = _tate_run(m, ell)
+            h.update(repr((ell, minimal, data)).encode())
+            cells.add((data.kodaira.kind, data.was_minimal))
+            if data.kodaira.kind == "In*":
+                nus.add(data.kodaira.n)
+        # every type, on minimal and on non-minimal input, and the I_nu*
+        # chain past its first X- and its second Y-step
+        assert cells == {(kind, was) for kind in _KINDS for was in (True, False)}, ell
+        assert {2, 3} <= nus, ell
+    assert h.hexdigest() == "8adb7b5bd04532f01a1b2bd5b38f7d7a9d5f1920ed1b831e3c66a7fb679b78c3"
