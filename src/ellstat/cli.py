@@ -234,11 +234,15 @@ def cmd_families(args) -> int:
             if t == 0:
                 continue
             j = zywina_j2(Fraction(t))
-            E = curve_from_j(
-                j,
-                minimize_conductor=args.min_search > 0,
-                twist_bound=args.min_search,
-            )
+            try:
+                # the conductor search factors the discriminant of every twist
+                E = curve_from_j(
+                    j,
+                    minimize_conductor=args.min_search > 0,
+                    twist_bound=args.min_search,
+                )
+            except FactorBudgetExceeded:
+                raise _fail("discriminant not factored within budget")
             rows.append((str(t), E))
     payload = []
     lines = []

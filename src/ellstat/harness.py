@@ -362,16 +362,14 @@ def _run_chunks(spec: SampleSpec, chunk_fn, workers: int) -> dict[str, int]:
     """Sum the per-chunk counts chunk_fn(index) over every chunk of spec.
 
     k = min(workers, chunks, os.cpu_count()) processes share the chunks:
-    this one and k - 1 forked children.  With k < 2, or where os.fork is
-    missing, every chunk runs here and nothing is started.  Sums do not
-    depend on which process ran which chunk, so the result is the same for
-    every worker count.
+    this one and k - 1 forked children.  k is 1 where os.fork is missing,
+    and at least 1 for any worker count; with k = 1 every chunk runs here
+    and nothing is started.  Sums do not depend on which process ran which
+    chunk, so the result is the same for every worker count.
     """
     n_chunks = -(-spec.total // spec.chunk_size)
-    k = min(workers, n_chunks, os.cpu_count() or 1)
-    if k < 2 or not hasattr(os, "fork"):
-        return _sum_counts(map(chunk_fn, range(n_chunks)))
-    return _sum_counts(_fork_join(chunk_fn, n_chunks, k))
+    k = min(workers, n_chunks, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    return _sum_counts(_fork_join(chunk_fn, n_chunks, max(k, 1)))
 
 
 def _fork_join(chunk_fn, n_chunks: int, k: int) -> list[dict[str, int]]:

@@ -4,6 +4,12 @@ tate() runs the full algorithm at any prime, including the wild cases at
 2 and 3, minimising the model on the way (step-11 rescalings).  The
 conductor exponent comes out of Ogg's relation f = v(D_min) + 1 - m with m
 the component count of the Kodaira type, which is valid at every prime.
+Types IV and IV* and each Y-side step of the I_n* chain are one rule,
+_y_quadratic (Silverman, Advanced Topics, IV.9.4, steps 5, 8 and 7): the
+quadratic Y^2 + a3,e Y - a6,2e over F_p at e = 1, 2 and (n + 3)/2.
+Distinct roots decide the type, with c = 3 or 1 (IV, IV*) and 4 or 2
+(I_n*) as they lie in F_p or not; a double root gives the y-shift that
+the next step needs.
 Roots of the I0* cubic are counted by T^p = T mod f and Stickelberger's
 parity rule on its discriminant (brute force only at 2).
 
@@ -148,13 +154,29 @@ def _cubic_multiple_root(b: int, c: int, d: int, p: int) -> tuple[int, bool]:
     return (b * c - 9 * d) * pow(6 * c - 2 * b * b, -1, p) % p, False
 
 
+def _y_quadratic(cur: WeierstrassModel, p: int, e: int) -> tuple[bool | None, int]:
+    """The Y-side step of Tate's algorithm at level e: steps 5, 7 and 8 of
+    Silverman, Advanced Topics, IV.9.4, at e = 1, (nu + 3) / 2 and 2.
+
+    With p^e | a3 and p^2e | a6, it reads Y^2 + a3,e Y - a6,2e over F_p,
+    where a3,e = a3 / p^e and a6,2e = a6 / p^2e.  Distinct roots give
+    (whether they lie in F_p, 0); a double root y gives (None, p^e y), the
+    t-shift after which p^(e+1) | a3 and p^(2e+1) | a6.
+    """
+    q = p**e
+    A3 = cur.a3 // q % p
+    A6 = cur.a6 // (q * q) % p
+    if (A3 * A3 + 4 * A6) % p:
+        return _quad_has_roots(1, A3, -A6, p), 0
+    return None, q * (A6 % 2 if p == 2 else -A3 * pow(2, -1, p) % p)
+
+
 def _tate_run(model: WeierstrassModel, ell: int) -> tuple[WeierstrassModel, LocalData]:
     """Full Tate loop; returns (ell-minimal model, LocalData)."""
-    a1, a2, a3, a4, a6 = model.coefficients()
     p = ell
+    cur = model
     scalings = 0
     while True:
-        cur = WeierstrassModel(a1, a2, a3, a4, a6)
         inv = compute_invariants(cur)
         if inv.delta == 0:
             raise SingularCurveError("Tate's algorithm needs a nonsingular curve")
@@ -173,50 +195,39 @@ def _tate_run(model: WeierstrassModel, ell: int) -> tuple[WeierstrassModel, Loca
         # cusp: move the singular point to (0, 0)
         if p == 2:
             if inv.b2 % 2:
-                r = a3 % 2
-                t = (r + a4) % 2
+                r = cur.a3 % 2
+                t = (r + cur.a4) % 2
             else:
-                r = a4 % 2
-                t = (r * (1 + a2 + a4) + a6) % 2
+                r = cur.a4 % 2
+                t = (r * (1 + cur.a2 + cur.a4) + cur.a6) % 2
         elif p == 3:
             # 3 | b2 here (c4 = b2^2 mod 3), so the cusp is the cube root of -b6
             r = (-inv.b6) % 3
-            t = (a1 * r + a3) % 3
+            t = (cur.a1 * r + cur.a3) % 3
         else:
             r = (-inv.b2 * pow(12, -1, p)) % p
-            t = (-(a1 * r + a3) * pow(2, -1, p)) % p
+            t = (-(cur.a1 * r + cur.a3) * pow(2, -1, p)) % p
         cur = transform(cur, 1, r, 0, t)
-        a1, a2, a3, a4, a6 = cur.coefficients()
-        inv = compute_invariants(cur)
 
-        if a6 % (p * p) != 0:
+        if cur.a6 % (p * p) != 0:
             ktype, c = KodairaType("II"), 1
             break
-        if inv.b8 % p**3 != 0:
+        if compute_invariants(cur).b8 % p**3 != 0:
             ktype, c = KodairaType("III"), 2
             break
-        if inv.b6 % p**3 != 0:
-            ktype = KodairaType("IV")
-            c = 3 if _quad_has_roots(1, a3 // p, -(a6 // (p * p)), p) else 1
+        split, t = _y_quadratic(cur, p, 1)
+        if split is not None:
+            ktype, c = KodairaType("IV"), 3 if split else 1
             break
 
-        # normalise to p|a1,a2, p^2|a3,a4, p^3|a6
-        if p == 2:
-            s = a2 % 2
-            cur = transform(cur, 1, 0, s, 0)
-            a1, a2, a3, a4, a6 = cur.coefficients()
-            t = 2 if a6 % 8 == 4 else 0
-        else:
-            s = (-a1 * pow(2, -1, p)) % p
-            cur = transform(cur, 1, 0, s, 0)
-            a1, a2, a3, a4, a6 = cur.coefficients()
-            t = (-a3 * pow(2, -1, p * p)) % (p * p)
-        cur = transform(cur, 1, 0, 0, t)
-        a1, a2, a3, a4, a6 = cur.coefficients()
+        # normalise to p|a1,a2, p^2|a3,a4, p^3|a6; the s-shift leaves a3
+        # and a6 alone, so the t-shift of the Y-step above still applies
+        s = cur.a2 % 2 if p == 2 else -cur.a1 * pow(2, -1, p) % p
+        cur = transform(cur, 1, 0, s, t)
 
-        b = (a2 // p) % p
-        cc = (a4 // (p * p)) % p
-        dd = (a6 // p**3) % p
+        b = cur.a2 // p % p
+        cc = cur.a4 // (p * p) % p
+        dd = cur.a6 // p**3 % p
         if _cubic_disc(b, cc, dd) % p != 0:
             ktype = KodairaType("I0*")
             c = 1 + _nroots_cubic(b, cc, dd, p)
@@ -225,28 +236,21 @@ def _tate_run(model: WeierstrassModel, ell: int) -> tuple[WeierstrassModel, Loca
         tau, triple = _cubic_multiple_root(b, cc, dd, p)
         if tau:
             cur = transform(cur, 1, p * tau, 0, 0)
-            a1, a2, a3, a4, a6 = cur.coefficients()
 
         if not triple:
             # I_nu* chain: alternate Y- and X-side quadratics
             nu = 1
             while True:
-                e3 = (nu + 3) // 2
-                A3 = (a3 // p**e3) % p
-                A6 = (a6 // p ** (nu + 3)) % p
-                if (A3 * A3 + 4 * A6) % p != 0:
-                    ktype = KodairaType("In*", nu)
-                    c = 4 if _quad_has_roots(1, A3, -A6, p) else 2
+                split, t = _y_quadratic(cur, p, (nu + 3) // 2)
+                if split is not None:
+                    ktype, c = KodairaType("In*", nu), 4 if split else 2
                     break
-                eta = A6 % 2 if p == 2 else (-A3 * pow(2, -1, p)) % p
-                if eta:
-                    cur = transform(cur, 1, 0, 0, p**e3 * eta)
-                    a1, a2, a3, a4, a6 = cur.coefficients()
+                cur = transform(cur, 1, 0, 0, t)
                 nu += 1
                 e4 = (nu + 4) // 2
-                B2 = (a2 // p) % p
-                B4 = (a4 // p**e4) % p
-                B6 = (a6 // p ** (nu + 3)) % p
+                B2 = cur.a2 // p % p
+                B4 = cur.a4 // p**e4 % p
+                B6 = cur.a6 // p ** (nu + 3) % p
                 if (B4 * B4 - 4 * B2 * B6) % p != 0:
                     ktype = KodairaType("In*", nu)
                     c = 4 if _quad_has_roots(B2, B4, B6, p) else 2
@@ -254,35 +258,24 @@ def _tate_run(model: WeierstrassModel, ell: int) -> tuple[WeierstrassModel, Loca
                 xi = B6 % 2 if p == 2 else (-B4 * pow(2 * B2, -1, p)) % p
                 if xi:
                     cur = transform(cur, 1, p ** (e4 - 1) * xi, 0, 0)
-                    a1, a2, a3, a4, a6 = cur.coefficients()
                 nu += 1
             break
 
         # triple root: IV*, III*, II* or a non-minimal model
-        A3 = (a3 // (p * p)) % p
-        A6 = (a6 // p**4) % p
-        if (A3 * A3 + 4 * A6) % p != 0:
-            ktype = KodairaType("IV*")
-            c = 3 if _quad_has_roots(1, A3, -A6, p) else 1
+        split, t = _y_quadratic(cur, p, 2)
+        if split is not None:
+            ktype, c = KodairaType("IV*"), 3 if split else 1
             break
-        eta = A6 % 2 if p == 2 else (-A3 * pow(2, -1, p)) % p
-        if eta:
-            cur = transform(cur, 1, 0, 0, p * p * eta)
-            a1, a2, a3, a4, a6 = cur.coefficients()
-        if a4 % p**4 != 0:
+        cur = transform(cur, 1, 0, 0, t)
+        if cur.a4 % p**4 != 0:
             ktype, c = KodairaType("III*"), 2
             break
-        if a6 % p**6 != 0:
+        if cur.a6 % p**6 != 0:
             ktype, c = KodairaType("II*"), 1
             break
-        a1 //= p
-        a2 //= p * p
-        a3 //= p**3
-        a4 //= p**4
-        a6 //= p**6
+        cur = transform(cur, p, 0, 0, 0)
         scalings += 1
 
-    minimal = WeierstrassModel(a1, a2, a3, a4, a6)
     # the last pass changed variables only with u = 1, which fixes Delta, so
     # v(Delta_min) is its n
     if ktype.is_good:
@@ -302,7 +295,7 @@ def _tate_run(model: WeierstrassModel, ell: int) -> tuple[WeierstrassModel, Loca
         was_minimal=(scalings == 0),
         reduction=reduction,
     )
-    return minimal, data
+    return cur, data
 
 
 def local_minimal_model(model: WeierstrassModel, ell: int) -> tuple[WeierstrassModel, LocalData]:

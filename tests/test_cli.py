@@ -265,7 +265,8 @@ def test_unfactored_discriminant_exits_2(capsys, monkeypatch):
 
     monkeypatch.setattr("ellstat.localdata.factorize", give_up)
     for args in (["local", "--curve=1,0,1,-141,624"],
-                 ["families", "--family", "zywina", "--range", "1..2"]):
+                 ["families", "--family", "zywina", "--range", "1..2"],
+                 ["families", "--family", "zywina", "--range", "1..2", "--min-search", "1"]):
         assert _exit_code(capsys, *args) == 2
 
 
