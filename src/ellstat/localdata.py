@@ -5,11 +5,8 @@ tate() runs the full algorithm at any prime, including the wild cases at
 conductor exponent comes out of Ogg's relation f = v(D_min) + 1 - m with m
 the component count of the Kodaira type, which is valid at every prime.
 Types IV and IV* and each Y-side step of the I_n* chain are one rule,
-_y_quadratic (Silverman, Advanced Topics, IV.9.4, steps 5, 8 and 7): the
-quadratic Y^2 + a3,e Y - a6,2e over F_p at e = 1, 2 and (n + 3)/2.
-Distinct roots decide the type, with c = 3 or 1 (IV, IV*) and 4 or 2
-(I_n*) as they lie in F_p or not; a double root gives the y-shift that
-the next step needs.
+_y_quadratic: the quadratic Y^2 + a3,e Y - a6,2e over F_p at e = 1, 2 and
+(n + 3)/2 (Silverman, Advanced Topics, IV.9.4, steps 5, 8 and 7).
 Roots of the I0* cubic are counted by T^p = T mod f and Stickelberger's
 parity rule on its discriminant (brute force only at 2).
 
