@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from ellstat.arith import valuation
-from ellstat.curves import WeierstrassModel, compute_invariants
+from ellstat.curves import WeierstrassModel, compute_invariants, height_key, height_lt
 from ellstat.density import CertifiedValue, sp_doubleprime_density
 from ellstat.finitefield import reduce_model, group_order
 from ellstat.harness import (
@@ -306,6 +306,36 @@ def test_exhaustive_enumeration_is_a_bijection():
         assert abs(m.a1) < 2 and abs(m.a2) < 4 and abs(m.a3) < 8
         assert abs(m.a4) < 16 and abs(m.a6) < 64
     assert count == len(seen) == 1_240_155
+
+
+def test_height_box_order_and_edges():
+    # the exhaustive decode in mixed radix, a6 the fastest digit: the ordered
+    # models of a first, a middle and the last (partial) H = 2 chunk, hashed
+    spec = SampleSpec(height=2, p=3, exhaustive=True, chunk_size=65536)
+    h = hashlib.sha256()
+    for index in (0, 9, 18):
+        models = list(_iter_chunk(spec, index))
+        assert len(models) == (65536 if index < 18 else 1_240_155 - 18 * 65536)
+        for m in models:
+            assert height_lt(m, 2)
+            h.update(repr(tuple(m)).encode())
+        if index == 0:
+            assert models[:2] == [(-1, -3, -7, -15, -63), (-1, -3, -7, -15, -62)]
+            assert models[127] == (-1, -3, -7, -14, -63)
+    assert h.hexdigest() == "f93286140a91cf443b1491c4e74359c3f79e1f655edfa0389471c02627ee6f6c"
+    # a lone coefficient a_i = +-(H^i - 1) lies inside the box of height H,
+    # and +-H^i on its edge, at height exactly H
+    for H in (1, 2, 8, 10**3):
+        for pos, i in enumerate((1, 2, 3, 4, 6)):
+            for a, inside in ((H**i - 1, True), (H**i, False)):
+                for sign in (1, -1):
+                    coeffs = [0] * 5
+                    coeffs[pos] = sign * a
+                    m = WeierstrassModel(*coeffs)
+                    assert height_lt(m, H) is inside
+                    key = height_key(m)
+                    assert key.normalized[pos] == key.max_value == a ** (12 // i)
+                    assert (key.max_value < H**12) is inside
 
 
 def test_report_csv_schema_and_json():
