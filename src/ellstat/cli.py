@@ -225,6 +225,8 @@ def cmd_families(args) -> int:
         for t in range(lo, hi + 1):
             try:
                 E = quadratic_twist(base, t)
+            except FactorBudgetExceeded:
+                raise _fail(f"twist parameter {t} not factored within budget")
             except ValueError:
                 continue  # t = 0 or not squarefree
             rows.append((str(t), E))

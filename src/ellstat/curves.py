@@ -60,6 +60,7 @@ class WeierstrassModel(NamedTuple):
     a6: int
 
     def coefficients(self) -> tuple[int, int, int, int, int]:
+        """(a1, a2, a3, a4, a6) as a plain tuple."""
         return tuple(self)
 
     @property
@@ -109,8 +110,15 @@ def j_invariant(model: WeierstrassModel) -> Fraction:
     return Fraction(inv.c4**3, inv.delta)
 
 
-# height normalisation: 12 = lcm(1, 2, 3, 4, 6)
-_HEIGHT_EXP = {1: 12, 2: 6, 3: 4, 4: 3, 6: 2}
+# a_i has weight i: the height box is |a_i| < H^i, and 12 // i normalises
+# |a_i| to the common exponent 12 = lcm of the weights
+_WEIGHTS = (1, 2, 3, 4, 6)
+
+
+def _box(height: int) -> list[tuple[int, int]]:
+    """(lowest value, number of values) of each coefficient in the height
+    box |a_i| < H^i."""
+    return [(1 - height**w, 2 * height**w - 1) for w in _WEIGHTS]
 
 
 @dataclass(frozen=True)
@@ -122,14 +130,7 @@ class HeightKey:
 
 
 def height_key(model: WeierstrassModel) -> HeightKey:
-    a1, a2, a3, a4, a6 = model.coefficients()
-    norm = (
-        abs(a1) ** 12,
-        abs(a2) ** 6,
-        abs(a3) ** 4,
-        abs(a4) ** 3,
-        abs(a6) ** 2,
-    )
+    norm = tuple(abs(a) ** (12 // w) for a, w in zip(model, _WEIGHTS))
     return HeightKey(norm, max(norm))
 
 
@@ -137,14 +138,7 @@ def height_lt(model: WeierstrassModel, x: int) -> bool:
     """True iff |a_i| < x^i for every i, i.e. ht(model) < x."""
     if x < 1:
         raise ValueError("height cutoff must be a positive integer")
-    a1, a2, a3, a4, a6 = model.coefficients()
-    return (
-        abs(a1) < x
-        and abs(a2) < x * x
-        and abs(a3) < x**3
-        and abs(a4) < x**4
-        and abs(a6) < x**6
-    )
+    return all(abs(a) < x**w for a, w in zip(model, _WEIGHTS))
 
 
 def height_compare(m1: WeierstrassModel, m2: WeierstrassModel) -> int:
@@ -158,7 +152,7 @@ def height_sort_key(model: WeierstrassModel) -> tuple:
     """Sort key for deterministic listings: height first, then the
     coefficient tuple lexicographically (ties of equal height are broken
     that way by convention)."""
-    return (height_key(model).max_value, model.coefficients())
+    return (height_key(model).max_value, tuple(model))
 
 
 def transform(model: WeierstrassModel, u: int, r: int, s: int, t: int) -> WeierstrassModel:
@@ -169,18 +163,18 @@ def transform(model: WeierstrassModel, u: int, r: int, s: int, t: int) -> Weiers
     """
     if u == 0:
         raise ValueError("u must be nonzero")
-    a1, a2, a3, a4, a6 = model.coefficients()
+    a1, a2, a3, a4, a6 = model
     n1 = a1 + 2 * s
     n2 = a2 - s * a1 + 3 * r - s * s
     n3 = a3 + r * a1 + 2 * t
     n4 = a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t
     n6 = a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1
     coeffs = []
-    for n, e in ((n1, 1), (n2, 2), (n3, 3), (n4, 4), (n6, 6)):
-        d = u**e
+    for n, w in zip((n1, n2, n3, n4, n6), _WEIGHTS):
+        d = u**w
         if n % d != 0:
             raise NonIntegralTransformError(
-                f"coefficient {n} not divisible by u^{e} = {d}"
+                f"coefficient {n} not divisible by u^{w} = {d}"
             )
         coeffs.append(n // d)
     return WeierstrassModel(*coeffs)

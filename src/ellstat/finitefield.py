@@ -51,7 +51,7 @@ class ReducedCurve:
 
 
 def reduce_model(model: WeierstrassModel, p: int) -> ReducedCurve:
-    a1, a2, a3, a4, a6 = (a % p for a in model.coefficients())
+    a1, a2, a3, a4, a6 = (a % p for a in model)
     return ReducedCurve(p, a1, a2, a3, a4, a6)
 
 

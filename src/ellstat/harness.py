@@ -44,7 +44,7 @@ from typing import NoReturn
 from . import __version__
 from .arith import (_SMALL_BOUND, FactorBudgetExceeded, _may_be_kth_power, _primorial,
                     factorize, iroot, is_prime, require_odd_prime, valuation)
-from .curves import SingularCurveError, WeierstrassModel, compute_invariants
+from .curves import SingularCurveError, WeierstrassModel, _box, compute_invariants
 from .density import CertifiedValue, rho, rho_Instar_ge1
 from .finitefield import count_points_b
 from .kodaira import parse_kodaira
@@ -157,20 +157,29 @@ def _primorial_gcds(ns: list[int]) -> list[int]:
     return [gcd(n, r) for n, r in zip(ns, rems)]
 
 
+def _c_ell_divisible(model: WeierstrassModel, ell: int, v: int, c4: int, c6: int,
+                     p: int) -> bool:
+    """Is p | c_ell, for a prime ell | Delta with v = v_ell(Delta)?
+
+    Where ell | c4 Tate decides, and only if v > p: Ogg's formula gives
+    c_ell <= v(Delta_min) - 1 there (a minimal model is additive, f >= 2),
+    and a non-minimal model has v >= v(Delta_min) + 12.  Elsewhere ell is
+    multiplicative: c_ell = v if split, c_ell <= 2 if not.
+    """
+    if c4 % ell == 0:
+        return v > p and tate(model, ell).tamagawa % p == 0
+    return v % p == 0 and _split_multiplicative(c6, ell)
+
+
 def _tamagawa_divisible(model: WeierstrassModel, C: int, s: int, c4: int, c6: int,
                         p: int) -> bool:
     """Is p | c_ell for some prime ell | C?  C is |Delta| with p divided out
     and s = gcd(C, primorial), the product of its primes below the trial
     bound.
 
-    Only two kinds of ell can qualify: ell | gcd(Delta, c4), where Tate
-    decides, and ell^3 | Delta with ell not dividing c4, a multiplicative
-    prime where c_ell = v_ell(Delta) if split and c_ell <= 2 otherwise.
-    For ell | gcd(Delta, c4), Ogg's formula bounds c_ell by
-    v(Delta_min) + 1 - f <= v(Delta_min) - 1 (a minimal model there is
-    additive, f >= 2) and a non-minimal model has v(Delta) >=
-    v(Delta_min) + 12, so p | c_ell needs v_ell(Delta) > p: Tate runs only
-    then.  Budget-free tests run first, so FactorBudgetExceeded means none
+    Only ell | gcd(Delta, c4) and ell^3 | Delta can qualify (c_ell <= 2 at
+    a multiplicative ell with v_ell(Delta) <= 2); _c_ell_divisible tests
+    each.  Budget-free tests run first, so FactorBudgetExceeded means none
     of them found a divisible c_ell.
     """
     # primes below the trial bound: cubed holds those dividing C at least
@@ -178,11 +187,7 @@ def _tamagawa_divisible(model: WeierstrassModel, C: int, s: int, c4: int, c6: in
     s2 = gcd(C // s, s)
     cubed = gcd(C // s // s2, s2)
     for ell in factorize(gcd(s, c4) * cubed):
-        v = valuation(C, ell)
-        if c4 % ell == 0:
-            if v > p and tate(model, ell).tamagawa % p == 0:
-                return True
-        elif v % p == 0 and _split_multiplicative(c6, ell):
+        if _c_ell_divisible(model, ell, valuation(C, ell), c4, c6, p):
             return True
     while s > 1:
         C //= s
@@ -197,7 +202,7 @@ def _tamagawa_divisible(model: WeierstrassModel, C: int, s: int, c4: int, c6: in
             while C % q == 0:
                 C //= q
                 v += 1
-            if v > p and tate(model, q).tamagawa % p == 0:
+            if _c_ell_divisible(model, q, v, c4, c6, p):
                 return True
     if C < _SMALL_CUBE:
         # q^3 <= C < bound^3 is impossible, so every multiplicity here is 1
@@ -214,7 +219,7 @@ def _tamagawa_divisible(model: WeierstrassModel, C: int, s: int, c4: int, c6: in
         return False
     if k % p == 0 or m >= _SMALL_CUBE:
         for q, n in factorize(C, rho_budget=_RHO_BUDGET).items():
-            if n % p == 0 and _split_multiplicative(c6, q):
+            if _c_ell_divisible(model, q, n, c4, c6, p):
                 return True
     return False
 
@@ -239,10 +244,7 @@ def _sampler(rng: random.Random, height: int):
     """
     if height < 1:
         raise ValueError("height must be >= 1")
-    bounds = []
-    for i in (1, 2, 3, 4, 6):
-        h = height**i
-        bounds.append((1 - h, 2 * h - 1, (2 * h - 1).bit_length()))
+    bounds = [(lo, n, n.bit_length()) for lo, n in _box(height)]
     getrandbits = rng.getrandbits
     while True:
         a = []
@@ -255,10 +257,7 @@ def _sampler(rng: random.Random, height: int):
 
 
 def exhaustive_box_size(height: int) -> int:
-    n = 1
-    for i in (1, 2, 3, 4, 6):
-        n *= 2 * height**i - 1
-    return n
+    return prod(n for _, n in _box(height))
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> random.Random:
@@ -305,17 +304,15 @@ def _iter_chunk(spec: SampleSpec, index: int):
     lo = index * spec.chunk_size
     hi = min(lo + spec.chunk_size, spec.total)
     if spec.exhaustive:
-        H = spec.height
-        sizes = [2 * H**i - 1 for i in (1, 2, 3, 4, 6)]
-        offs = [H**i - 1 for i in (1, 2, 3, 4, 6)]
+        # mixed radix, a6 the fastest digit
+        box = _box(spec.height)[::-1]
         for idx in range(lo, hi):
             rem = idx
             a = []
-            for size, off in zip(reversed(sizes), reversed(offs)):
-                rem, digit = divmod(rem, size)
-                a.append(digit - off)
-            a.reverse()
-            yield WeierstrassModel(*a)
+            for low, n in box:
+                rem, digit = divmod(rem, n)
+                a.append(low + digit)
+            yield WeierstrassModel(*reversed(a))
     else:
         yield from islice(_sampler(_chunk_rng(spec.seed, index), spec.height), hi - lo)
 

@@ -18,8 +18,8 @@ Good reduction at an odd prime p is decided by one rule, _good_invariants:
 p prime to Delta is good on the given model; a model with v(c4) = 0 or
 v(Delta) < 12 is already p-minimal (Cremona, Algorithms for Modular Elliptic
 Curves, 3.2), so p | Delta makes it bad; otherwise Tate's algorithm decides,
-and the points are counted on the p-minimal model it returns.  classify,
-is_anomalous and prime_scan all use it.
+and the points are counted on the p-minimal model it returns.  classify and
+is_anomalous call it; prime_scan reads the same rule off its Tate table.
 
 Multiplicative reduction is split exactly when -c6 is a square in Q_ell
 (Legendre test for odd ell, unit = 1 mod 8 at ell = 2).  Local p-torsion

@@ -264,9 +264,11 @@ def test_unfactored_discriminant_exits_2(capsys, monkeypatch):
         raise FactorBudgetExceeded(f"no factor of {n} within budget")
 
     monkeypatch.setattr("ellstat.localdata.factorize", give_up)
+    monkeypatch.setattr("ellstat.curves.factorize", give_up)
     for args in (["local", "--curve=1,0,1,-141,624"],
                  ["families", "--family", "zywina", "--range", "1..2"],
-                 ["families", "--family", "zywina", "--range", "1..2", "--min-search", "1"]):
+                 ["families", "--family", "zywina", "--range", "1..2", "--min-search", "1"],
+                 ["families", "--family", "twist", "--base=1,0,1,-141,624", "--range", "2..3"]):
         assert _exit_code(capsys, *args) == 2
 
 
