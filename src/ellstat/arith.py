@@ -1,10 +1,11 @@
 """Elementary integer arithmetic shared by the curve and statistics modules.
 
-Everything here is exact big-integer arithmetic: deterministic primality
-(Miller-Rabin with a proven witness set below 3.3 * 10^24, extra rounds
-above), Pollard-Brent factorisation with an iteration budget, prime sieves,
-quadratic residue tests, integer roots and a power-residue sieve that
-rejects almost every non-power before a root is taken.
+Everything here is exact big-integer arithmetic: primality by Miller-Rabin
+(deterministic below 3.3 * 10^24 with a proven witness set, and a strong
+probable-prime test to the same 13 bases above it), Pollard-Brent
+factorisation with an iteration budget, prime sieves, quadratic residue
+tests, integer roots and a power-residue sieve that rejects almost every
+non-power before a root is taken.
 """
 
 from __future__ import annotations

@@ -51,9 +51,13 @@ def _parse_curve(text: str) -> WeierstrassModel:
 def _worker_count(value: int | None) -> int:
     """--threads if given, else ELLSTAT_THREADS, else 1; a positive integer."""
     text = str(value) if value is not None else os.environ.get("ELLSTAT_THREADS") or "1"
-    if not (text.isdecimal() and int(text) >= 1):
+    try:
+        count = int(text) if text.isdecimal() else 0
+    except ValueError:  # more digits than int() converts
+        count = 0
+    if count < 1:
         raise _fail(f"worker count must be a positive integer, got {text}")
-    return int(text)
+    return count
 
 
 def _curve_report(model: WeierstrassModel) -> tuple[str, int, list[LocalData]]:

@@ -244,7 +244,7 @@ def zeta_minus_one(s: int, tol=DEFAULT_TOL) -> CertifiedValue:
     # stay below tol/2
     N = 2
     while 2 * tol.denominator >= tol.numerator * (s - 1) * N ** (s - 1):
-        N = max(N + 1, int(1.3 * N))
+        N = max(N + 1, N * 13 // 10)
         if N > _ZETA_MAX_TERMS:
             raise ValueError(f"tol too small: zeta({s}) needs more than {_ZETA_MAX_TERMS} terms")
     x = 2 * (N + 1) / tol

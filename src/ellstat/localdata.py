@@ -18,8 +18,8 @@ Good reduction at an odd prime p is decided by one rule, _good_invariants:
 p prime to Delta is good on the given model; a model with v(c4) = 0 or
 v(Delta) < 12 is already p-minimal (Cremona, Algorithms for Modular Elliptic
 Curves, 3.2), so p | Delta makes it bad; otherwise Tate's algorithm decides,
-and the points are counted on the p-minimal model it returns.  classify and
-is_anomalous call it; prime_scan reads the same rule off its Tate table.
+and the points are counted on the p-minimal model it returns.  classify,
+is_anomalous and prime_scan call it.
 
 Multiplicative reduction is split exactly when -c6 is a square in Q_ell
 (Legendre test for odd ell, unit = 1 mod 8 at ell = 2).  Local p-torsion
@@ -302,14 +302,16 @@ def local_minimal_model(model: WeierstrassModel, ell: int) -> tuple[WeierstrassM
     return _tate_run(model, ell)
 
 
-def _good_invariants(model: WeierstrassModel, inv: Invariants, p: int) -> Invariants | None:
+def _good_invariants(model: WeierstrassModel, inv: Invariants, p: int,
+                     _run: tuple[WeierstrassModel, LocalData] | None = None) -> Invariants | None:
     """Invariants of a p-minimal model of E if E has good reduction at the
-    odd prime p, else None; inv are the invariants of model, Delta != 0."""
+    odd prime p, else None; inv are the invariants of model, Delta != 0.
+    _run, if given, is _tate_run(model, p), already taken."""
     if inv.delta % p:
         return inv
     if inv.c4 % p or valuation(inv.delta, p) < 12:
         return None  # already p-minimal, so bad
-    minimal, data = _tate_run(model, p)
+    minimal, data = _run or _tate_run(model, p)
     return compute_invariants(minimal) if data.kodaira.is_good else None
 
 
@@ -467,15 +469,11 @@ def prime_scan(model: WeierstrassModel, p_max: int) -> PrimeScanReport:
     failure sets are expected to thin out for non-CM curves.
     """
     table = _local_table(model)
-    # _good_invariants read off the Tate runs: an I0 entry counts points on
-    # its p-minimal model, a prime away from Delta on the given model
-    minimal_inv = {ell: compute_invariants(minimal)
-                   for ell, (minimal, data) in table.items() if data.kodaira.is_good}
-    truly_bad = {ell: entry for ell, entry in table.items() if ell not in minimal_inv}
+    truly_bad = {ell: entry for ell, entry in table.items() if not entry[1].kodaira.is_good}
     inv = compute_invariants(model)
     rows = []
     for p in primes_up_to(p_max)[1:]:
-        good = None if p in truly_bad else minimal_inv.get(p, inv)
+        good = _good_invariants(model, inv, p, table.get(p))
         anomalous = good is not None and count_points_b(p, good.b2, good.b4, good.b6) % p == 0
         away = [entry for ell, entry in truly_bad.items() if ell != p]
         tam = any(d.tamagawa % p == 0 for _, d in away)

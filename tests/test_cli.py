@@ -74,15 +74,35 @@ def test_theory_text_builds_no_json_payload(capsys, monkeypatch):
     assert code == 0 and out.startswith("p = 3")
 
 
+def _run_python(*args):
+    """A fresh interpreter with this checkout's src first on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+
+
 def test_module_entry_point_matches_in_process_call(capsys):
     argv = ["theory", "--p", "3", "--format", "json"]
     _, in_process, _ = run_cli(capsys, *argv)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "ellstat.cli", *argv], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    proc = _run_python("-m", "ellstat.cli", *argv)
     assert proc.returncode == 0
     assert proc.stdout == in_process.encode()
+
+
+def test_imports_only_the_standard_library():
+    # site may load third-party modules before ellstat is imported, so only
+    # the modules that the import itself adds are checked
+    proc = _run_python("-c", "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "import ellstat, ellstat.cli",
+        "tops = {name.partition('.')[0] for name in set(sys.modules) - before}",
+        "import json",
+        "print(json.dumps(sorted(tops - {'ellstat'} - set(sys.stdlib_module_names))))",
+    ]))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_theory_rejects_two(capsys):
@@ -278,8 +298,10 @@ def test_nonpositive_threads_exit_2(capsys, threads):
 
 
 def test_non_integer_env_threads_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("ELLSTAT_THREADS", "abc")
-    assert _exit_code(capsys, *SMALL_RUN) == 2
+    # 5000 digits is past int()'s default conversion limit
+    for value in ("abc", "9" * 5000):
+        monkeypatch.setenv("ELLSTAT_THREADS", value)
+        assert _exit_code(capsys, *SMALL_RUN) == 2
 
 
 def test_env_threads_used_when_flag_absent(capsys, monkeypatch):
