@@ -117,7 +117,10 @@ def legendre(a: int, p: int) -> int:
 
 
 def valuation(n: int, p: int) -> int:
-    """Exponent of p in n.  Raises for n = 0 (infinite valuation)."""
+    """Exponent of p in n.  Raises for n = 0 (infinite valuation) and for
+    p < 2, where no exponent is defined."""
+    if p < 2:
+        raise ValueError(f"valuation needs a base p >= 2, got {p}")
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
     v = 0

@@ -44,11 +44,11 @@ from typing import NoReturn
 from . import __version__
 from .arith import (_SMALL_BOUND, FactorBudgetExceeded, _may_be_kth_power, _primorial,
                     factorize, iroot, is_prime, require_odd_prime, valuation)
-from .curves import SingularCurveError, WeierstrassModel, _box, compute_invariants
+from .curves import Invariants, SingularCurveError, WeierstrassModel, _box, compute_invariants
 from .density import CertifiedValue, rho, rho_Instar_ge1
 from .finitefield import count_points_b
 from .kodaira import parse_kodaira
-from .localdata import _good_invariants, _split_multiplicative, tate
+from .localdata import _good_invariants, _split_multiplicative, _tate_run, tate
 
 __all__ = [
     "SampleSpec",
@@ -132,7 +132,7 @@ def _classify_chunk(models, p: int):
             anomalous_good = vp == 0 and count_points_b(p, inv.b2, inv.b4, inv.b6) % p == 0
             s = next(smooth)
             try:
-                tam, unclassified = _tamagawa_divisible(model, C, s, inv.c4, inv.c6, p), False
+                tam, unclassified = _tamagawa_divisible(model, C, s, inv, p), False
             except FactorBudgetExceeded:
                 tam, unclassified = False, True
             yield _NONSINGULAR[bad_at_p, tam, anomalous_good, unclassified]
@@ -152,25 +152,27 @@ def _primorial_gcds(ns: list[int]) -> list[int]:
     return out
 
 
-def _c_ell_divisible(model: WeierstrassModel, ell: int, v: int, c4: int, c6: int,
+def _c_ell_divisible(model: WeierstrassModel, ell: int, v: int, inv: Invariants,
                      p: int) -> bool:
-    """Is p | c_ell, for a prime ell | Delta with v = v_ell(Delta)?
+    """Is p | c_ell, for a prime ell | Delta with v = v_ell(Delta)?  inv are
+    the invariants of model.
 
     Where ell | c4 Tate decides, and only if v > p: Ogg's formula gives
     c_ell <= v(Delta_min) - 1 there (a minimal model is additive, f >= 2),
     and a non-minimal model has v >= v(Delta_min) + 12.  Elsewhere ell is
     multiplicative: c_ell = v if split, c_ell <= 2 if not.
     """
-    if c4 % ell == 0:
-        return v > p and tate(model, ell).tamagawa % p == 0
-    return v % p == 0 and _split_multiplicative(c6, ell)
+    if inv.c4 % ell == 0:
+        # ell comes from a factorisation, so tate's primality check is moot
+        return v > p and _tate_run(model, ell, inv)[1].tamagawa % p == 0
+    return v % p == 0 and _split_multiplicative(inv.c6, ell)
 
 
-def _tamagawa_divisible(model: WeierstrassModel, C: int, s: int, c4: int, c6: int,
+def _tamagawa_divisible(model: WeierstrassModel, C: int, s: int, inv: Invariants,
                         p: int) -> bool:
-    """Is p | c_ell for some prime ell | C?  C is |Delta| with p divided out
-    and s = gcd(C, primorial), the product of its primes below the trial
-    bound.
+    """Is p | c_ell for some prime ell | C?  C is |Delta| with p divided out,
+    s = gcd(C, primorial), the product of its primes below the trial bound,
+    and inv are the invariants of model.
 
     Only ell | gcd(Delta, c4) and ell^3 | Delta can qualify (c_ell <= 2 at
     a multiplicative ell with v_ell(Delta) <= 2); _c_ell_divisible tests
@@ -181,23 +183,28 @@ def _tamagawa_divisible(model: WeierstrassModel, C: int, s: int, c4: int, c6: in
     # three times
     s2 = gcd(C // s, s)
     cubed = gcd(C // s // s2, s2)
-    for ell in factorize(gcd(s, c4) * cubed):
-        if _c_ell_divisible(model, ell, valuation(C, ell), c4, c6, p):
-            return True
-    while s > 1:
-        C //= s
-        s = gcd(C, s)
+    candidates = gcd(s, inv.c4) * cubed
+    if candidates > 1:
+        for ell in factorize(candidates):
+            if _c_ell_divisible(model, ell, valuation(C, ell), inv, p):
+                return True
+    # strip the small primes: up to three factors of each at once, then
+    # the higher powers, which only the primes of cubed have
+    C //= s * s2 * cubed
+    while cubed > 1:
+        cubed = gcd(C, cubed)
+        C //= cubed
 
     # primes above the trial bound: the additive (or non-minimal) ones
     # divide c4, and gcd(C, 0) = C
-    big_additive = gcd(C, c4)
+    big_additive = gcd(C, inv.c4)
     if big_additive > 1:
         for q in factorize(big_additive, rho_budget=_RHO_BUDGET):
             v = 0
             while C % q == 0:
                 C //= q
                 v += 1
-            if _c_ell_divisible(model, q, v, c4, c6, p):
+            if _c_ell_divisible(model, q, v, inv, p):
                 return True
     if C < _SMALL_CUBE:
         # q^3 <= C < bound^3 is impossible, so every multiplicity here is 1
@@ -214,7 +221,7 @@ def _tamagawa_divisible(model: WeierstrassModel, C: int, s: int, c4: int, c6: in
         return False
     if k % p == 0 or m >= _SMALL_CUBE:
         for q, n in factorize(C, rho_budget=_RHO_BUDGET).items():
-            if _c_ell_divisible(model, q, n, c4, c6, p):
+            if _c_ell_divisible(model, q, n, inv, p):
                 return True
     return False
 

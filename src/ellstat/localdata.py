@@ -7,6 +7,11 @@ the component count of the Kodaira type, which is valid at every prime.
 Types IV and IV* and each Y-side step of the I_n* chain are one rule,
 _y_quadratic: the quadratic Y^2 + a3,e Y - a6,2e over F_p at e = 1, 2 and
 (n + 3)/2 (Silverman, Advanced Topics, IV.9.4, steps 5, 8 and 7).
+_tate_run's first pass takes the caller's invariants when it has them
+(classify and _good_invariants do), and only a pass after a rescaling
+computes its own.  The type III test reads b8 of the cusp-shifted model by
+the translation formula b8 + 3r b6 + 3r^2 b4 + r^3 b2 + 3r^4, since the b_i
+move with r alone, so a run that stops at II or III computes no invariants.
 Roots of the I0* cubic are counted by T^p = T mod f and Stickelberger's
 parity rule on its discriminant (brute force only at 2).
 
@@ -168,13 +173,17 @@ def _y_quadratic(cur: WeierstrassModel, p: int, e: int) -> tuple[bool | None, in
     return None, q * (A6 % 2 if p == 2 else -A3 * pow(2, -1, p) % p)
 
 
-def _tate_run(model: WeierstrassModel, ell: int) -> tuple[WeierstrassModel, LocalData]:
-    """Full Tate loop; returns (ell-minimal model, LocalData)."""
+def _tate_run(model: WeierstrassModel, ell: int,
+              inv: Invariants | None = None) -> tuple[WeierstrassModel, LocalData]:
+    """Full Tate loop; returns (ell-minimal model, LocalData).  inv, if
+    given, are the invariants of model; a pass after a rescaling computes
+    its own."""
     p = ell
     cur = model
     scalings = 0
     while True:
-        inv = compute_invariants(cur)
+        if inv is None:
+            inv = compute_invariants(cur)
         if inv.delta == 0:
             raise SingularCurveError("Tate's algorithm needs a nonsingular curve")
         n = valuation(inv.delta, p)
@@ -209,7 +218,9 @@ def _tate_run(model: WeierstrassModel, ell: int) -> tuple[WeierstrassModel, Loca
         if cur.a6 % (p * p) != 0:
             ktype, c = KodairaType("II"), 1
             break
-        if compute_invariants(cur).b8 % p**3 != 0:
+        # b8 of the shifted model; the b_i move with r only, not with t
+        b8 = inv.b8 + r * (3 * inv.b6 + r * (3 * inv.b4 + r * (inv.b2 + 3 * r)))
+        if b8 % p**3 != 0:
             ktype, c = KodairaType("III"), 2
             break
         split, t = _y_quadratic(cur, p, 1)
@@ -272,6 +283,7 @@ def _tate_run(model: WeierstrassModel, ell: int) -> tuple[WeierstrassModel, Loca
             break
         cur = transform(cur, p, 0, 0, 0)
         scalings += 1
+        inv = None
 
     # the last pass changed variables only with u = 1, which fixes Delta, so
     # v(Delta_min) is its n
@@ -311,7 +323,7 @@ def _good_invariants(model: WeierstrassModel, inv: Invariants, p: int,
         return inv
     if inv.c4 % p or valuation(inv.delta, p) < 12:
         return None  # already p-minimal, so bad
-    minimal, data = _run or _tate_run(model, p)
+    minimal, data = _run or _tate_run(model, p, inv)
     return compute_invariants(minimal) if data.kodaira.is_good else None
 
 

@@ -75,6 +75,13 @@ def test_legendre_by_square_enumeration():
         assert legendre(0, p) == 0
 
 
+@pytest.mark.parametrize("p", [1, -1, 0, -2])
+def test_valuation_rejects_base_below_2(p):
+    # 1 and -1 divide everything, so the division loop would never end
+    with pytest.raises(ValueError):
+        valuation(8, p)
+
+
 def test_valuation_and_iroot():
     assert valuation(2**5 * 9, 2) == 5
     assert valuation(-27, 3) == 3

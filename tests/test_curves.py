@@ -125,6 +125,20 @@ def test_transform_delta_scaling_and_j_preserved():
             assert j_invariant(back) == j_invariant(big) == j_invariant(m)
 
 
+def test_translation_moves_b_invariants_by_r_only():
+    # Silverman, AEC, Table III.1.2 at u = 1: the b_i depend on r, not on s, t
+    rng = random.Random(157)
+    for _ in range(2000):
+        m = random_model(rng, 10**3)
+        r, s, t = (rng.randrange(-10**4, 10**4 + 1) for _ in range(3))
+        b2, b4, b6, b8 = compute_invariants(m)[:4]
+        moved = compute_invariants(transform(m, 1, r, s, t))
+        assert moved.b2 == b2 + 12 * r
+        assert moved.b4 == b4 + r * b2 + 6 * r**2
+        assert moved.b6 == b6 + 2 * r * b4 + r**2 * b2 + 4 * r**3
+        assert moved.b8 == b8 + 3 * r * b6 + 3 * r**2 * b4 + r**3 * b2 + 3 * r**4
+
+
 def test_transform_non_integral_rejected():
     with pytest.raises(NonIntegralTransformError):
         transform(WeierstrassModel(0, 0, 0, -1, 0), 2, 0, 0, 0)

@@ -218,6 +218,42 @@ def test_classify_chunk_matches_classify(n):
     assert list(_classify_chunk([], 3)) == []
 
 
+def test_classify_tate_runs_at_ii_and_iii_compute_no_invariants(monkeypatch):
+    # classify hands its invariants to each Tate run, and the type III test
+    # reads b8 of the shifted model from them, so a run that stops at II or
+    # III computes none
+    import ellstat.harness as harness
+    import ellstat.localdata as localdata
+
+    computed = []
+    compute = localdata.compute_invariants
+
+    def counting_compute(model):
+        computed.append(model)
+        return compute(model)
+
+    run = localdata._tate_run
+    ends = {}
+
+    def watched_run(model, ell, inv=None):
+        before = len(computed)
+        out = run(model, ell, inv)
+        kind = out[1].kodaira.kind
+        if kind in ("II", "III"):
+            assert len(computed) == before, (model, ell, kind)
+        ends[kind] = ends.get(kind, 0) + 1
+        return out
+
+    monkeypatch.setattr(localdata, "compute_invariants", counting_compute)
+    monkeypatch.setattr(localdata, "_tate_run", watched_run)
+    monkeypatch.setattr(harness, "_tate_run", watched_run)
+    rng = random.Random(14)
+    models = [sample_tuple(rng, 1000) for _ in range(2000)]
+    list(_classify_chunk(models, 3))
+    assert ends["II"] + ends["III"] >= 300
+    assert ends["II"] + ends["III"] > sum(ends.values()) // 2
+
+
 def test_classification_flags_are_bools():
     # astuple and the pinned hash read the flags; they stay True/False
     rng = random.Random(9)

@@ -601,6 +601,12 @@ def _pinned_tate_models(ell):
     return draws + directed + [_rescaled(m, ell) for m in directed + draws[::8]]
 
 
+def test_tate_run_from_given_invariants_matches():
+    for ell in (2, 3, 5, 7, 11, 13):
+        for m in _pinned_tate_models(ell):
+            assert _tate_run(m, ell, compute_invariants(m)) == _tate_run(m, ell), (m, ell)
+
+
 def test_tate_runs_pinned():
     # sha256 of every (ell-minimal model, LocalData) pair; recorded before
     # the body of _tate_run was restructured, so any change in its output
