@@ -46,7 +46,7 @@ from .arith import (_SMALL_BOUND, FactorBudgetExceeded, _may_be_kth_power, _prim
                     factorize, iroot, is_prime, require_odd_prime, valuation)
 from .curves import Invariants, SingularCurveError, WeierstrassModel, _box, compute_invariants
 from .density import CertifiedValue, rho, rho_Instar_ge1
-from .finitefield import count_points_b
+from .finitefield import _p_divides_order
 from .kodaira import parse_kodaira
 from .localdata import _good_invariants, _split_multiplicative, _tate_run, tate
 
@@ -129,7 +129,7 @@ def _classify_chunk(models, p: int):
             bad_at_p = vp > 0 and _good_invariants(model, inv, p) is None
             # S_p': p does not divide the given discriminant and the
             # reduction has a rational p-torsion point, i.e. p | #E(F_p).
-            anomalous_good = vp == 0 and count_points_b(p, inv.b2, inv.b4, inv.b6) % p == 0
+            anomalous_good = vp == 0 and _p_divides_order(p, inv.b2, inv.b4, inv.b6)
             s = next(smooth)
             try:
                 tam, unclassified = _tamagawa_divisible(model, C, s, inv, p), False

@@ -8,10 +8,11 @@ Types IV and IV* and each Y-side step of the I_n* chain are one rule,
 _y_quadratic: the quadratic Y^2 + a3,e Y - a6,2e over F_p at e = 1, 2 and
 (n + 3)/2 (Silverman, Advanced Topics, IV.9.4, steps 5, 8 and 7).
 _tate_run's first pass takes the caller's invariants when it has them
-(classify and _good_invariants do), and only a pass after a rescaling
-computes its own.  The type III test reads b8 of the cusp-shifted model by
-the translation formula b8 + 3r b6 + 3r^2 b4 + r^3 b2 + 3r^4, since the b_i
-move with r alone, so a run that stops at II or III computes no invariants.
+(classify, _good_invariants and _local_table do), and only a pass after a
+rescaling computes its own.  The type III test reads b8 of the cusp-shifted
+model by the translation formula b8 + 3r b6 + 3r^2 b4 + r^3 b2 + 3r^4, since
+the b_i move with r alone, so a run that stops at II or III computes no
+invariants.
 Roots of the I0* cubic are counted by T^p = T mod f and Stickelberger's
 parity rule on its discriminant (brute force only at 2).
 
@@ -23,7 +24,7 @@ Good reduction at an odd prime p is decided by one rule, _good_invariants:
 p prime to Delta is good on the given model; a model with v(c4) = 0 or
 v(Delta) < 12 is already p-minimal (Cremona, Algorithms for Modular Elliptic
 Curves, 3.2), so p | Delta makes it bad; otherwise Tate's algorithm decides,
-and the points are counted on the p-minimal model it returns.  classify,
+and p | #E(F_p) is decided on the p-minimal model it returns.  classify,
 is_anomalous and prime_scan call it.
 
 Multiplicative reduction is split exactly when -c6 is a square in Q_ell
@@ -47,7 +48,7 @@ from .curves import (
     compute_invariants,
     transform,
 )
-from .finitefield import count_points_b
+from .finitefield import _p_divides_order
 from .kodaira import KodairaType
 
 __all__ = [
@@ -346,8 +347,10 @@ def bad_primes(model: WeierstrassModel) -> list[int]:
 
 def _local_table(model: WeierstrassModel) -> dict[int, tuple[WeierstrassModel, LocalData]]:
     """ell -> (ell-minimal model, LocalData) at every prime dividing Delta,
-    ascending: one factorisation and one Tate run per prime."""
-    return {ell: _tate_run(model, ell) for ell in bad_primes(model)}
+    ascending: one factorisation and one Tate run per prime, each started
+    from the invariants of model."""
+    inv = compute_invariants(model)
+    return {ell: _tate_run(model, ell, inv) for ell in bad_primes(model)}
 
 
 def conductor(model: WeierstrassModel) -> int:
@@ -486,7 +489,7 @@ def prime_scan(model: WeierstrassModel, p_max: int) -> PrimeScanReport:
     rows = []
     for p in primes_up_to(p_max)[1:]:
         good = _good_invariants(model, inv, p, table.get(p))
-        anomalous = good is not None and count_points_b(p, good.b2, good.b4, good.b6) % p == 0
+        anomalous = good is not None and _p_divides_order(p, good.b2, good.b4, good.b6)
         away = [entry for ell, entry in truly_bad.items() if ell != p]
         tam = any(d.tamagawa % p == 0 for _, d in away)
         torsion = any(

@@ -2,9 +2,13 @@ import random
 
 import pytest
 
+from ellstat.arith import primes_up_to
 from ellstat.curves import WeierstrassModel, compute_invariants
 from ellstat.finitefield import (
+    _LADDER_FROM,
     BadReductionError,
+    _order_is_p,
+    _p_divides_order,
     census_torsion_classes,
     count_points_b,
     d_count,
@@ -61,6 +65,82 @@ def test_count_points_b_on_unreduced_invariants():
             if inv.delta % p == 0:
                 continue
             assert count_points_b(p, inv.b2, inv.b4, inv.b6) == naive_group_order(p, *a)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 4, 10, -3])
+def test_count_points_b_rejects_even_and_small_p(p):
+    with pytest.raises(ValueError):
+        count_points_b(p, 1, 2, 3)
+
+
+def _b_invariants(p, a2, a4, a6):
+    # (b2, b4, b6) of y^2 = x^3 + a2 x^2 + a4 x + a6, or None if singular mod p
+    inv = compute_invariants(WeierstrassModel(0, a2, 0, a4, a6))
+    return None if inv.delta % p == 0 else (inv.b2, inv.b4, inv.b6)
+
+
+def _random_good_b(rng, p):
+    while True:
+        b = _b_invariants(p, *(rng.randrange(p) for _ in range(3)))
+        if b is not None:
+            return b
+
+
+def test_ladder_crossover_is_above_hasse_range():
+    # p | #E is #E = p only from p = 7 on
+    assert _LADDER_FROM >= 7
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_ladder_exhaustive_small_p(p):
+    for a2 in range(p):
+        for a4 in range(p):
+            for a6 in range(p):
+                b = _b_invariants(p, a2, a4, a6)
+                if b is None:
+                    continue
+                assert _order_is_p(p, *b) == (naive_group_order(p, 0, a2, 0, a4, a6) % p == 0)
+
+
+def test_ladder_sampled_primes_against_oracle():
+    rng = random.Random(61)
+    primes = [q for q in primes_up_to(500) if q >= 7]
+    for _ in range(60):
+        p = rng.choice(primes)
+        a = [rng.randrange(p) for _ in range(3)]
+        b = _b_invariants(p, *a)
+        if b is None:
+            continue
+        assert _order_is_p(p, *b) == (naive_group_order(p, 0, a[0], 0, a[1], a[2]) % p == 0)
+
+
+def test_ladder_pinned_curve_with_points_only_at_x_zero():
+    # y^2 = x^3 + x^2 + 5x + 3 over F_7: the only affine points have x = 0,
+    # so no base point exists; a search that wrapped round to x = 0 erred
+    assert _b_invariants(7, 1, 5, 3) == (4, 10, 12)
+    assert naive_group_order(7, 0, 1, 0, 5, 3) == count_points_b(7, 4, 3, 5) == 3
+    assert not _order_is_p(7, 4, 3, 5)
+    assert not _p_divides_order(7, 4, 3, 5)
+
+
+@pytest.mark.parametrize("p", [1009, 2003, 3001])
+def test_ladder_finds_curves_of_order_p(p):
+    rng = random.Random(p)
+    found = 0
+    while found < 3:
+        b = _random_good_b(rng, p)
+        n = count_points_b(p, *b)
+        assert _order_is_p(p, *b) == (n == p)
+        found += n == p
+
+
+def test_predicate_matches_count_up_to_2_16():
+    rng = random.Random(67)
+    primes = primes_up_to(65521)[1:]
+    for _ in range(60):
+        p = rng.choice(primes)
+        b = _random_good_b(rng, p)
+        assert _p_divides_order(p, *b) == (count_points_b(p, *b) % p == 0)
 
 
 def test_hasse_bound():

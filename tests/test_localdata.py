@@ -468,6 +468,18 @@ def test_prime_scan_anomalous_matches_direct_count():
             assert row.anomalous == direct
 
 
+def test_prime_scan_anomalous_matches_group_order_to_3000():
+    # above the ladder's crossover the scan no longer counts points
+    for E in (E1, E2, E3):
+        for row in prime_scan(E, 3000).rows:
+            if row.good_reduction:
+                minimal, _ = local_minimal_model(E, row.p)
+                direct = group_order(reduce_model(minimal, row.p)) % row.p == 0
+            else:
+                direct = False
+            assert row.anomalous == direct, (E, row.p)
+
+
 def test_prime_scan_report_shape():
     rep = prime_scan(E3, 30)
     d = rep.to_json_dict()
@@ -528,9 +540,9 @@ def test_one_tate_run_per_bad_prime(monkeypatch):
     calls = []
     run = localdata._tate_run
 
-    def counting_run(model, ell):
+    def counting_run(model, ell, inv=None):
         calls.append(ell)
-        return run(model, ell)
+        return run(model, ell, inv)
 
     monkeypatch.setattr(localdata, "_tate_run", counting_run)
     # E1 has bad primes {2, 71}; the scan reuses both runs for every p
