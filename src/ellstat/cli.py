@@ -29,9 +29,9 @@ from .curves import (
     zywina_j2,
 )
 from .density import CertifiedValue, density_report, frak_d_p, frak_d_p_prime, sp_doubleprime_density
-from .finitefield import census_torsion_classes, d_count
+from .finitefield import CensusResult, census_torsion_classes, d_count
 from .harness import SampleSpec, estimate, kodaira_frequency
-from .localdata import LocalData, bad_primes, tate
+from .localdata import LocalData, _local_table, tate
 from .quadforms import hurwitz_class_number
 from .arith import FactorBudgetExceeded, is_prime
 
@@ -64,7 +64,7 @@ def _curve_report(model: WeierstrassModel) -> tuple[str, int, list[LocalData]]:
     """j, the conductor and the Tate data at every prime dividing Delta,
     which is factored once."""
     try:
-        locs = [tate(model, ell) for ell in bad_primes(model)]
+        locs = [data for _, data in _local_table(model).values()]
     except FactorBudgetExceeded:
         raise _fail("discriminant not factored within budget")
     N = prod(d.prime**d.conductor_exponent for d in locs)
@@ -137,21 +137,14 @@ def cmd_theory(args) -> int:
 
 def cmd_census(args) -> int:
     try:
-        res = census_torsion_classes(args.p)
-        dres = d_count(args.p) if args.with_d else None
+        classes = census_torsion_classes(args.p).classes
+        res = CensusResult(args.p, classes, d_count(args.p).d if args.with_d else None)
     except ValueError as exc:  # p not an odd prime, or outside the supported range
         raise _fail(str(exc))
     lines = [f"p = {args.p}", f"classes with p | #E = {res.classes}"]
-    if dres is not None:
-        lines.append(f"d(p) = {dres.d}  (d/p^5 = {format_rational(dres.d_over_p5)})")
-
-    def payload() -> dict:
-        out = res.to_json_dict()
-        if dres is not None:
-            out.update(dres.to_json_dict())
-        return out
-
-    _emit(args, payload, lines)
+    if res.d is not None:
+        lines.append(f"d(p) = {res.d}  (d/p^5 = {format_rational(res.d_over_p5)})")
+    _emit(args, res.to_json_dict, lines)
     return 0
 
 
@@ -294,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="F_p isomorphism classes with p-torsion")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--with-d", action="store_true", help="also compute exhaustive d(p)")
+    p.add_argument("--with-d", action="store_true", help="also compute d(p)")
     add_format(p)
     p.set_defaults(func=cmd_census)
 

@@ -2,9 +2,8 @@
 
 All point counting at odd p goes through one kernel, count_points_b: a
 quadratic-character scan over x of the completed square
-4x^3 + b2 x^2 + 2 b4 x + b6, about p steps (fine for the desk-scale
-p < 2^16 used here; no Schoof).  group_order is the only caller that needs
-the count itself.
+4x^3 + b2 x^2 + 2 b4 x + b6, p steps.  group_order is the only caller that
+needs the count itself.
 
 Every other caller only asks whether p | #E(F_p), and that is one
 predicate, _p_divides_order.  For a prime p >= 7 Hasse's bound
@@ -14,10 +13,9 @@ has order p).  So above a measured crossover the predicate runs one x-only
 Montgomery ladder for p P on the short model y^2 = x^3 + A x + B, about
 log2(p) steps; below it, it counts.
 
-The censuses behind the class-number cross-check enumerate short-form
-representatives modulo the s^4/s^6 scaling for p >= 5 and the
-characteristic-3 normal form y^2 = cubic modulo its translation group for
-p = 3.
+The census and d(p) read one list of F_p-isomorphism classes, _classes(p),
+which lists the about 2p classes directly for p >= 5 and walks 27 curves
+for p = 3, so each costs one predicate call per class.
 """
 
 from __future__ import annotations
@@ -25,8 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import product
+from math import gcd
 
-from .arith import require_odd_prime
+from .arith import factorize, is_prime, require_odd_prime
 from .curves import WeierstrassModel, compute_invariants, format_rational
 
 __all__ = [
@@ -55,6 +55,10 @@ class ReducedCurve:
     a4: int
     a6: int
 
+    def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"reduction needs a prime, got {self.p}")
+
     @property
     def is_singular(self) -> bool:
         m = WeierstrassModel(self.a1, self.a2, self.a3, self.a4, self.a6)
@@ -62,8 +66,8 @@ class ReducedCurve:
 
 
 def reduce_model(model: WeierstrassModel, p: int) -> ReducedCurve:
-    a1, a2, a3, a4, a6 = (a % p for a in model)
-    return ReducedCurve(p, a1, a2, a3, a4, a6)
+    # ReducedCurve rejects a p that is not prime, but a % 0 would fail first
+    return ReducedCurve(p, *((a % p for a in model) if p else model))
 
 
 @cache
@@ -197,6 +201,17 @@ def is_anomalous(model: WeierstrassModel, p: int) -> bool:
     return _p_divides_order(p, good.b2, good.b4, good.b6)
 
 
+# Odd primes below this bound are the point-count range of sampling, the
+# census and d(p); the census at 65521 takes 4 to 5 s in one process.
+_P_BOUND = 1 << 16
+
+
+def _require_point_count_prime(p: int) -> None:
+    require_odd_prime(p)
+    if p >= _P_BOUND:
+        raise ValueError("p must be below 2^16, the point-count range")
+
+
 @dataclass(frozen=True)
 class CensusResult:
     p: int
@@ -219,74 +234,63 @@ class CensusResult:
         return out
 
 
-def census_torsion_classes(p: int) -> CensusResult:
-    """Number of F_p-isomorphism classes of elliptic curves with p | #E(F_p).
+def _classes(p: int):
+    """(b2, b4, b6, n) for each F_p-isomorphism class of curves: one curve of
+    the class, and n, the number of triples in F_p^3 whose curve lies in it.
 
-    For p >= 5 classes are orbits of short forms (c, d) under
-    (c, d) ~ (s^4 c, s^6 d); for p = 3 they are orbits of the normal form
-    y^2 = x^3 + a2 x^2 + a4 x + a6 under x -> x + r (the u-scalings act
-    trivially on coefficients in characteristic 3).
+    p >= 5: a class is an orbit of short forms y^2 = x^3 + A x + B, whose
+    (b2, b4, b6) is (0, 2A, 4B), under (s^4 A, s^6 B), and n is p times its
+    size, since b2 is free.  For a primitive root g, an orbit with A B != 0
+    has (p-1)/2 members and holds (k, k) or its twist (k g^2, k g^3),
+    k = A^3/B^2, as B/A is a square or not.  For A = 0, B is taken up to 6th
+    powers, whose cosets are g^i for i < gcd(6, p-1); for B = 0, A is taken
+    up to 4th powers.
+
+    p = 3: a class is an orbit of y^2 = x^3 + a2 x^2 + a4 x + a6 under
+    x -> x + r, and (a2, a4, a6) -> (b2, b4, b6) is a bijection of F_3^3.
     """
-    require_odd_prime(p)
-    if p >= 1 << 10:
-        raise ValueError("census expects an odd prime below 2^10")
-    count = 0
     if p == 3:
-        seen = set()
-        for a2 in range(3):
-            for a4 in range(3):
-                for a6 in range(3):
-                    if (a2, a4, a6) in seen:
-                        continue
-                    orbit = set()
-                    for r in range(3):
-                        na4 = (2 * a2 * r + a4) % 3
-                        na6 = (r**3 + a2 * r * r + a4 * r + a6) % 3
-                        orbit.add((a2, na4, na6))
-                    seen |= orbit
-                    inv = compute_invariants(WeierstrassModel(0, a2, 0, a4, a6))
-                    if inv.delta % 3 == 0:
-                        continue
-                    if _p_divides_order(3, inv.b2, inv.b4, inv.b6):
-                        count += 1
-        return CensusResult(p, classes=count)
-    visited = bytearray(p * p)
-    for c in range(p):
-        for d in range(p):
-            if visited[c * p + d]:
-                continue
-            for s in range(1, p):
-                visited[(c * pow(s, 4, p)) % p * p + (d * pow(s, 6, p)) % p] = 1
-            if (4 * c**3 + 27 * d * d) % p == 0:
-                continue
-            # y^2 = x^3 + c x + d has (b2, b4, b6) = (0, 2c, 4d)
-            if _p_divides_order(p, 0, 2 * c, 4 * d):
-                count += 1
-    return CensusResult(p, classes=count)
+        for a2, a4, a6 in product(range(3), repeat=3):
+            orbit = {(a2, (2 * a2 * r + a4) % 3, (r**3 + a2 * r * r + a4 * r + a6) % 3)
+                     for r in range(3)}
+            inv = compute_invariants(WeierstrassModel(0, a2, 0, a4, a6))
+            if (a2, a4, a6) == min(orbit) and inv.delta % 3:
+                yield inv.b2, inv.b4, inv.b6, len(orbit)
+        return
+    qs = factorize(p - 1)
+    g = next(x for x in range(2, p) if all(pow(x, (p - 1) // q, p) != 1 for q in qs))
+    for k in range(1, p):
+        if (4 * k + 27) % p:
+            yield 0, 2 * k % p, 4 * k % p, p * (p - 1) // 2
+            yield 0, 2 * k * g * g % p, 4 * k * g**3 % p, p * (p - 1) // 2
+    m6, m4 = gcd(6, p - 1), gcd(4, p - 1)
+    for i in range(m6):
+        yield 0, 0, 4 * pow(g, i, p) % p, p * (p - 1) // m6
+    for i in range(m4):
+        yield 0, 2 * pow(g, i, p) % p, 0, p * (p - 1) // m4
+
+
+@cache
+def _census(p: int) -> tuple[int, int]:
+    """(classes, d) by one pass over _classes(p), cached so census --with-d lists them once."""
+    _require_point_count_prime(p)
+    classes = hits = 0
+    for b2, b4, b6, n in _classes(p):
+        if _p_divides_order(p, b2, b4, b6):
+            classes += 1
+            hits += n
+    return classes, p * p * hits
+
+
+def census_torsion_classes(p: int) -> CensusResult:
+    """Number of F_p-isomorphism classes of curves with p | #E(F_p), for odd primes p < 2^16."""
+    return CensusResult(p, classes=_census(p)[0])
 
 
 def d_count(p: int) -> CensusResult:
-    """d(p): nonsingular tuples a in W(F_p) with p | #E_a(F_p).
-
-    Singular tuples are excluded (E_a(F_p) is undefined for them).  The
-    count over all p^5 tuples factors exactly: for each of the p^2 choices
-    of (a1, a3), the map (a2, a4, a6) -> (b2, b4, b6) is a bijection of
-    F_p^3, and both the discriminant and the point count depend only on
-    (b2, b4, b6).  The test suite re-derives small cases by the literal
-    quintuple loop.
-    """
-    require_odd_prime(p)
-    if p > 13:
-        raise ValueError("exhaustive d(p) supports odd p <= 13")
-    inv4 = pow(4, -1, p)
-    hits = 0
-    for b2 in range(p):
-        for b4 in range(p):
-            for b6 in range(p):
-                b8 = (b2 * b6 - b4 * b4) * inv4 % p
-                delta = (-b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6) % p
-                if delta == 0:
-                    continue
-                if _p_divides_order(p, b2, b4, b6):
-                    hits += 1
-    return CensusResult(p, d=p * p * hits)
+    """d(p): nonsingular tuples a in W(F_p) with p | #E_a(F_p), for an odd
+    prime p < 2^16.  For each of the p^2 choices of (a1, a3), (a2, a4, a6) ->
+    (b2, b4, b6) is a bijection of F_p^3, so d(p) is p^2 times the
+    nonsingular triples with p | #E.  The tests re-derive small cases by the
+    quintuple loop."""
+    return CensusResult(p, d=_census(p)[1])

@@ -46,7 +46,7 @@ from .arith import (_SMALL_BOUND, FactorBudgetExceeded, _may_be_kth_power, _prim
                     factorize, iroot, is_prime, require_odd_prime, valuation)
 from .curves import Invariants, SingularCurveError, WeierstrassModel, _box, compute_invariants
 from .density import CertifiedValue, rho, rho_Instar_ge1
-from .finitefield import _p_divides_order
+from .finitefield import _p_divides_order, _require_point_count_prime
 from .kodaira import parse_kodaira
 from .localdata import _good_invariants, _split_multiplicative, _tate_run, tate
 
@@ -281,9 +281,7 @@ class SampleSpec:
     def __post_init__(self):
         if not 1 <= self.height <= 10**6:
             raise ValueError("height must lie in [1, 10^6]")
-        require_odd_prime(self.p)
-        if self.p >= 1 << 16:
-            raise ValueError("p must be below 2^16, the point-count range")
+        _require_point_count_prime(self.p)
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must be a 64-bit integer")
         if self.chunk_size < 1:

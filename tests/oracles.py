@@ -1,12 +1,14 @@
 """Independent slow reference computations used only by the tests.
 
 Nothing here shares a code path with the library: point counts walk the
-full (x, y) grid, class numbers come from reducing every form in a box,
-reduced forms from filtering one box by the reduction inequalities,
-heights are compared by cross-powering, and local p-torsion ranks come
-from Hensel-lifting roots of the p-division polynomial to precision
-ell^40, and height-box draws from one randrange call per coefficient.  The torsion oracle is one-sided by construction: it can only
-declare "no torsion" when no root survives at full precision.
+full (x, y) grid or sum a character read off a set of squares, the census
+and d(p) walk every short form or every (b2, b4, b6), class numbers come
+from reducing every form in a box, reduced forms from filtering one box by
+the reduction inequalities, heights are compared by cross-powering, local
+p-torsion ranks come from Hensel-lifting roots of the p-division
+polynomial to precision ell^40, and height-box draws from one randrange
+call per coefficient.  The torsion oracle is one-sided by construction: it
+can only declare "no torsion" when no root survives at full precision.
 """
 
 from __future__ import annotations
@@ -41,6 +43,61 @@ def d_count_literal(p: int) -> int:
                         if naive_group_order(p, a1, a2, a3, a4, a6) % p == 0:
                             hits += 1
     return hits
+
+
+def _chi_plus_one(p: int) -> list[int]:
+    """1 + (x/p) for each x in F_p, read off the set of nonzero squares."""
+    squares = {x * x % p for x in range(1, p)}
+    return [1 if x == 0 else 2 if x in squares else 0 for x in range(p)]
+
+
+def census_by_pair_walk(p: int) -> tuple[int, int]:
+    """(classes with p | #E, d(p)) for p >= 5 by a walk over all p^2 short
+    forms y^2 = x^3 + c x + d with a visited bytearray.
+
+    Each unvisited pair starts a new orbit under (c, d) -> (s^4 c, s^6 d),
+    whose members the walk marks and counts; a nonsingular orbit is hit when
+    p divides the character-sum count of its first pair.  d(p) is p^3 times
+    the members of the orbits hit: p^2 from (a1, a3) and p from the
+    translation in x that frees b2.
+    """
+    chi1 = _chi_plus_one(p)
+    visited = bytearray(p * p)
+    classes = members = 0
+    for c in range(p):
+        for d in range(p):
+            if visited[c * p + d]:
+                continue
+            size = 0
+            for s in range(1, p):
+                k = (c * pow(s, 4, p)) % p * p + (d * pow(s, 6, p)) % p
+                size += not visited[k]
+                visited[k] = 1
+            if (4 * c**3 + 27 * d * d) % p == 0:
+                continue
+            if (1 + sum(chi1[(x * x * x + c * x + d) % p] for x in range(p))) % p == 0:
+                classes += 1
+                members += size
+    return classes, p**3 * members
+
+
+def d_count_by_triples(p: int) -> int:
+    """d(p) by the loop over every (b2, b4, b6) in F_p^3, with the
+    discriminant from b8 and the count of (2y)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
+    by character sum: p^2 times the nonsingular triples with p | #E."""
+    chi1 = _chi_plus_one(p)
+    inv4 = pow(4, -1, p)
+    hits = 0
+    for b2 in range(p):
+        for b4 in range(p):
+            for b6 in range(p):
+                b8 = (b2 * b6 - b4 * b4) * inv4 % p
+                delta = (-b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6) % p
+                if delta == 0:
+                    continue
+                order = 1 + sum(chi1[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p))
+                hits += order % p == 0
+    return p * p * hits
 
 
 def class_count_boxed(disc: int, bound: int | None = None) -> int:

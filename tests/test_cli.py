@@ -8,6 +8,7 @@ import pytest
 
 from ellstat.arith import FactorBudgetExceeded
 from ellstat.cli import main
+from ellstat.quadforms import hurwitz_class_number
 
 
 def run_cli(capsys, *args):
@@ -209,7 +210,14 @@ def test_composite_p_exits_2(capsys, p):
 
 
 def test_census_d_out_of_range_exits_2(capsys):
-    assert _exit_code(capsys, "census", "--p", "17", "--with-d") == 2
+    assert _exit_code(capsys, "census", "--p", "65537", "--with-d") == 2
+
+
+def test_census_d_above_13(capsys):
+    # d(p) was capped at 13 and the census at 2^10
+    code, out, _ = run_cli(capsys, "census", "--p", "1031", "--with-d", "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["classes"] == hurwitz_class_number(1 - 4 * 1031).h and data["d"] > 0
 
 
 def test_theory_nonpositive_tol_exits_2(capsys):

@@ -7,6 +7,9 @@ from ellstat.curves import WeierstrassModel, compute_invariants
 from ellstat.finitefield import (
     _LADDER_FROM,
     BadReductionError,
+    ReducedCurve,
+    _census,
+    _classes,
     _order_is_p,
     _p_divides_order,
     census_torsion_classes,
@@ -19,12 +22,20 @@ from ellstat.finitefield import (
 from ellstat.density import frak_d_p_prime
 from ellstat.quadforms import hurwitz_class_number
 
-from oracles import d_count_literal, naive_group_order
+from oracles import census_by_pair_walk, d_count_by_triples, d_count_literal, naive_group_order
 
 
 def test_group_order_examples():
     assert group_order(reduce_model(WeierstrassModel(0, 0, 0, 1, 1), 5)) == 9
     assert group_order(reduce_model(WeierstrassModel(0, 0, 0, 3, 0), 5)) == 10
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 15])
+def test_reduction_needs_a_prime(p):
+    with pytest.raises(ValueError):
+        reduce_model(WeierstrassModel(1, 0, 1, -141, 624), p)
+    with pytest.raises(ValueError):
+        ReducedCurve(p, 0, 0, 0, 1, 1)
 
 
 def test_group_order_singular_rejected():
@@ -197,7 +208,7 @@ def test_census_rejects_out_of_range():
     with pytest.raises(ValueError):
         census_torsion_classes(2)
     with pytest.raises(ValueError):
-        census_torsion_classes(1031)
+        census_torsion_classes(65537)
 
 
 def test_census_orbit_partition():
@@ -231,9 +242,50 @@ def test_d_count_bounds():
     for p in (3, 5, 7, 11, 13):
         assert d_count(p).d_over_p5 <= frak_d_p_prime(p)
     with pytest.raises(ValueError):
-        d_count(17)
+        d_count(65537)
     with pytest.raises(ValueError):
         d_count(2)
+
+
+def test_classes_match_pair_walk():
+    for p in primes_up_to(250)[2:]:
+        want = census_by_pair_walk(p)
+        assert (census_torsion_classes(p).classes, d_count(p).d) == want, p
+
+
+def test_d_count_matches_triple_loop():
+    for p in (3, 5, 7, 11, 13):
+        assert d_count(p).d == d_count_by_triples(p), p
+
+
+def test_census_identities_below_1000():
+    # every nonsingular triple lies in one class; Deuring's count of the
+    # classes with #E = p (Lenstra, Ann. Math. 126, 1987, Prop. 1.9), plus
+    # #E = 2p where Hasse allows it; and the bound d(p)/p^5 <= d'_p
+    for p in primes_up_to(1000)[1:]:
+        assert sum(n for *_, n in _classes(p)) == p**3 - p * p, p
+        want = hurwitz_class_number(1 - 4 * p).h
+        if p <= 5:
+            want += hurwitz_class_number(p * p + 1 - 6 * p).h
+        assert census_torsion_classes(p).classes == want, p
+        assert d_count(p).d_over_p5 <= frak_d_p_prime(p), p
+
+
+def test_census_and_d_list_the_classes_once(monkeypatch):
+    calls = []
+
+    def counting_classes(p):
+        calls.append(p)
+        return _classes(p)
+
+    monkeypatch.setattr("ellstat.finitefield._classes", counting_classes)
+    _census.cache_clear()
+    try:
+        assert census_torsion_classes(101).classes == hurwitz_class_number(1 - 4 * 101).h
+        d_count(101)
+    finally:
+        _census.cache_clear()
+    assert calls == [101]
 
 
 def test_census_json():
