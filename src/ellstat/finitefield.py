@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 from math import gcd
 
@@ -202,7 +202,7 @@ def is_anomalous(model: WeierstrassModel, p: int) -> bool:
 
 
 # Odd primes below this bound are the point-count range of sampling, the
-# census and d(p); the census at 65521 takes 4 to 5 s in one process.
+# census and d(p); the census at 65521 takes 4 to 5 s (Python 3.11, 2 cores).
 _P_BOUND = 1 << 16
 
 
@@ -270,9 +270,10 @@ def _classes(p: int):
         yield 0, 2 * pow(g, i, p) % p, 0, p * (p - 1) // m4
 
 
-@cache
+@lru_cache(maxsize=1)
 def _census(p: int) -> tuple[int, int]:
-    """(classes, d) by one pass over _classes(p), cached so census --with-d lists them once."""
+    """(classes, d) by one pass over _classes(p); the last p is kept, so that
+    census --with-d lists the classes once."""
     _require_point_count_prime(p)
     classes = hits = 0
     for b2, b4, b6, n in _classes(p):

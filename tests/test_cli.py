@@ -213,8 +213,7 @@ def test_census_d_out_of_range_exits_2(capsys):
     assert _exit_code(capsys, "census", "--p", "65537", "--with-d") == 2
 
 
-def test_census_d_above_13(capsys):
-    # d(p) was capped at 13 and the census at 2^10
+def test_census_with_d_above_2_10(capsys):
     code, out, _ = run_cli(capsys, "census", "--p", "1031", "--with-d", "--format", "json")
     data = json.loads(out)
     assert code == 0 and data["classes"] == hurwitz_class_number(1 - 4 * 1031).h and data["d"] > 0
