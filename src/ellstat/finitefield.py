@@ -11,7 +11,10 @@ predicate, _p_divides_order.  For a prime p >= 7 Hasse's bound
 #E = p, and that holds exactly when p P = O for one point P != O (such a P
 has order p).  So above a measured crossover the predicate runs one x-only
 Montgomery ladder for p P on the short model y^2 = x^3 + A x + B, about
-log2(p) steps; below it, it counts.
+log2(p) steps; below it, it counts.  In front of the ladder, one power
+decides whether the discriminant of x^3 + A x + B is a square mod p; when
+it is not, the cubic has one root (Stickelberger), #E is even, and the
+answer is no without a ladder.  That is about half of all curves.
 
 The census and d(p) read one list of F_p-isomorphism classes, _classes(p),
 which lists the about 2p classes directly for p >= 5 and walks 27 curves
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import product
 from math import gcd
 
@@ -70,11 +73,13 @@ def reduce_model(model: WeierstrassModel, p: int) -> ReducedCurve:
     return ReducedCurve(p, *((a % p for a in model) if p else model))
 
 
-@cache
+@lru_cache(maxsize=1)
 def _chi_table(p: int) -> bytes:
     """chi(x) + 1 for x in F_p, so 0 -> 1, residue -> 2, nonresidue -> 0.
 
     The table is built once per p, so the check on p costs nothing per count.
+    Only the last p is kept: callers count at one p many times in a row, and a
+    sweep over p would otherwise keep a table of p bytes for every p.
     """
     if p < 3 or not p & 1:
         raise ValueError(f"point counting needs an odd prime, got {p}")
@@ -103,12 +108,14 @@ def count_points_b(p: int, b2: int, b4: int, b6: int) -> int:
 
 
 # From this prime on _p_divides_order runs the ladder instead of counting.
-# Per call on 400 random nonsingular (b2, b4, b6) at each p (median of 9,
-# 2 cores, Python 3.11): the scan is faster up to p = 29 (4.4 against
-# 5.4 us at p = 23), the two tie at p = 31 and 37 (5.8 and 7.4 us), and
-# the ladder is faster from p = 41, with 17 us against 0.71 ms at p = 2999.
+# Per call on 400 random nonsingular (b2, b4, b6) at each p, with the
+# discriminant test in front of the ladder (median of 9, 2 cores,
+# Python 3.11): the scan is faster at p = 7 and 11 (2.2 against 2.5 us and
+# 2.9 against 3.2 us), the two tie at p = 13 (3.3 against 3.0 us), and the
+# ladder is faster from p = 17, with 5.5 against 7.7 us at p = 31 and 13 us
+# against 0.71 ms at p = 2999.
 # It must stay >= 7, where Hasse's bound makes p | #E the same as #E = p.
-_LADDER_FROM = 31
+_LADDER_FROM = 13
 
 
 def _p_divides_order(p: int, b2: int, b4: int, b6: int) -> bool:
@@ -122,10 +129,16 @@ def _order_is_p(p: int, b2: int, b4: int, b6: int) -> bool:
     """#E(F_p) == p, i.e. p | #E(F_p), for a prime p >= 7 and good reduction.
 
     Works on y^2 = x^3 + A x + B with A = -27 c4 and B = -54 c6, which is
-    isomorphic to E over F_p for p >= 5.  P is the point with the least
-    x in 1..p-1 whose x^3 + A x + B is a nonzero square: x != 0 keeps the
-    differential addition defined and y != 0 keeps P off the 2-torsion.  If
-    there is none, every affine point has x = 0 or y = 0, so #E <= 6 < p.
+    isomorphic to E over F_p for p >= 5.  Its discriminant -4A^3 - 27B^2 is
+    2^8 3^12 Delta, a nonzero square times Delta.  If it is not a square,
+    Stickelberger's rule gives the cubic exactly one root in F_p, so E has
+    one point of order 2, #E is even and the answer is no: about half of all
+    curves stop there, before any search or ladder.
+
+    For a square discriminant, P is the point with the least x in 1..p-1
+    whose x^3 + A x + B is a nonzero square: x != 0 keeps the differential
+    addition defined and y != 0 keeps P off the 2-torsion.  If there is
+    none, every affine point has x = 0 or y = 0, so #E <= 6 < p.
     Otherwise a Montgomery ladder on (X:Z) gives p P, which is O exactly
     when Z = 0 (Brier and Joye, "Weierstrass elliptic curves and
     side-channel attacks", PKC 2002):
@@ -137,6 +150,9 @@ def _order_is_p(p: int, b2: int, b4: int, b6: int) -> bool:
     A = -27 * (b2 * b2 - 24 * b4) % p
     B = 54 * (b2 * (b2 * b2 - 36 * b4) + 216 * b6) % p  # -54 c6
     half = p >> 1
+    # -4A^3 - 27B^2 = 2^8 3^12 Delta: a nonsquare means one root, so #E is even
+    if pow((-4 * A * A * A - 27 * B * B) % p, half, p) != 1:
+        return False
     for x in range(1, p):
         f = ((x * x + A) * x + B) % p
         if pow(f, half, p) == 1:
@@ -202,7 +218,7 @@ def is_anomalous(model: WeierstrassModel, p: int) -> bool:
 
 
 # Odd primes below this bound are the point-count range of sampling, the
-# census and d(p); the census at 65521 takes 4 to 5 s (Python 3.11, 2 cores).
+# census and d(p); the census at 65521 takes 2.3 to 2.9 s (Python 3.11, 2 cores).
 _P_BOUND = 1 << 16
 
 

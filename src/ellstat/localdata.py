@@ -18,7 +18,9 @@ parity rule on its discriminant (brute force only at 2).
 
 The per-curve queries (conductor, tamagawa_p_divisible, compute_I_p,
 prime_scan) factor Delta once and run Tate once per bad prime; prime_scan
-reuses those runs for every p.
+reuses those runs for every p.  It also forms, once per curve, a product
+over the bad primes: a p prime to it fails both the Tamagawa and the
+local-torsion rule, so those rules run only at the p that divide it.
 
 Good reduction at an odd prime p is decided by one rule, _good_invariants:
 p prime to Delta is good on the given model; a model with v(c4) = 0 or
@@ -482,21 +484,40 @@ def prime_scan(model: WeierstrassModel, p_max: int) -> PrimeScanReport:
     ell, where the component group carries all prime-to-ell torsion).
     The failure fractions of the four conditions are reported; all four
     failure sets are expected to thin out for non-CM curves.
+
+    Once per curve: the factorisation, the Tate runs and one product over
+    the bad primes.  Per prime: Delta mod p (_good_invariants decides only
+    when p divides it), the p | #E(F_p) predicate, and the Tamagawa and
+    torsion rules only when p divides the product.  Nothing is kept between
+    calls.
     """
     table = _local_table(model)
     truly_bad = {ell: entry for ell, entry in table.items() if not entry[1].kodaira.is_good}
     inv = compute_invariants(model)
+    # Either flag at p needs p to divide suspects, the product over the
+    # truly bad ell of c_ell (ell^2 - 1) v, v = v(Delta_min) >= 1:
+    # - the Tamagawa flag, and the torsion flag at an additive ell, are
+    #   p | c_ell;
+    # - at a nonsplit ell the rank is [ell = -1 (mod p)], so p | ell + 1;
+    # - at a split ell the rank is [ell = 1 (mod p)] + [q is a p-th power],
+    #   and the second needs p | v(q) = v, so p | ell - 1 or p | v.
+    # At every p prime to it both flags are False, and no rule runs.
+    suspects = 1
+    for _, d in truly_bad.values():
+        suspects *= d.tamagawa * (d.prime * d.prime - 1) * d.v_min_delta
     rows = []
     for p in primes_up_to(p_max)[1:]:
-        good = _good_invariants(model, inv, p, table.get(p))
+        good = inv if inv.delta % p else _good_invariants(model, inv, p, table.get(p))
         anomalous = good is not None and _p_divides_order(p, good.b2, good.b4, good.b6)
-        away = [entry for ell, entry in truly_bad.items() if ell != p]
-        tam = any(d.tamagawa % p == 0 for _, d in away)
-        torsion = any(
-            _mult_rank(minimal, d, p).rank >= 1 if d.kodaira.is_multiplicative
-            else d.tamagawa % p == 0
-            for minimal, d in away
-        )
+        tam = torsion = False
+        if suspects % p == 0:
+            away = [entry for ell, entry in truly_bad.items() if ell != p]
+            tam = any(d.tamagawa % p == 0 for _, d in away)
+            torsion = any(
+                _mult_rank(minimal, d, p).rank >= 1 if d.kodaira.is_multiplicative
+                else d.tamagawa % p == 0
+                for minimal, d in away
+            )
         rows.append(PrimeScanRow(p, good is not None, anomalous, tam, torsion))
     total = len(rows) or 1
     fractions = {

@@ -9,12 +9,18 @@ p-torsion ranks come from Hensel-lifting roots of the p-division
 polynomial to precision ell^40, and height-box draws from one randrange
 call per coefficient.  The torsion oracle is one-sided by construction: it
 can only declare "no torsion" when no root survives at full precision.
+
+The one exception is prime_scan_rows_by_prime, the earlier per-prime loop
+of prime_scan kept as it was.  It shares the library's per-prime rules and
+checks only that the work lifted out of the loop changes no row.
 """
 
 from __future__ import annotations
 
-from ellstat.arith import legendre
+from ellstat.arith import legendre, primes_up_to
 from ellstat.curves import WeierstrassModel, compute_invariants
+from ellstat.finitefield import _p_divides_order
+from ellstat.localdata import PrimeScanRow, _good_invariants, _local_table, _mult_rank
 from ellstat.quadforms import BinaryQuadraticForm, reduce_form
 
 
@@ -98,6 +104,27 @@ def d_count_by_triples(p: int) -> int:
                 order = 1 + sum(chi1[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p))
                 hits += order % p == 0
     return p * p * hits
+
+
+def prime_scan_rows_by_prime(model: WeierstrassModel, p_max: int) -> list[PrimeScanRow]:
+    """prime_scan's rows by running every rule at every odd prime p <= p_max:
+    _good_invariants and the Tamagawa and local-torsion rules at each p."""
+    table = _local_table(model)
+    truly_bad = {ell: entry for ell, entry in table.items() if not entry[1].kodaira.is_good}
+    inv = compute_invariants(model)
+    rows = []
+    for p in primes_up_to(p_max)[1:]:
+        good = _good_invariants(model, inv, p, table.get(p))
+        anomalous = good is not None and _p_divides_order(p, good.b2, good.b4, good.b6)
+        away = [entry for ell, entry in truly_bad.items() if ell != p]
+        tam = any(d.tamagawa % p == 0 for _, d in away)
+        torsion = any(
+            _mult_rank(minimal, d, p).rank >= 1 if d.kodaira.is_multiplicative
+            else d.tamagawa % p == 0
+            for minimal, d in away
+        )
+        rows.append(PrimeScanRow(p, good is not None, anomalous, tam, torsion))
+    return rows
 
 
 def class_count_boxed(disc: int, bound: int | None = None) -> int:

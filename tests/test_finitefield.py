@@ -9,6 +9,7 @@ from ellstat.finitefield import (
     BadReductionError,
     ReducedCurve,
     _census,
+    _chi_table,
     _classes,
     _order_is_p,
     _p_divides_order,
@@ -66,6 +67,16 @@ def test_group_order_matches_double_loop_sampled():
                 continue
             assert group_order(c) == naive_group_order(p, *a)
 
+
+
+def test_chi_table_keeps_only_the_last_p():
+    # a sweep over p counts at each p once, so only the last table is worth keeping
+    e1 = WeierstrassModel(1, 0, 1, -141, 624)
+    delta = compute_invariants(e1).delta
+    for p in primes_up_to(2000)[1:]:
+        if delta % p:
+            group_order(reduce_model(e1, p))
+    assert _chi_table.cache_info().currsize <= 1
 
 def test_count_points_b_on_unreduced_invariants():
     rng = random.Random(47)
@@ -144,6 +155,25 @@ def test_ladder_finds_curves_of_order_p(p):
         assert _order_is_p(p, *b) == (n == p)
         found += n == p
 
+
+
+@pytest.mark.parametrize("p", [31, 37, 41, 43])
+def test_discriminant_prefilter_against_full_count(p):
+    # every nonsingular short form y^2 = x^3 + A x + B, (b2, b4, b6) = (0, 2A, 4B);
+    # a nonsquare discriminant leaves one root of the cubic, so #E is even
+    squares = {x * x % p for x in range(1, p)}
+    nonsquare = 0
+    for A in range(p):
+        for B in range(p):
+            disc = (-4 * A**3 - 27 * B * B) % p
+            if disc == 0:
+                continue
+            n = naive_group_order(p, 0, 0, 0, A, B)
+            assert _order_is_p(p, 0, 2 * A, 4 * B) == (n % p == 0)
+            if disc not in squares:
+                assert n % 2 == 0
+                nonsquare += 1
+    assert nonsquare > p * p // 3
 
 def test_predicate_matches_count_up_to_2_16():
     rng = random.Random(67)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ellstat.arith import factorize, valuation
+from ellstat.arith import factorize, primes_up_to, valuation
 from ellstat.curves import SingularCurveError, WeierstrassModel, compute_invariants, transform
 from ellstat.kodaira import KodairaType, parse_kodaira
 from ellstat.localdata import (
@@ -19,7 +19,7 @@ from ellstat.localdata import (
 )
 from ellstat.finitefield import group_order, reduce_model
 
-from oracles import local_torsion_rank_oracle
+from oracles import local_torsion_rank_oracle, prime_scan_rows_by_prime
 
 E1 = WeierstrassModel(1, 0, 1, -141, 624)
 E2 = WeierstrassModel(0, 0, 0, -83667346875, -10711930420406250)
@@ -479,6 +479,39 @@ def test_prime_scan_anomalous_matches_group_order_to_3000():
                 direct = False
             assert row.anomalous == direct, (E, row.p)
 
+
+
+def test_prime_scan_rows_match_every_rule_at_every_prime():
+    # the scan runs the Tamagawa and torsion rules only at the p that divide
+    # one product over the bad primes; the curves cover each way in
+    curves = [
+        E1,  # nonsplit I3 at 2, 2 = -1 (mod 3); III at 71
+        E2,  # split I3 at 2, 3 | v; not minimal at 3, 5 and 7
+        E3,
+        WeierstrassModel(0, -1, 1, -10, -20),  # split I5 at 11, 11 = 1 (mod 5)
+        WeierstrassModel(0, 0, 0, -9, 0),  # I0* with c = 4 at 3
+        WeierstrassModel(0, 0, 0, 0, 784),  # IV with c = 3 at 7
+    ]
+    rng = random.Random(23)
+    curves += [random_model(rng, 40) for _ in range(20)]
+    odd = primes_up_to(2000)[1:]
+    seen = set()
+    for m in curves:
+        for ell in bad_primes(m):
+            d = tate(m, ell)
+            if d.reduction == "split-multiplicative":
+                if any((ell - 1) % p == 0 for p in odd):
+                    seen.add("split, ell = 1 (mod p)")
+                if any(p != ell and d.v_min_delta % p == 0 for p in odd):
+                    seen.add("split, p | v")
+            elif d.reduction == "nonsplit-multiplicative":
+                if any(p != ell and (ell + 1) % p == 0 for p in odd):
+                    seen.add("nonsplit, ell = -1 (mod p)")
+            elif d.reduction == "additive":
+                seen.add(f"additive, c = {d.tamagawa}")
+        assert prime_scan(m, 2000).rows == tuple(prime_scan_rows_by_prime(m, 2000)), m
+    assert seen >= {"split, ell = 1 (mod p)", "split, p | v", "nonsplit, ell = -1 (mod p)",
+                    "additive, c = 2", "additive, c = 3", "additive, c = 4"}
 
 def test_prime_scan_report_shape():
     rep = prime_scan(E3, 30)
