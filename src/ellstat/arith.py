@@ -10,7 +10,7 @@ non-power before a root is taken.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd, isqrt, prod
 
 __all__ = [
@@ -42,9 +42,11 @@ def sieve_primes(limit: int) -> list[int]:
     return [n for n in range(limit + 1) if flags[n]]
 
 
-@cache
+@lru_cache(maxsize=1)
 def primes_up_to(limit: int) -> list[int]:
-    """Cached variant of sieve_primes for the bounds used repeatedly."""
+    """sieve_primes(limit), cached for a caller that asks for one limit
+    repeatedly.  Only the last limit is kept, so scans to many limits hold
+    one list."""
     return sieve_primes(limit)
 
 
@@ -53,8 +55,14 @@ _SMALL_BOUND = 10_000
 
 
 @cache
+def _small_primes() -> list[int]:
+    """The primes below _SMALL_BOUND, apart from primes_up_to's cache."""
+    return sieve_primes(_SMALL_BOUND)
+
+
+@cache
 def _primorial() -> int:
-    return prod(primes_up_to(_SMALL_BOUND))
+    return prod(_small_primes())
 
 
 # Deterministic for n < 3.317e24 (Sorenson-Webster witness set).
@@ -162,7 +170,7 @@ def _power_residue_tables(k: int) -> tuple[tuple[int, bytes], ...]:
     """(q, table) for the first _SIEVE_PRIMES primes q = 1 (mod k): table[r]
     is 1 exactly when r is x^k mod q for some x, 0 included."""
     out = []
-    for q in primes_up_to(1000):
+    for q in _small_primes():
         if q % k == 1:
             table = bytearray(q)
             for x in range(q):
@@ -240,7 +248,7 @@ def factorize(n: int, *, rho_budget: int = 1 << 22) -> dict[int, int]:
     # the primes of g are those of n below the bound; a small n serves as its
     # own g, since reducing the 14277-bit primorial costs about 4 us
     g = n if n < _SMALL_BOUND else gcd(n, _primorial())
-    for p in primes_up_to(_SMALL_BOUND):
+    for p in _small_primes():
         if g == 1 or p * p > n:
             break
         if g % p == 0:

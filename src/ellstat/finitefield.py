@@ -81,8 +81,7 @@ def _chi_table(p: int) -> bytes:
     Only the last p is kept: callers count at one p many times in a row, and a
     sweep over p would otherwise keep a table of p bytes for every p.
     """
-    if p < 3 or not p & 1:
-        raise ValueError(f"point counting needs an odd prime, got {p}")
+    require_odd_prime(p)
     t = bytearray(p)
     t[0] = 1
     for x in range(1, p):
@@ -96,8 +95,8 @@ def count_points_b(p: int, b2: int, b4: int, b6: int) -> int:
 
     Completing the square turns the curve into
     (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, so the count is
-    p + 1 + sum_x chi(rhs).  The caller guarantees good reduction and that
-    p is prime; p < 3 and even p raise ValueError.
+    p + 1 + sum_x chi(rhs).  The caller guarantees good reduction; a p
+    that is not an odd prime raises ValueError.
     """
     chi = _chi_table(p)
     b2, b4, b6 = b2 % p, 2 * b4 % p, b6 % p

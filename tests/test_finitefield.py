@@ -89,7 +89,7 @@ def test_count_points_b_on_unreduced_invariants():
             assert count_points_b(p, inv.b2, inv.b4, inv.b6) == naive_group_order(p, *a)
 
 
-@pytest.mark.parametrize("p", [0, 1, 2, 4, 10, -3])
+@pytest.mark.parametrize("p", [0, 1, 2, 4, 9, 10, 15, -3])
 def test_count_points_b_rejects_even_and_small_p(p):
     with pytest.raises(ValueError):
         count_points_b(p, 1, 2, 3)

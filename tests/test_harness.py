@@ -14,6 +14,7 @@ from ellstat.curves import WeierstrassModel, compute_invariants, height_key, hei
 from ellstat.density import CertifiedValue, sp_doubleprime_density
 from ellstat.finitefield import reduce_model, group_order
 from ellstat.harness import (
+    _BLOCK,
     ClassificationFlags,
     SampleSpec,
     _classify_chunk,
@@ -196,18 +197,22 @@ def test_classify_flags_pinned():
     assert h.hexdigest() == "b0d09e17ad8d4984776f055021beb97a08b2b2b986baf25ceae6f0f305115903"
 
 
-@pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
-def test_classify_chunk_matches_classify(n):
-    # S_3 members alternate with non-members, so a model handed its
-    # neighbour's small-prime gcd is likely to change flags
-    rng = random.Random(n)
+def _alternating_s3(n, seed):
+    # n nonsingular models, S_3 members alternating with non-members, so a
+    # model handed its neighbour's small-prime gcd is likely to change flags
+    rng = random.Random(seed)
     pools = ([], [])
     while min(map(len, pools)) < n:
         m = sample_tuple(rng, 8)
         if compute_invariants(m).delta:
             pools[classify(m, 3).tamagawa_divisible].append(m)
-    drawn = [pools[i % 2][i] for i in range(n)]
-    # the singular model first, in the middle of a group, and last: a
+    return [pools[i % 2][i] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 31, 32, 33, 65])
+def test_classify_chunk_matches_classify(n):
+    drawn = _alternating_s3(n, n)
+    # the singular model first, in the middle of a batch, and last: a
     # singular model has no discriminant, so it must not shift the gcds of
     # the models after it
     for at in (0, min(n - 1, 17), n - 1):
@@ -216,6 +221,17 @@ def test_classify_chunk_matches_classify(n):
             assert list(_classify_chunk(models, p)) == [classify(m, p) for m in models]
     assert list(_classify_chunk(iter(drawn), 3)) == [classify(m, 3) for m in drawn]
     assert list(_classify_chunk([], 3)) == []
+
+
+def test_classify_chunk_across_an_all_singular_batch():
+    # a whole batch of singular models between nonsingular ones has an empty
+    # product of discriminants; the batches on either side keep their gcds
+    drawn = _alternating_s3(3 * _BLOCK, 0)
+    singular = [WeierstrassModel(0, 0, 0, -3 * t * t, 2 * t**3) for t in range(_BLOCK)]
+    assert not any(compute_invariants(m).delta for m in singular)
+    models = drawn[:_BLOCK] + singular + drawn[_BLOCK:]
+    for p in (3, 5):
+        assert list(_classify_chunk(models, p)) == [classify(m, p) for m in models]
 
 
 def test_classify_tate_runs_at_ii_and_iii_compute_no_invariants(monkeypatch):

@@ -526,6 +526,17 @@ def test_prime_scan_report_shape():
     assert all(0 <= v <= 1 for v in rep.failure_fractions.values())
 
 
+def test_prime_scan_keeps_one_sieve():
+    # scans to many limits keep only the last sieve, and factorisation reads
+    # a list of its own, so a repeated scan finds its sieve still cached
+    for p_max in (1000, 2000, 3000):
+        prime_scan(E1, p_max)
+    assert primes_up_to.cache_info().currsize == 1
+    hits = primes_up_to.cache_info().hits
+    prime_scan(E1, 3000)
+    assert primes_up_to.cache_info().hits == hits + 1
+
+
 def test_local_data_json_schema():
     d = tate(E1, 2).to_json_dict()
     assert d == {
