@@ -192,14 +192,11 @@ def _may_be_kth_power(n: int, k: int) -> bool:
 
 
 def _pollard_brent(n: int, max_iter: int) -> int | None:
-    """A nontrivial factor of composite n, or None if the budget runs out."""
-    if n % 2 == 0:
-        return 2
+    """A nontrivial factor of composite n, or None if the budget runs out.  n
+    is odd and above 10^8 (factorize strips primes below 10^4), so c = seed != 0 mod n."""
     seed = 1
     while True:
-        y, c, m = (seed * 2862933555777941757 + 3037000493) % n, seed % n, 128
-        if c == 0:
-            c = 1
+        y, c, m = (seed * 2862933555777941757 + 3037000493) % n, seed, 128
         g = r = q = 1
         x = ys = y
         count = 0
@@ -258,11 +255,9 @@ def factorize(n: int, *, rho_budget: int = 1 << 22) -> dict[int, int]:
                 n //= p
     if n == 1:
         return out
-    stack = [n]
+    stack = [n]  # n > 1, and only nontrivial factors and roots r >= 2 join it
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue

@@ -28,7 +28,8 @@ from .curves import (
     quadratic_twist,
     zywina_j2,
 )
-from .density import CertifiedValue, density_report, frak_d_p, frak_d_p_prime, sp_doubleprime_density
+from .density import (DEFAULT_TOL, CertifiedValue, density_report, frak_d_p, frak_d_p_prime,
+                      sp_doubleprime_density)
 from .finitefield import CensusResult, census_torsion_classes, d_count
 from .harness import SampleSpec, estimate, kodaira_frequency
 from .localdata import LocalData, _local_table, tate
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theory", help="density formulas and bounds at an odd prime")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--tol", default="1/1000000000")
+    p.add_argument("--tol", default=str(DEFAULT_TOL))
     add_format(p)
     p.set_defaults(func=cmd_theory)
 
@@ -299,14 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("empirical", help="seeded sampling run classified at p")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--samples", type=int, default=SampleSpec.count)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chunk-size", type=int, default=65536)
+    p.add_argument("--seed", type=int, default=SampleSpec.seed)
+    p.add_argument("--chunk-size", type=int, default=SampleSpec.chunk_size)
     p.add_argument("--threads", type=int, default=None,
                    help="worker processes, at most one per chunk and per CPU "
                         "(default: ELLSTAT_THREADS, then 1)")
-    p.add_argument("--z", type=float, default=4.0)
+    p.add_argument("--z", type=float, default=SampleSpec.z)
     p.add_argument("--wilson", action="store_true")
     p.add_argument("--kodaira-at", type=int, default=None, metavar="ELL",
                    help="report the Kodaira-type distribution at ELL instead")

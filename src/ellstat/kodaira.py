@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 __all__ = ["KodairaType", "parse_kodaira"]
 
-_PLAIN_KINDS = frozenset({"I0", "II", "III", "IV", "I0*", "IV*", "III*", "II*"})
-
 # number of irreducible components of the special fibre (for Ogg's formula)
 _COMPONENTS = {
     "I0": 1,
@@ -32,7 +30,7 @@ class KodairaType:
     n: int = 0
 
     def __post_init__(self):
-        if self.kind in _PLAIN_KINDS:
+        if self.kind in _COMPONENTS:
             if self.n != 0:
                 raise ValueError(f"type {self.kind} carries no index")
         elif self.kind in ("In", "In*"):

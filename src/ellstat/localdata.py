@@ -103,12 +103,11 @@ def _split_multiplicative(c6: int, ell: int) -> bool:
 
 
 def _quad_has_roots(A: int, B: int, C: int, p: int) -> bool:
-    """Does A x^2 + B x + C have a root in F_p?"""
+    """Does A x^2 + B x + C have a root in F_p?  A is a unit mod p for odd p:
+    1, or the I_n* X-step's a2 / p, nonzero since that cubic root is double."""
     A, B, C = A % p, B % p, C % p
     if p == 2:
         return C == 0 or (A + B + C) % 2 == 0
-    if A == 0:
-        return B != 0 or C == 0
     return legendre(B * B - 4 * A * C, p) >= 0
 
 
@@ -203,12 +202,9 @@ def _tate_run(model: WeierstrassModel, ell: int,
             break
         # cusp: move the singular point to (0, 0)
         if p == 2:
-            if inv.b2 % 2:
-                r = cur.a3 % 2
-                t = (r + cur.a4) % 2
-            else:
-                r = cur.a4 % 2
-                t = (r * (1 + cur.a2 + cur.a4) + cur.a6) % 2
+            # 2 | b2 here (c4 = b2^2 mod 2), so a1 is even
+            r = cur.a4 % 2
+            t = (r * (1 + cur.a2 + cur.a4) + cur.a6) % 2
         elif p == 3:
             # 3 | b2 here (c4 = b2^2 mod 3), so the cusp is the cube root of -b6
             r = (-inv.b6) % 3

@@ -179,6 +179,37 @@ def test_families_twist_requires_base(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("5", "bad range '5'; expected lo..hi"), ("3..1", "empty range '3..1'")],
+)
+def test_families_bad_range_exits_2(capsys, text, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["families", "--family", "zywina", "--range", text])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_families_twist_of_singular_base_reports_no_invariants(capsys):
+    code, out, _ = run_cli(
+        capsys, "families", "--family", "twist", "--base", "0,0,0,0,0",
+        "--range", "1..2", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["curves"] == [
+        {"t": t, "curve": "0,0,0,0,0", "j": None, "conductor": None, "local": []}
+        for t in ("1", "2")
+    ]
+    code, out, _ = run_cli(
+        capsys, "families", "--family", "twist", "--base", "0,0,0,0,0", "--range", "1..2"
+    )
+    assert code == 0
+    assert out == (
+        "t=1  curve=0,0,0,0,0  j=None  conductor=None\n"
+        "t=2  curve=0,0,0,0,0  j=None  conductor=None\n"
+    )
+
+
 def test_families_zywina(capsys):
     code, out, _ = run_cli(
         capsys, "families", "--family", "zywina", "--range", "1..4", "--format", "json"

@@ -200,6 +200,8 @@ def test_is_anomalous_examples():
     assert not is_anomalous(WeierstrassModel(0, 0, 0, 1, 1), 5)
     with pytest.raises(BadReductionError):
         is_anomalous(WeierstrassModel(0, -1, 1, -10, -20), 11)  # I_5 at 11
+    with pytest.raises(BadReductionError):
+        is_anomalous(WeierstrassModel(0, 0, 0, 0, 0), 5)  # singular
     with pytest.raises(ValueError):
         is_anomalous(WeierstrassModel(0, 0, 0, 1, 1), 2)
 

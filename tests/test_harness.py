@@ -180,6 +180,47 @@ def test_classify_each_kind_of_divisible_prime(coeffs, ell):
     assert f.tamagawa_divisible and not f.unclassified
 
 
+# M = q1 q2, for q1 < q2 the first two primes above 2^45, divides Delta and c4
+# of y^2 = x^3 + M x + M, and rho cannot split it within the classifier's
+# budget
+_M = 35184372088891 * 35184372088907
+_UNSPLIT = WeierstrassModel(0, 0, 0, _M, _M)
+
+
+@pytest.mark.parametrize("p, bad_at_p", [(3, False), (5, True)])
+def test_classify_unsplit_cofactor_is_unclassified(p, bad_at_p):
+    assert classify(_UNSPLIT, p) == ClassificationFlags(False, bad_at_p, False, False, True)
+
+
+def test_unclassified_model_counts_only_as_unclassified(monkeypatch):
+    # the unsplit model stands in for the first draw of a run at p = 5, where
+    # its flags also carry bad_at_p; a singular model in its place shows what
+    # the other draws count
+    import ellstat.harness as harness
+
+    real = harness._iter_chunk
+
+    def run(first, count):
+        def chunk(spec, index):
+            models = real(spec, index)
+            if index == 0:
+                next(models)
+                yield first
+            yield from models
+
+        monkeypatch.setattr(harness, "_iter_chunk", chunk)
+        return estimate(SampleSpec(height=20, p=5, count=count, seed=5, chunk_size=250))
+
+    base = run(WeierstrassModel(0, 0, 0, 0, 0), 1000).counts
+    rep = run(_UNSPLIT, 1000)
+    assert rep.counts == {**base, "singular": base["singular"] - 1, "unclassified": 1}
+    # a run stays valid while the bucket is at most 0.1% of it
+    assert rep.valid and rep.to_json_dict()["valid"] is True
+    short = run(_UNSPLIT, 999)
+    assert short.counts["unclassified"] == 1
+    assert not short.valid and short.to_json_dict()["valid"] is False
+
+
 def test_classify_flags_pinned():
     # every flag of every sample, hashed; the hash was recorded on the
     # per-sample classify that preceded the grouped one
