@@ -361,12 +361,20 @@ def _fork_join(chunk_fn, n_chunks: int, k: int) -> list[dict[str, int]]:
     process, so the caches its chunks fill stay here; workers 1 to k - 1 are
     forked children.
 
+    On Linux each worker runs on its own CPU, worker w on the w-th of the
+    calling thread's affinity set, when that set holds at least k CPUs.
+    Left to itself the scheduler may keep a forked child on its parent's
+    CPU, and two workers then run no faster than one.  This process gets its
+    affinity set back before it reaps.  A smaller set, or no
+    os.sched_setaffinity, leaves every worker unpinned.
+
     Each child sends its sum, pickled, through its own pipe.  Every child
     is reaped before this returns or raises; children still running when
     this process fails (its own chunk raising, an interrupt, a failed fork)
     are killed first.  A child's exception is re-raised here, and a child
     that ends without a result raises RuntimeError.
     """
+    cpus = _worker_cpus(k)
     children = []  # (pid, read end of its pipe)
     replies: list[bytes] = []
     try:
@@ -380,13 +388,15 @@ def _fork_join(chunk_fn, n_chunks: int, k: int) -> list[dict[str, int]]:
                 raise
             if pid == 0:
                 os.close(r)
-                _child(wr, chunk_fn, range(w, n_chunks, k))
+                _child(wr, chunk_fn, range(w, n_chunks, k), cpus[w : w + 1])
             os.close(wr)
             children.append((pid, open(r, "rb")))
+        _pin(cpus[:1])
         own = _sum_counts(map(chunk_fn, range(0, n_chunks, k)))
         for _, pipe in children:
             replies.append(pipe.read())
     finally:
+        _pin(cpus)
         statuses = []
         for pid, pipe in children:
             pipe.close()
@@ -406,12 +416,34 @@ def _fork_join(chunk_fn, n_chunks: int, k: int) -> list[dict[str, int]]:
     return parts
 
 
-def _child(wr: int, chunk_fn, indices) -> NoReturn:
-    """Body of a forked worker: sum its chunks, write (ok, sum or exception)
-    to wr and leave by os._exit, so that the parent's stdio buffers and exit
-    hooks never run here.  It exits 0 only once the reply is written."""
+def _worker_cpus(k: int) -> list[int]:
+    """The calling thread's affinity set, sorted, if k > 1 workers can each
+    have a CPU of it; empty where they cannot or it is unknown."""
+    if k < 2 or not hasattr(os, "sched_setaffinity"):
+        return []
+    cpus = sorted(os.sched_getaffinity(0))
+    return cpus if len(cpus) >= k else []
+
+
+def _pin(cpus: list[int]) -> None:
+    """Set the calling thread's affinity to cpus, unless there are none.
+    Pinning only moves work and never changes a sum, so a refusal (OSError)
+    is ignored."""
+    if cpus:
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
+
+
+def _child(wr: int, chunk_fn, indices, cpus: list[int]) -> NoReturn:
+    """Body of a forked worker: pin itself to cpus (see _pin), sum its
+    chunks, write (ok, sum or exception) to wr and leave by os._exit, so
+    that the parent's stdio buffers and exit hooks never run here.  It exits
+    0 only once the reply is written."""
     code = 1
     try:
+        _pin(cpus)
         try:
             reply = (True, _sum_counts(map(chunk_fn, indices)))
         except Exception as exc:

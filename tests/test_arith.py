@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from ellstat import arith
 from ellstat.arith import (
     FactorBudgetExceeded,
     _may_be_kth_power,
+    _pollard_brent,
     _power_residue_tables,
     factorize,
     iroot,
@@ -179,6 +181,22 @@ def test_factor_budget_raises():
     hard = (2**89 - 1) * (2**107 - 1)  # both prime; rho cannot split in a tiny budget
     with pytest.raises(FactorBudgetExceeded):
         factorize(hard, rho_budget=64)
+
+
+def test_pollard_brent_restarts_with_next_seed():
+    # 102781897 = 10007 * 10271, found by a search over products of primes
+    # above 10^4: the seed-1 walk meets both cycles at once, so its batched
+    # gcd and the backtrack both give n, and seed 2 splits it
+    assert _pollard_brent(102781897, 1 << 22) == 10007
+
+
+def test_pollard_brent_gives_up_after_eight_seeds(monkeypatch):
+    # every gcd is n, so each seed ends on g == n after the backtrack, one
+    # batched gcd and one backtrack gcd per seed
+    calls = []
+    monkeypatch.setattr(arith, "gcd", lambda a, b: calls.append(a) or b)
+    assert _pollard_brent(102781897, 1 << 22) is None
+    assert len(calls) == 2 * 8
 
 
 def test_primes_up_to_cached():

@@ -180,6 +180,20 @@ def test_classify_each_kind_of_divisible_prime(coeffs, ell):
     assert f.tamagawa_divisible and not f.unclassified
 
 
+def test_classify_perfect_power_cofactor_without_divisible_c():
+    # y^2 + a1 xy + q y = x^3 has Delta = q^3 (a1^3 - 27q) = 10 q^3 here, with
+    # q > 10^12 prime and prime to c4: at p = 5 the stripped C is the cube
+    # q^3 with a root above the cube of the trial bound, so classify factors
+    # it, and c_q = 3 (split I3) is prime to 5.  Found by a search over
+    # a1 = 4 (mod 9), a1 > 30000, for a prime q = (a1^3 - 10) / 27.
+    q = 1001901203587
+    m = WeierstrassModel(30019, 0, q, 0, 0)
+    assert compute_invariants(m).delta == 10 * q**3
+    assert tate(m, q).tamagawa == 3
+    assert tamagawa_p_divisible(m, 5) == []
+    assert classify(m, 5) == ClassificationFlags(False, True, False, False)
+
+
 # M = q1 q2, for q1 < q2 the first two primes above 2^45, divides Delta and c4
 # of y^2 = x^3 + M x + M, and rho cannot split it within the classifier's
 # budget
@@ -639,4 +653,76 @@ def test_run_chunks_child_without_result_raises(monkeypatch):
     _assert_no_children()
     with pytest.raises(RuntimeError, match=f"signal {int(signal.SIGKILL)}"):
         _run_chunks(EIGHT_CHUNKS, leave(lambda: os.kill(os.getpid(), signal.SIGKILL)), 2)
+    _assert_no_children()
+
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity"
+)
+# the affinity set this process started with; a run that left this process
+# pinned would shrink it for every later test
+AFFINITY = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+
+
+@needs_affinity
+@needs_fork
+def test_run_chunks_pins_each_worker_to_its_own_cpu():
+    assert os.sched_getaffinity(0) == AFFINITY
+    cpus = sorted(AFFINITY)
+    if len(cpus) < 2:
+        pytest.skip("needs an affinity set of two CPUs")
+    counts = _run_chunks(EIGHT_CHUNKS, lambda i: {str(sorted(os.sched_getaffinity(0))): 1}, 2)
+    assert counts == {str(cpus[:1]): 4, str(cpus[1:2]): 4}
+    assert os.sched_getaffinity(0) == AFFINITY
+    _assert_no_children()
+
+
+@needs_affinity
+@needs_fork
+def test_run_chunks_restores_affinity(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert os.sched_getaffinity(0) == AFFINITY
+    parent = os.getpid()
+
+    def raise_in(in_parent):
+        def chunk(i):
+            if (os.getpid() == parent) == in_parent:
+                raise KeyError(i)
+            return {"n": 1}
+        return chunk
+
+    assert _run_chunks(EIGHT_CHUNKS, lambda i: {"n": 1}, 2) == {"n": 8}
+    assert os.sched_getaffinity(0) == AFFINITY
+    for in_parent in (True, False):
+        with pytest.raises(KeyError):
+            _run_chunks(EIGHT_CHUNKS, raise_in(in_parent), 2)
+        assert os.sched_getaffinity(0) == AFFINITY
+        _assert_no_children()
+
+
+@needs_affinity
+@needs_fork
+def test_run_chunks_one_cpu_set_is_left_unpinned(monkeypatch):
+    # two workers on an affinity set of one CPU: neither process is pinned
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    calls = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(cpus))
+    # a child reports the calls made in it, since its list is its own copy
+    counts = _run_chunks(EIGHT_CHUNKS, lambda i: {"n": 1, "pins": len(calls)}, 2)
+    assert counts == {"n": 8, "pins": 0} and calls == []
+    _assert_no_children()
+
+
+@needs_affinity
+@needs_fork
+def test_run_chunks_ignores_refused_pinning(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def refuse(pid, cpus):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    assert _run_chunks(EIGHT_CHUNKS, lambda i: {"index": i}, 2) == {"index": sum(range(8))}
     _assert_no_children()
