@@ -362,11 +362,11 @@ def _fork_join(chunk_fn, n_chunks: int, k: int) -> list[dict[str, int]]:
     forked children.
 
     On Linux each worker runs on its own CPU, worker w on the w-th of the
-    calling thread's affinity set, when that set holds at least k CPUs.
+    calling thread's affinity set, when that set holds exactly k CPUs.
     Left to itself the scheduler may keep a forked child on its parent's
     CPU, and two workers then run no faster than one.  This process gets its
-    affinity set back before it reaps.  A smaller set, or no
-    os.sched_setaffinity, leaves every worker unpinned.
+    affinity set back before it reaps.  A smaller or larger set, or no
+    os.sched_setaffinity, leaves every worker unpinned (see _worker_cpus).
 
     Each child sends its sum, pickled, through its own pipe.  Every child
     is reaped before this returns or raises; children still running when
@@ -417,12 +417,18 @@ def _fork_join(chunk_fn, n_chunks: int, k: int) -> list[dict[str, int]]:
 
 
 def _worker_cpus(k: int) -> list[int]:
-    """The calling thread's affinity set, sorted, if k > 1 workers can each
-    have a CPU of it; empty where they cannot or it is unknown."""
+    """The calling thread's affinity set, sorted, if it holds exactly one
+    CPU for each of k > 1 workers; empty otherwise or where it is unknown.
+
+    Only that case is pinned: every CPU of the set is then busy anyway.  A
+    larger set (several runs at once, or a CPU quota on a large host) would
+    put every run on the same lowest CPUs, where the scheduler could have
+    spread them out.
+    """
     if k < 2 or not hasattr(os, "sched_setaffinity"):
         return []
     cpus = sorted(os.sched_getaffinity(0))
-    return cpus if len(cpus) >= k else []
+    return cpus if len(cpus) == k else []
 
 
 def _pin(cpus: list[int]) -> None:

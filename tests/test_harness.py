@@ -664,24 +664,34 @@ needs_affinity = pytest.mark.skipif(
 AFFINITY = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
 
 
-@needs_affinity
-@needs_fork
-def test_run_chunks_pins_each_worker_to_its_own_cpu():
+@pytest.fixture
+def two_cpus():
+    """Run the test on the first two CPUs of AFFINITY, the one set size that
+    two workers pin on, and give this process AFFINITY back afterwards."""
     assert os.sched_getaffinity(0) == AFFINITY
-    cpus = sorted(AFFINITY)
+    cpus = sorted(AFFINITY)[:2]
     if len(cpus) < 2:
         pytest.skip("needs an affinity set of two CPUs")
+    os.sched_setaffinity(0, cpus)
+    try:
+        yield cpus
+    finally:
+        os.sched_setaffinity(0, AFFINITY)
+
+
+@needs_affinity
+@needs_fork
+def test_run_chunks_pins_each_worker_to_its_own_cpu(two_cpus):
     counts = _run_chunks(EIGHT_CHUNKS, lambda i: {str(sorted(os.sched_getaffinity(0))): 1}, 2)
-    assert counts == {str(cpus[:1]): 4, str(cpus[1:2]): 4}
-    assert os.sched_getaffinity(0) == AFFINITY
+    assert counts == {str(two_cpus[:1]): 4, str(two_cpus[1:]): 4}
+    assert os.sched_getaffinity(0) == set(two_cpus)
     _assert_no_children()
 
 
 @needs_affinity
 @needs_fork
-def test_run_chunks_restores_affinity(monkeypatch):
+def test_run_chunks_restores_affinity(monkeypatch, two_cpus):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert os.sched_getaffinity(0) == AFFINITY
     parent = os.getpid()
 
     def raise_in(in_parent):
@@ -692,20 +702,22 @@ def test_run_chunks_restores_affinity(monkeypatch):
         return chunk
 
     assert _run_chunks(EIGHT_CHUNKS, lambda i: {"n": 1}, 2) == {"n": 8}
-    assert os.sched_getaffinity(0) == AFFINITY
+    assert os.sched_getaffinity(0) == set(two_cpus)
     for in_parent in (True, False):
         with pytest.raises(KeyError):
             _run_chunks(EIGHT_CHUNKS, raise_in(in_parent), 2)
-        assert os.sched_getaffinity(0) == AFFINITY
+        assert os.sched_getaffinity(0) == set(two_cpus)
         _assert_no_children()
 
 
 @needs_affinity
 @needs_fork
-def test_run_chunks_one_cpu_set_is_left_unpinned(monkeypatch):
-    # two workers on an affinity set of one CPU: neither process is pinned
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}], ids=["one-cpu", "three-cpus"])
+def test_run_chunks_other_set_sizes_are_left_unpinned(monkeypatch, cpus):
+    # two workers on an affinity set of one CPU, or of more CPUs than
+    # workers: neither process is pinned
+    monkeypatch.setattr(os, "cpu_count", lambda: len(cpus) + 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     calls = []
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(cpus))
     # a child reports the calls made in it, since its list is its own copy
