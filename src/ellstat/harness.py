@@ -229,20 +229,33 @@ def _sampler(rng: random.Random, height: int):
     (_randbelow_with_getrandbits): getrandbits(k) with k the bit length of
     the width, redrawn until it falls below the width.  So the models, and
     the state rng is left in, are those of five randrange calls per draw,
-    while the bounds are worked out once per sampler.
+    while the bounds are worked out once per sampler.  The five draws are
+    written out, and the model built by tuple.__new__, so that a draw builds
+    no list and calls no Python-level __new__.
     """
     if height < 1:
         raise ValueError("height must be >= 1")
-    bounds = [(lo, n, n.bit_length()) for lo, n in _box(height)]
+    (l1, n1), (l2, n2), (l3, n3), (l4, n4), (l6, n6) = _box(height)
+    k1, k2, k3, k4, k6 = (n.bit_length() for n in (n1, n2, n3, n4, n6))
     getrandbits = rng.getrandbits
+    new = tuple.__new__
     while True:
-        a = []
-        for lo, n, k in bounds:
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            a.append(lo + r)
-        yield WeierstrassModel(*a)
+        r1 = getrandbits(k1)
+        while r1 >= n1:
+            r1 = getrandbits(k1)
+        r2 = getrandbits(k2)
+        while r2 >= n2:
+            r2 = getrandbits(k2)
+        r3 = getrandbits(k3)
+        while r3 >= n3:
+            r3 = getrandbits(k3)
+        r4 = getrandbits(k4)
+        while r4 >= n4:
+            r4 = getrandbits(k4)
+        r6 = getrandbits(k6)
+        while r6 >= n6:
+            r6 = getrandbits(k6)
+        yield new(WeierstrassModel, (l1 + r1, l2 + r2, l3 + r3, l4 + r4, l6 + r6))
 
 
 def exhaustive_box_size(height: int) -> int:
@@ -325,7 +338,9 @@ def _count_chunk(spec: SampleSpec, index: int) -> dict[str, int]:
 def _kodaira_chunk(spec: SampleSpec, ell: int, index: int) -> dict[str, int]:
     out: dict[str, int] = {}
     for model in _iter_chunk(spec, index):
-        # tate computes the invariants once and raises on a singular model
+        # tate computes the invariants once and raises on a singular model;
+        # its types are shared and keep their labels, so a label is computed
+        # once per type, not once per model
         try:
             key = tate(model, ell).kodaira.label
         except SingularCurveError:

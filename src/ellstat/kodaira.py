@@ -2,12 +2,15 @@
 
 The tag set is exactly I0, I_n (n >= 1), II, III, IV, I0*, I_n* (n >= 1),
 IV*, III*, II*.  Labels follow the wire format "I0", "In:3", "I*0",
-"I*n:2", "IV*", ...
+"I*n:2", "IV*", ...  A type computes its label once and keeps it: Tate runs
+return shared types (see localdata), so a sampler that counts labels reads
+each one from the instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = ["KodairaType", "parse_kodaira"]
 
@@ -39,7 +42,7 @@ class KodairaType:
         else:
             raise ValueError(f"unknown Kodaira kind {self.kind!r}")
 
-    @property
+    @cached_property
     def label(self) -> str:
         if self.kind == "In":
             return f"In:{self.n}"

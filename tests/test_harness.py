@@ -533,6 +533,23 @@ def test_kodaira_chunk_matches_direct_loop(ell):
         assert _kodaira_chunk(spec, ell, index) == want
 
 
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_kodaira_chunk_matches_tate_on_sampled_chunks(ell):
+    # seeded draws at H = 10^3, and at H = 2, where this chunk holds five
+    # singular models
+    for height, seed, index in ((1000, 21, 0), (1000, 22, 3), (2, 31, 3)):
+        spec = SampleSpec(height=height, p=3, count=8000, seed=seed, chunk_size=2000)
+        want = {}
+        for m in _iter_chunk(spec, index):
+            if compute_invariants(m).delta == 0:
+                key = "singular"
+            else:
+                key = tate(m, ell).kodaira.label
+            want[key] = want.get(key, 0) + 1
+        assert _kodaira_chunk(spec, ell, index) == want
+        assert ("singular" in want) == (height == 2)
+
+
 def test_kodaira_frequency_at_three_matches_table():
     # the wild additive chain at 3: type II frequency against its exact density
     spec = SampleSpec(height=200, p=5, count=20000, seed=314, chunk_size=5000)

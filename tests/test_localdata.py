@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -7,6 +8,9 @@ from ellstat.arith import factorize, primes_up_to, valuation
 from ellstat.curves import SingularCurveError, WeierstrassModel, compute_invariants, transform
 from ellstat.kodaira import KodairaType, parse_kodaira
 from ellstat.localdata import (
+    LocalData,
+    _I_n,
+    _I_n_star,
     _tate_run,
     bad_primes,
     compute_I_p,
@@ -549,6 +553,25 @@ def test_local_data_json_schema():
     }
 
 
+def test_local_data_contract():
+    # a record with these fields in this order, immutable, equal and
+    # equally hashed across runs, and unchanged by a pickle round trip
+    assert LocalData._fields == ("prime", "kodaira", "tamagawa", "conductor_exponent",
+                                 "v_min_delta", "was_minimal", "reduction")
+    for m in (E1, E2, E3):
+        for ell in bad_primes(m) + [5, 7]:
+            d = tate(m, ell)
+            with pytest.raises(AttributeError):
+                d.tamagawa = 0
+            with pytest.raises(AttributeError):
+                d.extra = 0
+            again = tate(m, ell)
+            assert again == d and hash(again) == hash(d)
+            assert pickle.loads(pickle.dumps(d)) == d
+            assert set(d.to_json_dict()) == {"prime", "kodaira", "tamagawa", "f", "v_delta",
+                                             "reduction"}
+
+
 def test_nroots_cubic_matches_brute_force():
     from ellstat.localdata import _nroots_cubic
 
@@ -681,3 +704,29 @@ def test_tate_runs_pinned():
         assert cells == {(kind, was) for kind in _KINDS for was in (True, False)}, ell
         assert {2, 3} <= nus, ell
     assert h.hexdigest() == "8adb7b5bd04532f01a1b2bd5b38f7d7a9d5f1920ed1b831e3c66a7fb679b78c3"
+
+
+def test_tate_runs_share_kodaira_types():
+    # every run that ends in one type returns the same instance, equal to a
+    # newly built one
+    shared = {}
+    for ell in (2, 3, 5):
+        for m in _pinned_tate_models(ell):
+            k = tate(m, ell).kodaira
+            assert k is shared.setdefault((k.kind, k.n), k), (m, ell)
+            assert k == KodairaType(k.kind, k.n)
+    assert len(shared) >= 12
+
+
+def test_indexed_kodaira_caches_are_bounded():
+    # y^2 + xy = x^3 + 3^n is I_n at 3 and y^2 = x^3 + 3x^2 + 3^(n+3) is
+    # I_n* at 3: runs past the caches' size leave each at most full
+    for cache, kind, model in (
+        (_I_n, "In", lambda n: WeierstrassModel(1, 0, 0, 0, 3**n)),
+        (_I_n_star, "In*", lambda n: WeierstrassModel(0, 3, 0, 0, 3 ** (n + 3))),
+    ):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None
+        for n in range(1, maxsize + 51):
+            assert tate(model(n), 3).kodaira == KodairaType(kind, n)
+        assert cache.cache_info().currsize <= maxsize
