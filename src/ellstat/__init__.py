@@ -2,6 +2,7 @@
 
 __version__ = "0.1.0"
 
+from .arith import InputError
 from .curves import (
     HeightKey,
     Invariants,

@@ -23,11 +23,20 @@ __all__ = [
     "iroot",
     "factorize",
     "FactorBudgetExceeded",
+    "InputError",
 ]
 
 
 class FactorBudgetExceeded(Exception):
     """Raised when an integer resists factorisation within its budget."""
+
+
+class InputError(ValueError):
+    """An argument outside the domain that a public entry point accepts: a
+    p that is not an odd prime, a tolerance <= 0, a sample spec out of
+    range.  The CLI reports it as invalid input (exit 2), while any other
+    ValueError is a fault of the program (exit 1).  As a ValueError, it is
+    still caught by callers that catch ValueError."""
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -110,9 +119,9 @@ def is_prime(n: int) -> bool:
 
 
 def require_odd_prime(p: int) -> None:
-    """Raise ValueError unless p is an odd prime."""
+    """Raise InputError unless p is an odd prime."""
     if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+        raise InputError(f"p must be an odd prime, got {p}")
 
 
 def legendre(a: int, p: int) -> int:

@@ -1,10 +1,15 @@
 """Command-line surface: single-curve reports, theory tables, censuses,
 empirical runs and the twist / split-Cartan family generators.
 
-Exit codes: 0 success, 1 internal error, 2 invalid input.  All randomness
-flows from --seed; --threads (default: env ELLSTAT_THREADS, then 1) is the
-number of forked worker processes, capped at the chunk and CPU counts, and
-only changes wall time, never output bytes.
+Exit codes: 0 success, 1 internal error, 2 invalid input.  `main` is the
+one place that maps errors to them: an `InputError` from the library, a
+`SingularCurveError` and a `FactorBudgetExceeded` exit 2 with one `error:`
+line on stderr, any other exception exits 1.  Beyond parsing their own
+arguments, and `families` handling each t, the commands catch nothing.
+
+All randomness flows from --seed; --threads (default: env ELLSTAT_THREADS,
+then 1) is the number of forked worker processes, capped at the chunk and
+CPU counts, and only changes wall time, never output bytes.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .finitefield import CensusResult, census_torsion_classes, d_count
 from .harness import SampleSpec, estimate, kodaira_frequency
 from .localdata import LocalData, _local_table, tate
 from .quadforms import hurwitz_class_number
-from .arith import FactorBudgetExceeded, is_prime
+from .arith import FactorBudgetExceeded, InputError
 
 
 def _fail(msg: str) -> SystemExit:
@@ -64,10 +69,7 @@ def _worker_count(value: int | None) -> int:
 def _curve_report(model: WeierstrassModel) -> tuple[str, int, list[LocalData]]:
     """j, the conductor and the Tate data at every prime dividing Delta,
     which is factored once."""
-    try:
-        locs = [data for _, data in _local_table(model).values()]
-    except FactorBudgetExceeded:
-        raise _fail("discriminant not factored within budget")
+    locs = [data for _, data in _local_table(model).values()]
     N = prod(d.prime**d.conductor_exponent for d in locs)
     return format_rational(j_invariant(model)), N, locs
 
@@ -84,33 +86,28 @@ def _emit(args, payload: Callable[[], dict], text_lines: list[str]) -> None:
 
 def cmd_local(args) -> int:
     model = _parse_curve(args.curve)
-    if args.prime is not None and not is_prime(args.prime):
-        raise _fail(f"{args.prime} is not prime")
-    try:
-        if args.prime is not None:
-            data = tate(model, args.prime)
-            payload = {"curve": str(model), "local": [data.to_json_dict()]}
-            lines = [
-                f"curve {model}  at {args.prime}: {data.kodaira.label}  "
-                f"c={data.tamagawa} f={data.conductor_exponent} "
-                f"v(delta_min)={data.v_min_delta} {data.reduction}"
-            ]
-        else:
-            j, N, locs = _curve_report(model)
-            payload = {
-                "curve": str(model),
-                "j": j,
-                "conductor": N,
-                "local": [d.to_json_dict() for d in locs],
-            }
-            lines = [f"curve {model}", f"j = {j}", f"conductor = {N}"]
-            for d in locs:
-                lines.append(
-                    f"  ell={d.prime}: {d.kodaira.label}  c={d.tamagawa} "
-                    f"f={d.conductor_exponent} {d.reduction}"
-                )
-    except SingularCurveError as exc:
-        raise _fail(f"singular: {exc}")
+    if args.prime is not None:
+        data = tate(model, args.prime)
+        payload = {"curve": str(model), "local": [data.to_json_dict()]}
+        lines = [
+            f"curve {model}  at {args.prime}: {data.kodaira.label}  "
+            f"c={data.tamagawa} f={data.conductor_exponent} "
+            f"v(delta_min)={data.v_min_delta} {data.reduction}"
+        ]
+    else:
+        j, N, locs = _curve_report(model)
+        payload = {
+            "curve": str(model),
+            "j": j,
+            "conductor": N,
+            "local": [d.to_json_dict() for d in locs],
+        }
+        lines = [f"curve {model}", f"j = {j}", f"conductor = {N}"]
+        for d in locs:
+            lines.append(
+                f"  ell={d.prime}: {d.kodaira.label}  c={d.tamagawa} "
+                f"f={d.conductor_exponent} {d.reduction}"
+            )
     _emit(args, lambda: payload, lines)
     return 0
 
@@ -120,10 +117,7 @@ def cmd_theory(args) -> int:
         tol = Fraction(args.tol)
     except (ValueError, ZeroDivisionError):  # not a number, or a zero denominator
         raise _fail(f"bad tolerance {args.tol!r}")
-    try:
-        rep = density_report(args.p, tol)
-    except ValueError as exc:  # p not an odd prime, or tol <= 0
-        raise _fail(str(exc))
+    rep = density_report(args.p, tol)
     lines = [
         f"p = {rep.p}",
         f"frak_d_p        in {rep.d_p}",
@@ -137,11 +131,8 @@ def cmd_theory(args) -> int:
 
 
 def cmd_census(args) -> int:
-    try:
-        classes = census_torsion_classes(args.p).classes
-        res = CensusResult(args.p, classes, d_count(args.p).d if args.with_d else None)
-    except ValueError as exc:  # p not an odd prime, or outside the supported range
-        raise _fail(str(exc))
+    classes = census_torsion_classes(args.p).classes
+    res = CensusResult(args.p, classes, d_count(args.p).d if args.with_d else None)
     lines = [f"p = {args.p}", f"classes with p | #E = {res.classes}"]
     if res.d is not None:
         lines.append(f"d(p) = {res.d}  (d/p^5 = {format_rational(res.d_over_p5)})")
@@ -150,10 +141,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_hurwitz(args) -> int:
-    try:
-        cls = hurwitz_class_number(args.disc)
-    except ValueError as exc:
-        raise _fail(str(exc))
+    cls = hurwitz_class_number(args.disc)
     lines = [f"H({args.disc}) = {cls.h}"]
     lines += [f"  ({f.a},{f.b},{f.c})" for f in cls.representatives]
     _emit(args, cls.to_json_dict, lines)
@@ -161,23 +149,18 @@ def cmd_hurwitz(args) -> int:
 
 
 def cmd_empirical(args) -> int:
-    try:
-        spec = SampleSpec(
-            height=args.height,
-            p=args.p,
-            count=args.samples,
-            exhaustive=args.exhaustive,
-            seed=args.seed,
-            chunk_size=args.chunk_size,
-            z=args.z,
-            wilson=args.wilson,
-        )
-    except ValueError as exc:
-        raise _fail(str(exc))
+    spec = SampleSpec(
+        height=args.height,
+        p=args.p,
+        count=args.samples,
+        exhaustive=args.exhaustive,
+        seed=args.seed,
+        chunk_size=args.chunk_size,
+        z=args.z,
+        wilson=args.wilson,
+    )
     threads = _worker_count(args.threads)
     if args.kodaira_at is not None:
-        if not is_prime(args.kodaira_at):
-            raise _fail(f"{args.kodaira_at} is not prime")
         rep = kodaira_frequency(spec, args.kodaira_at, threads=threads)
     else:
         rep = estimate(spec, dict(_theory_column(spec.p)), threads=threads)
@@ -234,15 +217,12 @@ def cmd_families(args) -> int:
             if t == 0:
                 continue
             j = zywina_j2(Fraction(t))
-            try:
-                # the conductor search factors the discriminant of every twist
-                E = curve_from_j(
-                    j,
-                    minimize_conductor=args.min_search > 0,
-                    twist_bound=args.min_search,
-                )
-            except FactorBudgetExceeded:
-                raise _fail("discriminant not factored within budget")
+            # the conductor search factors the discriminant of every twist
+            E = curve_from_j(
+                j,
+                minimize_conductor=args.min_search > 0,
+                twist_bound=args.min_search,
+            )
             rows.append((str(t), E))
     payload = []
     lines = []
@@ -331,8 +311,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
+    except InputError as exc:
+        raise _fail(str(exc))
+    except SingularCurveError as exc:
+        raise _fail(f"singular: {exc}")
+    except FactorBudgetExceeded:
+        raise _fail("discriminant not factored within budget")
     except BrokenPipeError:
         return 0
     except Exception as exc:  # internal failure contract: exit 1

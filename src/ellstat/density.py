@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from .arith import iroot, primes_up_to, require_odd_prime
+from .arith import InputError, iroot, primes_up_to, require_odd_prime
 from .curves import format_rational
 from .kodaira import KodairaType
 from .quadforms import hurwitz_class_number
@@ -231,14 +231,14 @@ def zeta_minus_one(s: int, tol=DEFAULT_TOL) -> CertifiedValue:
     sum floor(2^k / n^s), plus the integral tail bound
     0 <= sum_{n>N} n^-s <= N^(1-s)/(s-1).  Each floor is exact, so the
     enclosure depends only on N and k, however the sum is grouped.  Raises
-    ValueError when the tail needs N > _ZETA_MAX_TERMS (about tol < 10^-13
+    InputError when the tail needs N > _ZETA_MAX_TERMS (about tol < 10^-13
     at s = 3).
     """
     if s < 2:
         raise ValueError("s must be an integer >= 2")
     tol = Fraction(tol)
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise InputError("tol must be positive")
     # choose N so the integral tail 1/((s-1) N^(s-1)) is below tol/2, then
     # the least scale 2^k >= 2 (N + 1) / tol, so that the N-1 rounding errors
     # stay below tol/2
@@ -246,7 +246,7 @@ def zeta_minus_one(s: int, tol=DEFAULT_TOL) -> CertifiedValue:
     while 2 * tol.denominator >= tol.numerator * (s - 1) * N ** (s - 1):
         N = max(N + 1, N * 13 // 10)
         if N > _ZETA_MAX_TERMS:
-            raise ValueError(f"tol too small: zeta({s}) needs more than {_ZETA_MAX_TERMS} terms")
+            raise InputError(f"tol too small: zeta({s}) needs more than {_ZETA_MAX_TERMS} terms")
     x = 2 * (N + 1) / tol
     k = max(1, (-(-x.numerator // x.denominator) - 1).bit_length())
     scale = 1 << k
@@ -318,13 +318,13 @@ def delaunay_mass(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
 
     Truncates at the smallest K whose geometric tail sum is below tol/2;
     the dropped factors multiply the finite product by something in
-    [1 - tail, 1].  Raises ValueError for tol below 10^-100.
+    [1 - tail, 1].  Raises InputError for tol below 10^-100.
     """
     tol = Fraction(tol)
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise InputError("tol must be positive")
     if tol < _MIN_TOL:
-        raise ValueError("tol must be at least 10^-100")
+        raise InputError("tol must be at least 10^-100")
 
     def tail_sum(k: int) -> Fraction:
         # sum_{i>k} p^-(2i-1), a geometric series
@@ -389,9 +389,9 @@ class DensityBoundReport:
 
 
 def density_report(p: int, tol=DEFAULT_TOL) -> DensityBoundReport:
-    """Every quantity `theory` prints at p; ValueError for p > _MAX_REPORT_P."""
+    """Every quantity `theory` prints at p; InputError for p > _MAX_REPORT_P."""
     if p > _MAX_REPORT_P:
-        raise ValueError(f"p must be at most {_MAX_REPORT_P}: the exact bounds at larger p "
+        raise InputError(f"p must be at most {_MAX_REPORT_P}: the exact bounds at larger p "
                          f"have more than 4300 digits")
     d_p, d_p_prime = frak_d_p(p, tol), frak_d_p_prime(p)
     return DensityBoundReport(

@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 
-from .arith import factorize, is_prime, require_odd_prime
+from .arith import InputError, factorize, is_prime, require_odd_prime
 from .curves import WeierstrassModel, compute_invariants, format_rational
 
 __all__ = [
@@ -224,7 +224,7 @@ _P_BOUND = 1 << 16
 def _require_point_count_prime(p: int) -> None:
     require_odd_prime(p)
     if p >= _P_BOUND:
-        raise ValueError("p must be below 2^16, the point-count range")
+        raise InputError("p must be below 2^16, the point-count range")
 
 
 @dataclass(frozen=True)

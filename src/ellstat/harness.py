@@ -42,7 +42,7 @@ from math import gcd, inf, prod, sqrt
 from typing import NoReturn
 
 from . import __version__
-from .arith import (_SMALL_BOUND, FactorBudgetExceeded, _may_be_kth_power, _primorial,
+from .arith import (_SMALL_BOUND, FactorBudgetExceeded, InputError, _may_be_kth_power, _primorial,
                     factorize, iroot, is_prime, require_odd_prime, valuation)
 from .curves import Invariants, SingularCurveError, WeierstrassModel, _box, compute_invariants
 from .density import CertifiedValue, rho, rho_Instar_ge1
@@ -280,19 +280,19 @@ class SampleSpec:
 
     def __post_init__(self):
         if not 1 <= self.height <= 10**6:
-            raise ValueError("height must lie in [1, 10^6]")
+            raise InputError("height must lie in [1, 10^6]")
         _require_point_count_prime(self.p)
         if not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must be a 64-bit integer")
+            raise InputError("seed must be a 64-bit integer")
         if self.chunk_size < 1:
-            raise ValueError("chunk size must be positive")
+            raise InputError("chunk size must be positive")
         if not 0 < self.z < inf:
-            raise ValueError("z must be positive and finite")
+            raise InputError("z must be positive and finite")
         if self.exhaustive:
             if exhaustive_box_size(self.height) > 10**7:
-                raise ValueError("exhaustive box exceeds 10^7 tuples")
+                raise InputError("exhaustive box exceeds 10^7 tuples")
         elif self.count < 1:
-            raise ValueError("sample count must be positive")
+            raise InputError("sample count must be positive")
 
     @property
     def total(self) -> int:
@@ -660,7 +660,7 @@ def kodaira_frequency(spec: SampleSpec, ell: int, threads: int = 1) -> KodairaFr
     row.
     """
     if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
+        raise InputError(f"{ell} is not prime")
     counts = _run_chunks(spec, partial(_kodaira_chunk, spec, ell), threads)
     entries = []
     for label in sorted(counts):

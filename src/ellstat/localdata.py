@@ -55,7 +55,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .arith import factorize, is_prime, legendre, primes_up_to, require_odd_prime, valuation
+from .arith import (InputError, factorize, is_prime, legendre, primes_up_to, require_odd_prime,
+                    valuation)
 from .curves import (
     Invariants,
     SingularCurveError,
@@ -311,7 +312,7 @@ def _tate_run(model: WeierstrassModel, ell: int,
 def local_minimal_model(model: WeierstrassModel, ell: int) -> tuple[WeierstrassModel, LocalData]:
     """An ell-minimal model (translated/rescaled) together with its LocalData."""
     if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
+        raise InputError(f"{ell} is not prime")
     return _tate_run(model, ell)
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from itertools import filterfalse
 from math import isqrt
 
+from .arith import InputError
+
 __all__ = [
     "BinaryQuadraticForm",
     "FormClassSet",
@@ -108,14 +110,14 @@ def hurwitz_class_number(disc: int) -> FormClassSet:
     0 <= b <= sqrt(|D|/3) with b = D mod 2, every divisor a of
     m = (b^2 - D)/4 with max(b, 1) <= a <= sqrt(m) gives (a, b, m/a), and
     (a, -b, m/a) too off the boundary 0 < b < a < c.  The forms come out
-    sorted by (a, b).  Raises ValueError for |D| > _MAX_DISC.
+    sorted by (a, b).  Raises InputError for |D| > _MAX_DISC.
     """
     if disc >= 0:
-        raise ValueError("discriminant must be negative")
+        raise InputError("discriminant must be negative")
     if disc % 4 not in (0, 1):
-        raise ValueError("discriminant must be 0 or 1 mod 4")
+        raise InputError("discriminant must be 0 or 1 mod 4")
     if -disc > _MAX_DISC:
-        raise ValueError(f"|discriminant| must be at most {_MAX_DISC}")
+        raise InputError(f"|discriminant| must be at most {_MAX_DISC}")
     reps = []
     for b in range(disc % 2, isqrt(-disc // 3) + 1, 2):
         m = (b * b - disc) // 4

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+import ellstat
 from ellstat import arith
 from ellstat.arith import (
     FactorBudgetExceeded,
+    InputError,
     _may_be_kth_power,
     _pollard_brent,
     _power_residue_tables,
@@ -82,6 +84,28 @@ def test_valuation_rejects_base_below_2(p):
     # 1 and -1 divide everything, so the division loop would never end
     with pytest.raises(ValueError):
         valuation(8, p)
+
+
+@pytest.mark.parametrize("limit", [1, 0, -5])
+def test_sieve_below_two_is_empty(limit):
+    assert sieve_primes(limit) == []
+
+
+@pytest.mark.parametrize("n, k", [(-1, 2), (8, 0)])
+def test_iroot_rejects_negative_n_and_k_below_1(n, k):
+    with pytest.raises(ValueError):
+        iroot(n, k)
+
+
+@pytest.mark.parametrize("p", [2, 9, 1, -3])
+def test_require_odd_prime_raises_input_error(p):
+    with pytest.raises(InputError, match=f"^p must be an odd prime, got {p}$"):
+        require_odd_prime(p)
+
+
+def test_input_error_is_a_value_error_exported_by_the_package():
+    assert issubclass(InputError, ValueError)
+    assert ellstat.InputError is InputError
 
 
 def test_valuation_and_iroot():

@@ -347,3 +347,128 @@ def test_env_threads_used_when_flag_absent(capsys, monkeypatch):
     monkeypatch.setenv("ELLSTAT_THREADS", "2")
     assert run_cli(capsys, *SMALL_RUN) == (code, serial, "")
 
+
+
+def test_zywina_skips_t_zero(capsys):
+    # j2 has a pole at t = 0, so the range -1..1 gives two curves
+    code, out, _ = run_cli(
+        capsys, "families", "--family", "zywina", "--range=-1..1", "--format", "json"
+    )
+    assert code == 0
+    assert [c["t"] for c in json.loads(out)["curves"]] == ["-1", "1"]
+
+
+# (argv, stderr) of invalid invocations, one or more for each exit-2 branch
+# of each command; each exits 2 with nothing on stdout
+INVALID = [
+    ("local --curve 0,0,0,0,0",
+     "error: singular: singular model has no bad-prime set\n"),
+    ("local --curve 0,0,0,0,0 --prime 5",
+     "error: singular: Tate's algorithm needs a nonsingular curve\n"),
+    ("local --curve 1,2",
+     "error: bad curve spec: expected 5 comma-separated integers, got '1,2'\n"),
+    ("local --curve=1,0,1,-141,624 --prime 4",
+     "error: 4 is not prime\n"),
+    ("local --curve 0,0,0,0,0 --prime 4",
+     "error: 4 is not prime\n"),
+    ("theory --p 9",
+     "error: p must be an odd prime, got 9\n"),
+    ("theory --p 14197",
+     "error: p must be at most 14177: the exact bounds at larger p have more than 4300 digits\n"),
+    ("theory --p 3 --tol 0",
+     "error: tol must be positive\n"),
+    ("theory --p 3 --tol 1/0",
+     "error: bad tolerance '1/0'\n"),
+    ("theory --p 3 --tol 1e-20",
+     "error: tol too small: zeta(3) needs more than 4194304 terms\n"),
+    ("theory --p 10007 --tol 1e-400",
+     "error: tol must be at least 10^-100\n"),
+    ("census --p 15 --with-d",
+     "error: p must be an odd prime, got 15\n"),
+    ("census --p 65537",
+     "error: p must be below 2^16, the point-count range\n"),
+    ("hurwitz --disc 5",
+     "error: discriminant must be negative\n"),
+    ("hurwitz --disc -5",
+     "error: discriminant must be 0 or 1 mod 4\n"),
+    ("hurwitz --disc -1000000003",
+     "error: |discriminant| must be at most 1000000000\n"),
+    ("empirical --p 3 --height 10",
+     "error: sample count must be positive\n"),
+    ("empirical --p 65537 --height 10 --samples 50",
+     "error: p must be below 2^16, the point-count range\n"),
+    ("empirical --p 3 --height 0 --samples 5",
+     "error: height must lie in [1, 10^6]\n"),
+    ("empirical --p 3 --height 10 --samples 50 --seed -1",
+     "error: seed must be a 64-bit integer\n"),
+    ("empirical --p 3 --height 10 --samples 50 --chunk-size 0",
+     "error: chunk size must be positive\n"),
+    ("empirical --p 3 --height 10 --samples 50 --z=nan",
+     "error: z must be positive and finite\n"),
+    ("empirical --p 3 --height 100 --exhaustive",
+     "error: exhaustive box exceeds 10^7 tuples\n"),
+    ("empirical --p 3 --height 10 --samples 50 --threads 0",
+     "error: worker count must be a positive integer, got 0\n"),
+    ("empirical --p 3 --height 10 --samples 50 --kodaira-at 4",
+     "error: 4 is not prime\n"),
+    ("empirical --p 3 --height 10 --samples 50 --kodaira-at 4 --threads 0",
+     "error: worker count must be a positive integer, got 0\n"),
+    ("families --family twist --range 1..5",
+     "error: --family twist needs --base\n"),
+    ("families --family twist --base 1,2 --range 1..2",
+     "error: bad curve spec: expected 5 comma-separated integers, got '1,2'\n"),
+]
+
+
+@pytest.mark.parametrize("argv, err", INVALID, ids=[argv for argv, _ in INVALID])
+def test_invalid_input_stderr_pinned(capsys, argv, err):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("local --curve=1,0,1,-141,624", "error: discriminant not factored within budget\n"),
+    ("families --family zywina --range 1..2 --min-search 1",
+     "error: discriminant not factored within budget\n"),
+    ("families --family twist --base=1,0,1,-141,624 --range 2..3",
+     "error: twist parameter 2 not factored within budget\n"),
+])
+def test_unfactored_discriminant_stderr_pinned(capsys, monkeypatch, argv, err):
+    def give_up(n, **kwargs):
+        raise FactorBudgetExceeded(f"no factor of {n} within budget")
+
+    monkeypatch.setattr("ellstat.localdata.factorize", give_up)
+    monkeypatch.setattr("ellstat.curves.factorize", give_up)
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("call, argv", [
+    ("density_report", ["theory", "--p", "3"]),
+    ("census_torsion_classes", ["census", "--p", "7"]),
+    ("hurwitz_class_number", ["hurwitz", "--disc", "-7"]),
+    ("estimate", SMALL_RUN),
+    ("tate", ["local", "--curve=1,0,1,-141,624", "--prime", "5"]),
+])
+def test_internal_value_error_exits_1(capsys, monkeypatch, call, argv):
+    # only an InputError is the caller's fault; any other ValueError raised
+    # inside the library is a fault of the program
+    def fault(*args, **kwargs):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(f"ellstat.cli.{call}", fault)
+    assert run_cli(capsys, *argv) == (1, "", "internal error: injected fault\n")
+
+
+def test_broken_pipe_exits_0(capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["hurwitz", "--disc", "-7"]) == 0
+    assert capsys.readouterr().err == ""

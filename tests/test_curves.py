@@ -171,6 +171,17 @@ def test_quadratic_twist_rejects_bad_d():
         quadratic_twist(E1, 12)
 
 
+def test_is_singular_property():
+    assert WeierstrassModel(0, 0, 0, 0, 0).is_singular
+    assert not E1.is_singular
+
+
+@pytest.mark.parametrize("x", [0, -1])
+def test_height_lt_rejects_cutoff_below_1(x):
+    with pytest.raises(ValueError):
+        height_lt(E1, x)
+
+
 def test_zywina_values():
     assert zywina_j2(Fraction(3)) == 0
     assert zywina_j2(Fraction(-1)) == 0

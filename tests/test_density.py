@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellstat.arith import iroot
+from ellstat.arith import InputError, iroot
 
 from ellstat.kodaira import KodairaType
 from ellstat.density import (
@@ -51,6 +51,12 @@ def test_interval_comparison_only_when_disjoint():
     c = CertifiedValue(Fraction(1, 5), Fraction(3, 5))
     with pytest.raises(AmbiguousIntervalComparison):
         a < c  # noqa: B015 - the comparison itself is the assertion
+
+
+def test_interval_comparison_false_when_above():
+    a = CertifiedValue(Fraction(0), Fraction(1, 4))
+    b = CertifiedValue(Fraction(1, 2), Fraction(3, 4))
+    assert not b < a and not a > b
 
 
 def test_rho_table_values():
@@ -325,3 +331,22 @@ def test_odd_composites_rejected(p):
     for fn in (frak_d_p, frak_d_p_prime, main_bound, density_report):
         with pytest.raises(ValueError):
             fn(p)
+
+
+def test_rho_M_In_ge_rejects_m_below_1():
+    with pytest.raises(ValueError):
+        rho_M_In_ge(0, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: zeta_minus_one(3, 0), "tol must be positive"),
+    (lambda: zeta_minus_one(3, Fraction(1, 10**20)), "tol too small"),
+    (lambda: delaunay_mass(3, 0), "tol must be positive"),
+    (lambda: delaunay_mass(3, Fraction(-1)), "tol must be positive"),
+    (lambda: delaunay_mass(10007, Fraction(1, 10**101)), "tol must be at least 10"),
+    (lambda: density_report(14197), "p must be at most 14177"),
+    (lambda: density_report(9), "p must be an odd prime"),
+])
+def test_argument_checks_raise_input_error(call, message):
+    with pytest.raises(InputError, match=message):
+        call()

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from ellstat.arith import primes_up_to
+from ellstat.arith import InputError, primes_up_to
 from ellstat.curves import WeierstrassModel, compute_invariants
 from ellstat.finitefield import (
     _LADDER_FROM,
     BadReductionError,
+    CensusResult,
     ReducedCurve,
     _census,
     _chi_table,
@@ -241,6 +242,17 @@ def test_census_rejects_out_of_range():
         census_torsion_classes(2)
     with pytest.raises(ValueError):
         census_torsion_classes(65537)
+
+
+@pytest.mark.parametrize("call", [census_torsion_classes, d_count])
+@pytest.mark.parametrize("p", [2, 9, 65537])
+def test_point_count_range_raises_input_error(call, p):
+    with pytest.raises(InputError):
+        call(p)
+
+
+def test_census_without_d_has_no_d_over_p5():
+    assert CensusResult(7, 2).d_over_p5 is None
 
 
 def test_census_orbit_partition():

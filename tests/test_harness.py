@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellstat.arith import valuation
+from ellstat.arith import InputError, valuation
 from ellstat.curves import WeierstrassModel, compute_invariants, height_key, height_lt
 from ellstat.density import CertifiedValue, sp_doubleprime_density
 from ellstat.finitefield import reduce_model, group_order
@@ -101,6 +101,42 @@ def test_spec_validation():
     for z in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             SampleSpec(height=10, p=3, count=5, z=z)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(height=0, count=10), "height"),
+    (dict(height=10**6 + 1, count=5), "height"),
+    (dict(height=10, p=4, count=10), "odd prime"),
+    (dict(height=10, p=65537, count=10), "point-count range"),
+    (dict(height=10, count=5, seed=-1), "seed"),
+    (dict(height=10, count=5, seed=1 << 64), "seed"),
+    (dict(height=10, count=5, chunk_size=0), "chunk size"),
+    (dict(height=10, count=5, z=math.nan), "z must"),
+    (dict(height=3, exhaustive=True), "exhaustive box"),
+    (dict(height=10, count=0), "sample count"),
+])
+def test_spec_checks_raise_input_error(fields, message):
+    with pytest.raises(InputError, match=message):
+        SampleSpec(**{"p": 3, **fields})
+
+
+@pytest.mark.parametrize("height", [0, -1])
+def test_sample_tuple_needs_height_at_least_1(height):
+    with pytest.raises(ValueError):
+        sample_tuple(random.Random(0), height)
+
+
+@pytest.mark.parametrize("ell", [4, 1, 0])
+def test_kodaira_frequency_composite_ell_raises_input_error(ell):
+    with pytest.raises(InputError, match=f"^{ell} is not prime$"):
+        kodaira_frequency(SampleSpec(height=10, p=3, count=5), ell)
+
+
+def test_report_row_of_unknown_flag_raises_key_error():
+    rep = estimate(SampleSpec(height=10, p=3, count=20))
+    assert rep.row("bad_at_p").flag == "bad_at_p"
+    with pytest.raises(KeyError):
+        rep.row("no_such_flag")
 
 
 def test_classify_singular():

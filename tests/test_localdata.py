@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from ellstat.arith import factorize, primes_up_to, valuation
+from ellstat.arith import InputError, factorize, primes_up_to, valuation
 from ellstat.curves import SingularCurveError, WeierstrassModel, compute_invariants, transform
 from ellstat.kodaira import KodairaType, parse_kodaira
 from ellstat.localdata import (
     LocalData,
+    LocalTorsionRank,
     _I_n,
     _I_n_star,
     _tate_run,
@@ -59,6 +60,17 @@ def test_kodaira_labels_round_trip():
         KodairaType("V")
 
 
+@pytest.mark.parametrize("kind", ["I0", "II", "I0*"])
+def test_kodaira_kind_without_index_refuses_one(kind):
+    with pytest.raises(ValueError, match="carries no index"):
+        KodairaType(kind, 1)
+
+
+def test_kodaira_str_is_its_label():
+    assert str(KodairaType("In", 3)) == "In:3"
+    assert str(KodairaType("I0*")) == "I*0"
+
+
 # --- paper anchor curves
 
 
@@ -90,6 +102,14 @@ def test_singular_input_rejected():
         conductor(WeierstrassModel(0, 0, 0, 0, 0))
     with pytest.raises(ValueError):
         tate(E1, 6)
+
+
+@pytest.mark.parametrize("ell", [6, 1, 0, -3])
+def test_composite_ell_raises_input_error(ell):
+    with pytest.raises(InputError, match=f"^{ell} is not prime$"):
+        tate(E1, ell)
+    with pytest.raises(InputError):
+        local_minimal_model(WeierstrassModel(0, 0, 0, 0, 0), ell)
 
 
 KNOWN_CONDUCTORS = [
@@ -340,6 +360,18 @@ def test_local_torsion_rank_requires_multiplicative():
         local_torsion_rank_mult(E1, 71, 3)  # additive at 71
     with pytest.raises(ValueError):
         local_torsion_rank_mult(E1, 2, 2)
+
+
+def test_local_torsion_rank_needs_p_other_than_ell():
+    # 11a1 is split multiplicative at 11, so only p = ell is wrong here
+    with pytest.raises(ValueError, match="different from ell"):
+        local_torsion_rank_mult(WeierstrassModel(0, -1, 1, -10, -20), 11, 11)
+
+
+@pytest.mark.parametrize("rank, rank_nr", [(-1, 0), (2, 1), (3, 3)])
+def test_local_torsion_rank_bounds(rank, rank_nr):
+    with pytest.raises(ValueError):
+        LocalTorsionRank(11, rank, rank_nr)
 
 
 def test_local_torsion_ranks_match_hensel_oracle():

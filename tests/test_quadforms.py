@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ellstat.arith import InputError
 from ellstat.quadforms import (
     BinaryQuadraticForm,
     apply_sl2,
@@ -62,6 +63,14 @@ def test_reduce_examples():
     assert reduce_form(BinaryQuadraticForm(3, 3, 3)) == BinaryQuadraticForm(3, 3, 3)
     with pytest.raises(ValueError):
         reduce_form(BinaryQuadraticForm(1, 5, 1))  # positive discriminant
+    with pytest.raises(ValueError, match="a > 0"):
+        reduce_form(BinaryQuadraticForm(-1, 0, -1))  # negative definite
+
+
+@pytest.mark.parametrize("form", [(2, 3, 5), (2, -2, 5), (3, 0, 2)])
+def test_unreduced_forms_are_not_reduced(form):
+    # b > a, b = -a, and a > c
+    assert not BinaryQuadraticForm(*form).is_reduced
 
 
 def test_reduce_idempotent_and_orbit_sound():
@@ -93,6 +102,12 @@ def test_hurwitz_rejects_bad_discriminants():
     for disc in (0, 4, -5, -6, -1):
         with pytest.raises(ValueError):
             hurwitz_class_number(disc)
+
+
+@pytest.mark.parametrize("disc", [0, 4, -5, -1000000003])
+def test_hurwitz_argument_checks_raise_input_error(disc):
+    with pytest.raises(InputError):
+        hurwitz_class_number(disc)
 
 
 def test_hurwitz_representatives_are_distinct_reduced():
