@@ -43,6 +43,13 @@ CASES = {
     "kodaira-wilson-csv": KODAIRA + ["--wilson"],
     "kodaira-ell3-json": ["empirical", "--p", "5", "--height", "200", "--samples", "1000",
                           "--seed", "2", "--kodaira-at", "3", "--format", "json"],
+    "kodaira-ell5-csv": ["empirical", "--p", "3", "--height", "1000", "--samples", "3000",
+                         "--seed", "17", "--chunk-size", "1000", "--kodaira-at", "5"],
+    "kodaira-ell7-json": ["empirical", "--p", "3", "--height", "1000", "--samples", "3000",
+                          "--seed", "19", "--chunk-size", "1000", "--kodaira-at", "7",
+                          "--format", "json"],
+    "kodaira-h2-exhaustive-csv": ["empirical", "--p", "3", "--height", "2", "--exhaustive",
+                                  "--kodaira-at", "2", "--threads", "2"],
     "local-text": ["local", E1],
     "local-json": ["local", E1, "--format", "json"],
     "local-additive-text": ["local", E2],
@@ -83,6 +90,9 @@ GOLDEN = {
     "kodaira-json": (0, "6b06a5ee96d9584c179f80ef93e5042c12e57acbac8cf7ecb29e175078747d88"),
     "kodaira-wilson-csv": (0, "d59d08a94749292ce8ff037dd55ecd13d50841e9602884536ab727cfacb385f9"),
     "kodaira-ell3-json": (0, "a312aa603c35092cd2db6f75b5f3a7a38fe2de8ba73360022b6896352813172d"),
+    "kodaira-ell5-csv": (0, "c2a794af2ee20cdb5a2d52dce86852c51125185b2a2ae759aaffb78714b47f7b"),
+    "kodaira-ell7-json": (0, "8d8824eb98f7a3540e18cebd697c4189a1ae4a7de5b1e793ac96ec387f72964c"),
+    "kodaira-h2-exhaustive-csv": (0, "c75dace20b857d09c201dbfe4c3a479b5f39e3baea1e1c5cb15c08a4236acd58"),
     "local-text": (0, "f2eea18f503aa33d1c8e8c052134842e68e8f58f1b2b80f59464d05184e41e84"),
     "local-json": (0, "8a4e8edc772fae575ca379cff22493c368f7808472fff19f7ee92a4af93e4bf1"),
     "local-additive-text": (0, "370afca4b795f1a4ee90e7e4169e63a9ce66ea3f5ebc2c9573d80266f4d54b65"),
