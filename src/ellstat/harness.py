@@ -23,6 +23,17 @@ power; that has probability < 2^-30 per sample and is treated as absent.
 Samples that genuinely need a factorisation that exceeds its budget land in
 an explicit "unclassified" bucket; a run is valid while that bucket stays
 under 0.1%.
+
+Kodaira types at a fixed ell (kodaira_frequency) skip Tate's algorithm on
+most draws of good reduction.  Delta is a polynomial in a1, ..., a6 with
+integer coefficients, so whether ell | Delta depends only on the five
+residues a_i mod ell; where it does not, the model is ell-minimal with good
+reduction, type I0.  For ell <= 5 a table of ell^5 flags, built once per
+ell from compute_invariants of the residue tuples (3125 entries in about
+7 ms at ell = 5, 2 cores, Python 3.11), answers that from the residues
+alone, before any invariant is computed: half the draws at ell = 2, two
+thirds at 3 and four fifths at 5.  Every other draw, and every draw at a
+larger ell, gets a Tate run.
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ from .curves import Invariants, SingularCurveError, WeierstrassModel, _box, comp
 from .density import CertifiedValue, rho, rho_Instar_ge1
 from .finitefield import _p_divides_order, _require_point_count_prime
 from .kodaira import parse_kodaira
-from .localdata import _good_invariants, _split_multiplicative, _tate_run, tate
+from .localdata import _I0, _good_invariants, _split_multiplicative, _tate_run
 
 __all__ = [
     "SampleSpec",
@@ -335,17 +346,61 @@ def _count_chunk(spec: SampleSpec, index: int) -> dict[str, int]:
     return dict(zip(_FLAG_ORDER, (singular, bad, tam, anom, uncl)))
 
 
+# the largest ell with a good-reduction table.  A table has ell^5 entries:
+# the 3125 of ell = 5 take about 7 ms to build (2 cores, Python 3.11), the
+# 16807 of ell = 7 would take 37 ms, more than a short run spends on Tate.
+_GOOD_TABLE_MAX_ELL = 5
+_GOOD_TABLES: dict[int, bytes] = {}
+
+
+def _good_table(ell: int) -> bytes | None:
+    """For ell <= _GOOD_TABLE_MAX_ELL, one flag per residue tuple (a_i mod
+    ell), packed as (((a1 ell + a2) ell + a3) ell + a4) ell + a6: is ell
+    prime to Delta?  None for a larger ell.  Built once per ell from
+    compute_invariants of the residue tuples themselves, in the order of
+    itertools.product, which is that packing."""
+    if ell > _GOOD_TABLE_MAX_ELL:
+        return None
+    table = _GOOD_TABLES.get(ell)
+    if table is None:
+        table = _GOOD_TABLES[ell] = bytes(
+            compute_invariants(a).delta % ell != 0 for a in product(range(ell), repeat=5))
+    return table
+
+
 def _kodaira_chunk(spec: SampleSpec, ell: int, index: int) -> dict[str, int]:
+    """Kodaira label -> count over the models of one chunk, "singular" for
+    a singular model; ell is prime.
+
+    Delta is a polynomial in a1, ..., a6 with integer coefficients, so
+    whether ell | Delta depends only on the a_i mod ell.  For ell <= 5
+    (_good_table), a model whose residues the table flags has ell prime to
+    Delta: it is ell-minimal with good reduction, type I0, and is counted
+    without computing an invariant.  Every other model, and every model at
+    a larger ell, gets a Tate run.  Flagged models are not all the I0 ones:
+    a non-minimal model with ell | Delta can have good reduction too, and
+    its Tate run says so.
+    """
+    good = _good_table(ell)
     out: dict[str, int] = {}
+    i0 = 0
     for model in _iter_chunk(spec, index):
-        # tate computes the invariants once and raises on a singular model;
-        # its types are shared and keep their labels, so a label is computed
-        # once per type, not once per model
+        if good is not None:
+            a1, a2, a3, a4, a6 = model
+            if good[(((a1 % ell * ell + a2 % ell) * ell + a3 % ell) * ell + a4 % ell) * ell
+                    + a6 % ell]:
+                i0 += 1
+                continue
+        # a Tate run computes the invariants once and raises on a singular
+        # model; its types are shared and keep their labels, so a label is
+        # computed once per type, not once per model
         try:
-            key = tate(model, ell).kodaira.label
+            key = _tate_run(model, ell)[1].kodaira.label
         except SingularCurveError:
             key = "singular"
         out[key] = out.get(key, 0) + 1
+    if i0:
+        out[_I0.label] = out.get(_I0.label, 0) + i0
     return out
 
 
@@ -661,6 +716,8 @@ def kodaira_frequency(spec: SampleSpec, ell: int, threads: int = 1) -> KodairaFr
     """
     if not is_prime(ell):
         raise InputError(f"{ell} is not prime")
+    # built here, so that forked workers inherit it
+    _good_table(ell)
     counts = _run_chunks(spec, partial(_kodaira_chunk, spec, ell), threads)
     entries = []
     for label in sorted(counts):

@@ -7,8 +7,11 @@ from reducing every form in a box, reduced forms from filtering one box by
 the reduction inequalities, heights are compared by cross-powering, local
 p-torsion ranks come from Hensel-lifting roots of the p-division
 polynomial to precision ell^40, and height-box draws from one randrange
-call per coefficient.  The torsion oracle is one-sided by construction: it
-can only declare "no torsion" when no root survives at full precision.
+call per coefficient.  Discriminants and good reduction come from the
+b-invariant formulas written out here and from searching every u = ell
+change of variables for an integral model.  The torsion oracle is one-sided
+by construction: it can only declare "no torsion" when no root survives at
+full precision.
 
 The one exception is prime_scan_rows_by_prime, the earlier per-prime loop
 of prime_scan kept as it was.  It shares the library's per-prime rules and
@@ -179,6 +182,53 @@ def sample_tuple_by_randrange(rng, height: int) -> WeierstrassModel:
         rng.randrange(1 - h4, h4),
         rng.randrange(1 - h6, h6),
     )
+
+
+def c4_and_discriminant(a) -> tuple[int, int]:
+    """(c4, Delta) of the tuple (a1, a2, a3, a4, a6), from the b-invariants."""
+    a1, a2, a3, a4, a6 = a
+    b2 = a1 * a1 + 4 * a2
+    b4 = a1 * a3 + 2 * a4
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return b2 * b2 - 24 * b4, -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+
+def scaled_down(a, ell: int) -> tuple[int, ...] | None:
+    """An integral model a' that the change of variables x = ell^2 x' + r,
+    y = ell^3 y' + s ell^2 x' + t takes a to, or None if there is none.
+
+    Two such (r, s, t) differ by an integral change of variables of a', so
+    searching r mod ell^2, s mod ell and t mod ell^3 finds one if any exists
+    (Silverman, III.1, table 3.1).
+    """
+    a1, a2, a3, a4, a6 = a
+    powers = [ell**w for w in (1, 2, 3, 4, 6)]
+    for r in range(ell**2):
+        for s in range(ell):
+            for t in range(ell**3):
+                new = (
+                    a1 + 2 * s,
+                    a2 - s * a1 + 3 * r - s * s,
+                    a3 + r * a1 + 2 * t,
+                    a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+                    a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+                )
+                if all(n % q == 0 for n, q in zip(new, powers)):
+                    return tuple(n // q for n, q in zip(new, powers))
+    return None
+
+
+def good_after_minimising(a, ell: int) -> bool:
+    """Has the nonsingular tuple a good reduction at ell?  a is scaled down
+    by u = ell while an integral model exists, which needs ell^4 | c4 and
+    ell^12 | Delta; good reduction means ell does not divide the
+    discriminant of the model reached."""
+    while True:
+        c4, delta = c4_and_discriminant(a)
+        if c4 % ell**4 or delta % ell**12 or (b := scaled_down(a, ell)) is None:
+            return delta % ell != 0
+        a = b
 
 
 def height_less_by_crosspower(ai: int, i: int, bj: int, j: int) -> bool:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -10,15 +11,18 @@ from fractions import Fraction
 import pytest
 
 from ellstat.arith import InputError, valuation
-from ellstat.curves import WeierstrassModel, compute_invariants, height_key, height_lt
+from ellstat.curves import (SingularCurveError, WeierstrassModel, compute_invariants, height_key,
+                            height_lt)
 from ellstat.density import CertifiedValue, sp_doubleprime_density
 from ellstat.finitefield import reduce_model, group_order
 from ellstat.harness import (
     _BLOCK,
+    _GOOD_TABLE_MAX_ELL,
     ClassificationFlags,
     SampleSpec,
     _classify_chunk,
     _chunk_rng,
+    _good_table,
     _iter_chunk,
     _kodaira_chunk,
     _run_chunks,
@@ -30,7 +34,7 @@ from ellstat.harness import (
 )
 from ellstat.localdata import tamagawa_p_divisible, tate
 
-from oracles import sample_tuple_by_randrange
+from oracles import c4_and_discriminant, good_after_minimising, sample_tuple_by_randrange
 
 
 def test_sample_height_one_is_origin():
@@ -594,6 +598,104 @@ def test_kodaira_frequency_at_three_matches_table():
         row = rep.row(label)
         se = math.sqrt(row.theory_lo * (1 - row.theory_lo) / spec.total)
         assert abs(row.proportion - row.theory_lo) < 4.5 * se, label
+
+
+# ---------------------------------------------------------------------------
+# the good-reduction table of --kodaira-at: one flag per residue tuple mod ell
+
+WEIGHTS = (1, 2, 3, 4, 6)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_good_table_flags_ell_prime_to_discriminant(ell):
+    table = _good_table(ell)
+    assert len(table) == ell**5
+    for a in itertools.product(range(ell), repeat=5):
+        a1, a2, a3, a4, a6 = a
+        index = (((a1 * ell + a2) * ell + a3) * ell + a4) * ell + a6
+        assert table[index] == (c4_and_discriminant(a)[1] % ell != 0), a
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_good_table_flags_exactly_the_minimal_i0_lifts(ell):
+    # one seeded lift of every residue tuple into each box: a flagged lift
+    # is ell-minimal of type I0, and an unflagged one (ell | Delta) is
+    # singular, of bad reduction, or of good reduction only on a smaller
+    # model
+    table = _good_table(ell)
+    rng = random.Random(1000 + ell)
+    for height in (10**3, 5 * 10**4, 10**6):
+        for index, residues in enumerate(itertools.product(range(ell), repeat=5)):
+            # a = r + ell k with |a| < H^w
+            lift = WeierstrassModel(*(
+                r + ell * rng.randint(-((height**w - 1 + r) // ell), (height**w - 1 - r) // ell)
+                for r, w in zip(residues, WEIGHTS)))
+            assert all(a % ell == r for a, r in zip(lift, residues))
+            if c4_and_discriminant(lift)[1] == 0:
+                assert not table[index], lift
+                continue
+            data = tate(lift, ell)
+            assert table[index] == (data.kodaira.label == "I0" and data.was_minimal), lift
+
+
+@pytest.mark.parametrize("ell", [7, 11])
+def test_kodaira_chunk_matches_tate_without_table(ell):
+    assert ell > _GOOD_TABLE_MAX_ELL and _good_table(ell) is None
+    for height, seed, index in ((1000, 23, 0), (50000, 24, 1), (2, 31, 3)):
+        spec = SampleSpec(height=height, p=3, count=8000, seed=seed, chunk_size=2000)
+        want = {}
+        for m in _iter_chunk(spec, index):
+            try:
+                key = tate(m, ell).kodaira.label
+            except SingularCurveError:
+                key = "singular"
+            want[key] = want.get(key, 0) + 1
+        assert _kodaira_chunk(spec, ell, index) == want
+
+
+def test_kodaira_frequency_at_large_ell_builds_no_table(monkeypatch):
+    import ellstat.harness as harness
+
+    monkeypatch.setattr(harness, "_GOOD_TABLES", {})
+    rep = kodaira_frequency(SampleSpec(height=1000, p=3, count=10, seed=0), 1000003)
+    assert sum(rep.counts.values()) == 10
+    assert harness._GOOD_TABLES == {}
+    kodaira_frequency(SampleSpec(height=1000, p=3, count=10, seed=0), 5)
+    assert list(harness._GOOD_TABLES) == [5]
+
+
+@pytest.mark.parametrize("height", [1, 2])
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_box_i0_count_from_residue_classes(ell, height):
+    # In the box |a_i| < H^i, coefficient a_i takes N_i = 2 H^i - 1 values,
+    # and floor(N_i / ell) or ceil(N_i / ell) of them lie in each class mod
+    # ell.  The I0 count is the sum, over the classes with ell prime to
+    # Delta, of the product of those five counts, plus the models with
+    # ell | Delta that have good reduction on a smaller model.
+    box = [range(1 - height**w, height**w) for w in WEIGHTS]
+
+    def in_class(values, r):
+        return (values[-1] - r) // ell - (values[0] - 1 - r) // ell
+
+    for values in box:
+        assert all(in_class(values, r) in (len(values) // ell, -(-len(values) // ell))
+                   for r in range(ell))
+    good = sum(math.prod(in_class(values, r) for values, r in zip(box, residues))
+               for residues in itertools.product(range(ell), repeat=5)
+               if c4_and_discriminant(residues)[1] % ell)
+    # a smaller model needs ell^4 | c4, and c4 does not involve a6
+    smaller = 0
+    for head in itertools.product(*box[:4]):
+        if c4_and_discriminant((*head, 0))[0] % ell**4:
+            continue
+        for a6 in box[4]:
+            a = (*head, a6)
+            delta = c4_and_discriminant(a)[1]
+            smaller += delta != 0 and delta % ell == 0 and good_after_minimising(a, ell)
+    # at H = 2 only ell = 2 has such models
+    assert (smaller > 0) == ((height, ell) == (2, 2))
+    rep = kodaira_frequency(SampleSpec(height=height, p=3, exhaustive=True), ell, threads=2)
+    assert rep.counts.get("I0", 0) == good + smaller
 
 
 # ---------------------------------------------------------------------------
