@@ -347,8 +347,8 @@ def _count_chunk(spec: SampleSpec, index: int) -> dict[str, int]:
 
 
 # the largest ell with a good-reduction table.  A table has ell^5 entries:
-# the 3125 of ell = 5 take about 7 ms to build (2 cores, Python 3.11), the
-# 16807 of ell = 7 would take 37 ms, more than a short run spends on Tate.
+# the 3125 of ell = 5 take about 7 ms to build (2 cores, Python 3.11), and
+# the 16807 of ell = 7 would take 37 ms.
 _GOOD_TABLE_MAX_ELL = 5
 _GOOD_TABLES: dict[int, bytes] = {}
 
