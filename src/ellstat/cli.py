@@ -7,9 +7,9 @@ one place that maps errors to them: an `InputError` from the library, a
 line on stderr, any other exception exits 1.  Beyond parsing their own
 arguments, and `families` handling each t, the commands catch nothing.
 
-All randomness flows from --seed; --threads (default: env ELLSTAT_THREADS,
-then 1) is the number of forked worker processes, capped at the chunk and
-CPU counts, and only changes wall time, never output bytes.
+All randomness flows from --seed; --threads (default 1) is the number of
+worker processes, capped at the chunk count and at the CPUs this process
+may run on, and only changes wall time, never output bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from collections.abc import Callable
 from fractions import Fraction
@@ -52,18 +51,6 @@ def _parse_curve(text: str) -> WeierstrassModel:
         return WeierstrassModel.from_string(text)
     except ValueError as exc:
         raise _fail(f"bad curve spec: {exc}")
-
-
-def _worker_count(value: int | None) -> int:
-    """--threads if given, else ELLSTAT_THREADS, else 1; a positive integer."""
-    text = str(value) if value is not None else os.environ.get("ELLSTAT_THREADS") or "1"
-    try:
-        count = int(text) if text.isdecimal() else 0
-    except ValueError:  # more digits than int() converts
-        count = 0
-    if count < 1:
-        raise _fail(f"worker count must be a positive integer, got {text}")
-    return count
 
 
 def _curve_report(model: WeierstrassModel) -> tuple[str, int, list[LocalData]]:
@@ -159,11 +146,10 @@ def cmd_empirical(args) -> int:
         z=args.z,
         wilson=args.wilson,
     )
-    threads = _worker_count(args.threads)
     if args.kodaira_at is not None:
-        rep = kodaira_frequency(spec, args.kodaira_at, threads=threads)
+        rep = kodaira_frequency(spec, args.kodaira_at, threads=args.threads)
     else:
-        rep = estimate(spec, dict(_theory_column(spec.p)), threads=threads)
+        rep = estimate(spec, dict(_theory_column(spec.p)), threads=args.threads)
     if args.format == "json":
         print(rep.to_json())
     else:
@@ -284,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--seed", type=int, default=SampleSpec.seed)
     p.add_argument("--chunk-size", type=int, default=SampleSpec.chunk_size)
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=int, default=1,
                    help="worker processes, at most one per chunk and per CPU "
-                        "(default: ELLSTAT_THREADS, then 1)")
+                        "this process may run on (default: 1)")
     p.add_argument("--z", type=float, default=SampleSpec.z)
     p.add_argument("--wilson", action="store_true")
     p.add_argument("--kodaira-at", type=int, default=None, metavar="ELL",

@@ -412,31 +412,45 @@ def _sum_counts(parts) -> dict[str, int]:
     return counts
 
 
-def _run_chunks(spec: SampleSpec, chunk_fn, workers: int) -> dict[str, int]:
-    """Sum the per-chunk counts chunk_fn(index) over every chunk of spec.
+def _require_threads(threads: int) -> None:
+    if threads < 1:
+        raise InputError(f"worker count must be a positive integer, got {threads}")
 
-    k = min(workers, chunks, os.cpu_count()) processes share the chunks:
-    this one and k - 1 forked children.  k is 1 where os.fork is missing,
-    and at least 1 for any worker count; with k = 1 every chunk runs here
-    and nothing is started.  Sums do not depend on which process ran which
-    chunk, so the result is the same for every worker count.
+
+def _run_chunks(spec: SampleSpec, chunk_fn, threads: int) -> dict[str, int]:
+    """Sum the per-chunk counts chunk_fn(index) over every chunk of spec;
+    threads >= 1.
+
+    The worker plan is decided here and nowhere else.  The CPUs this
+    process may run on are its affinity set, or os.cpu_count() where that
+    set is unknown; a cgroup CPU quota is not seen.  k = min(threads,
+    chunks, CPUs) processes share the chunks: this one and k - 1 forked
+    children.  k is 1 where os.fork is missing, and with k = 1 every chunk
+    runs here and nothing is started.
+
+    The workers are pinned one per CPU of the set exactly when k > 1 is the
+    set's size: every CPU is then busy anyway.  A larger set (several runs
+    at once, or a CPU quota on a large host) would put every run on the
+    same lowest CPUs, where the scheduler could have spread them out.
+
+    Sums do not depend on which process ran which chunk, so the result is
+    the same for every worker count.
     """
     n_chunks = -(-spec.total // spec.chunk_size)
-    k = min(workers, n_chunks, os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    return _sum_counts(_fork_join(chunk_fn, n_chunks, max(k, 1)))
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    k = min(threads, n_chunks, len(cpus) or os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    return _sum_counts(_fork_join(chunk_fn, n_chunks, k, cpus if 1 < k == len(cpus) else []))
 
 
-def _fork_join(chunk_fn, n_chunks: int, k: int) -> list[dict[str, int]]:
+def _fork_join(chunk_fn, n_chunks: int, k: int, cpus: list[int]) -> list[dict[str, int]]:
     """Worker w of k sums chunks w, w + k, w + 2k, ...  Worker 0 is this
     process, so the caches its chunks fill stay here; workers 1 to k - 1 are
     forked children.
 
-    On Linux each worker runs on its own CPU, worker w on the w-th of the
-    calling thread's affinity set, when that set holds exactly k CPUs.
-    Left to itself the scheduler may keep a forked child on its parent's
-    CPU, and two workers then run no faster than one.  This process gets its
-    affinity set back before it reaps.  A smaller or larger set, or no
-    os.sched_setaffinity, leaves every worker unpinned (see _worker_cpus).
+    cpus is empty, or holds one CPU per worker: then worker w runs on
+    cpus[w] (see _pin).  Left to itself the scheduler may keep a forked
+    child on its parent's CPU, and two workers then run no faster than one.
+    This process gets the affinity set cpus back before it reaps.
 
     Each child sends its sum, pickled, through its own pipe.  Every child
     is reaped before this returns or raises; children still running when
@@ -444,7 +458,6 @@ def _fork_join(chunk_fn, n_chunks: int, k: int) -> list[dict[str, int]]:
     are killed first.  A child's exception is re-raised here, and a child
     that ends without a result raises RuntimeError.
     """
-    cpus = _worker_cpus(k)
     children = []  # (pid, read end of its pipe)
     replies: list[bytes] = []
     try:
@@ -484,21 +497,6 @@ def _fork_join(chunk_fn, n_chunks: int, k: int) -> list[dict[str, int]]:
             raise value
         parts.append(value)
     return parts
-
-
-def _worker_cpus(k: int) -> list[int]:
-    """The calling thread's affinity set, sorted, if it holds exactly one
-    CPU for each of k > 1 workers; empty otherwise or where it is unknown.
-
-    Only that case is pinned: every CPU of the set is then busy anyway.  A
-    larger set (several runs at once, or a CPU quota on a large host) would
-    put every run on the same lowest CPUs, where the scheduler could have
-    spread them out.
-    """
-    if k < 2 or not hasattr(os, "sched_setaffinity"):
-        return []
-    cpus = sorted(os.sched_getaffinity(0))
-    return cpus if len(cpus) == k else []
 
 
 def _pin(cpus: list[int]) -> None:
@@ -674,6 +672,7 @@ def estimate(
     and a z-score against its midpoint.  threads is the worker count (see
     _run_chunks); the report depends only on (spec, theory), never on it.
     """
+    _require_threads(threads)
     counts = _run_chunks(spec, partial(_count_chunk, spec), threads)
     theory = theory or {}
     rows = _build_rows(spec, [(flag, counts[flag], theory.get(flag)) for flag in _FLAG_ORDER])
@@ -712,8 +711,9 @@ def kodaira_frequency(spec: SampleSpec, ell: int, threads: int = 1) -> KodairaFr
 
     Individual I_n types are compared with their exact densities; the I_n*
     family only has an aggregate table value, reported on the "I*n:>=1"
-    row.
+    row.  threads is as in estimate, and is checked before ell.
     """
+    _require_threads(threads)
     if not is_prime(ell):
         raise InputError(f"{ell} is not prime")
     # built here, so that forked workers inherit it

@@ -136,6 +136,16 @@ def test_kodaira_frequency_composite_ell_raises_input_error(ell):
         kodaira_frequency(SampleSpec(height=10, p=3, count=5), ell)
 
 
+@pytest.mark.parametrize("threads", [0, -2])
+def test_nonpositive_threads_raise_input_error(threads):
+    spec = SampleSpec(height=10, p=3, count=5)
+    message = f"^worker count must be a positive integer, got {threads}$"
+    with pytest.raises(InputError, match=message):
+        estimate(spec, threads=threads)
+    with pytest.raises(InputError, match=message):
+        kodaira_frequency(spec, 2, threads=threads)
+
+
 def test_report_row_of_unknown_flag_raises_key_error():
     rep = estimate(SampleSpec(height=10, p=3, count=20))
     assert rep.row("bad_at_p").flag == "bad_at_p"
@@ -710,8 +720,15 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _fake_cpus(monkeypatch, cpus: int) -> None:
+    """Make the affinity set read {0, ..., cpus - 1} and pinning do nothing,
+    so that workers are planned as on that many CPUs but none is moved."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+
+
 def _count_forks(monkeypatch, cpus: int) -> list[int]:
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    _fake_cpus(monkeypatch, cpus)
     forks: list[int] = []
     real_fork = os.fork
 
@@ -752,7 +769,7 @@ def test_run_chunks_one_worker_runs_in_process(monkeypatch):
 
 
 def test_run_chunks_without_fork_runs_in_process(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _fake_cpus(monkeypatch, 4)
     monkeypatch.delattr(os, "fork", raising=False)
     parent = os.getpid()
     assert _run_chunks(EIGHT_CHUNKS, lambda i: {"here": os.getpid() == parent}, 4) == {"here": 8}
@@ -760,7 +777,7 @@ def test_run_chunks_without_fork_runs_in_process(monkeypatch):
 
 @needs_fork
 def test_run_chunks_reraises_child_exception(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _fake_cpus(monkeypatch, 2)
     parent = os.getpid()
 
     def chunk(i):
@@ -776,7 +793,7 @@ def test_run_chunks_reraises_child_exception(monkeypatch):
 
 @needs_fork
 def test_run_chunks_own_exception_kills_children(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _fake_cpus(monkeypatch, 2)
     parent = os.getpid()
 
     def chunk(i):
@@ -793,7 +810,7 @@ def test_run_chunks_own_exception_kills_children(monkeypatch):
 
 @needs_fork
 def test_run_chunks_child_without_result_raises(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _fake_cpus(monkeypatch, 2)
     parent = os.getpid()
 
     def leave(how):
@@ -845,8 +862,7 @@ def test_run_chunks_pins_each_worker_to_its_own_cpu(two_cpus):
 
 @needs_affinity
 @needs_fork
-def test_run_chunks_restores_affinity(monkeypatch, two_cpus):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_run_chunks_restores_affinity(two_cpus):
     parent = os.getpid()
 
     def raise_in(in_parent):
@@ -869,8 +885,8 @@ def test_run_chunks_restores_affinity(monkeypatch, two_cpus):
 @needs_fork
 @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}], ids=["one-cpu", "three-cpus"])
 def test_run_chunks_other_set_sizes_are_left_unpinned(monkeypatch, cpus):
-    # two workers on an affinity set of one CPU, or of more CPUs than
-    # workers: neither process is pinned
+    # two workers asked for on an affinity set of one CPU, which runs one
+    # worker, or of more CPUs than workers: no process is pinned
     monkeypatch.setattr(os, "cpu_count", lambda: len(cpus) + 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     calls = []
@@ -883,8 +899,29 @@ def test_run_chunks_other_set_sizes_are_left_unpinned(monkeypatch, cpus):
 
 @needs_affinity
 @needs_fork
+@pytest.mark.parametrize("cpus, forked", [({0, 1, 2}, 2), ({0}, 0)], ids=["three-cpus", "one-cpu"])
+def test_run_chunks_affinity_set_caps_and_pins_workers(monkeypatch, cpus, forked):
+    # eight workers asked for on eight CPUs by os.cpu_count: the affinity
+    # set caps them at its size and pins each to one of its CPUs, or, with
+    # one CPU, runs every chunk here
+    forks = _count_forks(monkeypatch, len(cpus))
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    calls = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(sorted(cpus)))
+    # a worker reports the pins made in it, since a child's list is its own copy
+    counts = _run_chunks(EIGHT_CHUNKS, lambda i: {str(calls): 1}, 8)
+    assert len(forks) == forked
+    if forked:
+        assert counts == {"[[0]]": 3, "[[1]]": 3, "[[2]]": 2}
+        assert calls == [[0], [0, 1, 2]]  # this process pinned, then given its set back
+    else:
+        assert counts == {"[]": 8} and calls == []
+    _assert_no_children()
+
+
+@needs_affinity
+@needs_fork
 def test_run_chunks_ignores_refused_pinning(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
     def refuse(pid, cpus):
