@@ -50,6 +50,13 @@ CASES = {
                           "--format", "json"],
     "kodaira-h2-exhaustive-csv": ["empirical", "--p", "3", "--height", "2", "--exhaustive",
                                   "--kodaira-at", "2", "--threads", "2"],
+    "kodaira-h50000-csv": ["empirical", "--p", "3", "--height", "50000", "--samples", "20000",
+                           "--seed", "23", "--chunk-size", "1000", "--kodaira-at", "2"],
+    "kodaira-h1e6-json": ["empirical", "--p", "3", "--height", "1000000", "--samples", "20000",
+                          "--seed", "29", "--chunk-size", "1000", "--kodaira-at", "2",
+                          "--threads", "2", "--format", "json"],
+    "empirical-h1e6-csv": ["empirical", "--p", "3", "--height", "1000000", "--samples", "3000",
+                           "--seed", "31", "--chunk-size", "500"],
     "local-text": ["local", E1],
     "local-json": ["local", E1, "--format", "json"],
     "local-additive-text": ["local", E2],
@@ -93,6 +100,9 @@ GOLDEN = {
     "kodaira-ell5-csv": (0, "c2a794af2ee20cdb5a2d52dce86852c51125185b2a2ae759aaffb78714b47f7b"),
     "kodaira-ell7-json": (0, "8d8824eb98f7a3540e18cebd697c4189a1ae4a7de5b1e793ac96ec387f72964c"),
     "kodaira-h2-exhaustive-csv": (0, "c75dace20b857d09c201dbfe4c3a479b5f39e3baea1e1c5cb15c08a4236acd58"),
+    "kodaira-h50000-csv": (0, "9fe209c37a7124f43d52ed898e61f869d427c94e99e455b72f8872d359c2a145"),
+    "kodaira-h1e6-json": (0, "c2e46c809c1076ba4442f16418886fe7503efd38850691789d36e722ff88a574"),
+    "empirical-h1e6-csv": (0, "04847141958fb0ee2452844705c28bafae0b676622f43e245c26bf288d301268"),
     "local-text": (0, "f2eea18f503aa33d1c8e8c052134842e68e8f58f1b2b80f59464d05184e41e84"),
     "local-json": (0, "8a4e8edc772fae575ca379cff22493c368f7808472fff19f7ee92a4af93e4bf1"),
     "local-additive-text": (0, "370afca4b795f1a4ee90e7e4169e63a9ce66ea3f5ebc2c9573d80266f4d54b65"),
