@@ -25,15 +25,25 @@ an explicit "unclassified" bucket; a run is valid while that bucket stays
 under 0.1%.
 
 Kodaira types at a fixed ell (kodaira_frequency) skip Tate's algorithm on
-most draws of good reduction.  Delta is a polynomial in a1, ..., a6 with
-integer coefficients, so whether ell | Delta depends only on the five
-residues a_i mod ell; where it does not, the model is ell-minimal with good
-reduction, type I0.  For ell <= 5 a table of ell^5 flags, built once per
-ell from compute_invariants of the residue tuples (3125 entries in about
-7 ms at ell = 5, 2 cores, Python 3.11), answers that from the residues
-alone, before any invariant is computed: half the draws at ell = 2, two
-thirds at 3 and four fifths at 5.  Every other draw, and every draw at a
-larger ell, gets a Tate run.
+most draws.  The a_i mod 4 at ell = 2, and mod ell at 3 and 5, index a
+residue table of Kodaira labels, built once per ell from the residue tuples
+themselves (1024 entries at 2 in 2 to 4 ms, 2 cores, Python 3.11).  Each
+label is read from polynomial congruences in the a_i that the residues fix,
+so it holds for every lift (localdata._residue_type):
+- ell prime to Delta: I0, an ell-minimal model of good reduction.
+- At 2, c4 odd and Delta = 2 (mod 4): I1.
+- At 2, c4 even: Tate's own cusp shift, read mod 2, fixes the shifted a_i
+  mod 4.  a6' mod 4 decides II; then a1, a3', a4' and a6' are even, so
+  b8' mod 8 depends only on the a_i mod 4 and decides III; a3' mod 4
+  decides IV (the label only: its c reads a6' mod 8).
+A singular model gets no label: Delta = 0 is even, and its singular point is
+integral, so shifting to it makes a6' = 0 (mod 4), b8' = 0 (mod 8) and
+a3' = 0 (mod 4).  The table at 2 labels 864 of its 1024 classes, and so
+84% of the draws at H = 10^3 to 10^6 (I0 alone 50%); at 3 and 5 it
+labels two thirds and four fifths.  Every other draw, and every draw at a
+larger ell, gets a Tate run.  classify reads the same table at 2
+and skips the Tate run of II and III (c <= 2), and of IV (c = 1 or 3) when
+p > 3.
 """
 
 from __future__ import annotations
@@ -59,7 +69,7 @@ from .curves import Invariants, SingularCurveError, WeierstrassModel, _box, comp
 from .density import CertifiedValue, rho, rho_Instar_ge1
 from .finitefield import _p_divides_order, _require_point_count_prime
 from .kodaira import parse_kodaira
-from .localdata import _I0, _good_invariants, _split_multiplicative, _tate_run
+from .localdata import _good_invariants, _residue_type, _split_multiplicative, _tate_run
 
 __all__ = [
     "SampleSpec",
@@ -157,12 +167,20 @@ def _c_ell_divisible(model: WeierstrassModel, ell: int, v: int, inv: Invariants,
 
     Where ell | c4 Tate decides, and only if v > p: Ogg's formula gives
     c_ell <= v(Delta_min) - 1 there (a minimal model is additive, f >= 2),
-    and a non-minimal model has v >= v(Delta_min) + 12.  Elsewhere ell is
+    and a non-minimal model has v >= v(Delta_min) + 12.  At ell = 2 the
+    residue table (_type_table) skips that run where it reads II or III
+    (c_ell <= 2), or IV (c_ell = 1 or 3) and p > 3.  Elsewhere ell is
     multiplicative: c_ell = v if split, c_ell <= 2 if not.
     """
     if inv.c4 % ell == 0:
+        if v <= p:
+            return False
+        if ell == 2:
+            label = _type_table(2)[_residue_index(model, 4)]
+            if label == "II" or label == "III" or label == "IV" and p > 3:
+                return False
         # ell comes from a factorisation, so tate's primality check is moot
-        return v > p and _tate_run(model, ell, inv)[1].tamagawa % p == 0
+        return _tate_run(model, ell, inv)[1].tamagawa % p == 0
     return v % p == 0 and _split_multiplicative(inv.c6, ell)
 
 
@@ -346,25 +364,40 @@ def _count_chunk(spec: SampleSpec, index: int) -> dict[str, int]:
     return dict(zip(_FLAG_ORDER, (singular, bad, tam, anom, uncl)))
 
 
-# the largest ell with a good-reduction table.  A table has ell^5 entries:
-# the 3125 of ell = 5 take about 7 ms to build (2 cores, Python 3.11), and
-# the 16807 of ell = 7 would take 37 ms.
-_GOOD_TABLE_MAX_ELL = 5
-_GOOD_TABLES: dict[int, bytes] = {}
+# the largest ell with a residue table.  At an odd ell a table has ell^5
+# entries: the 3125 of ell = 5 take about 7 ms to build (2 cores, Python
+# 3.11), and the 16807 of ell = 7 would take 37 ms.  The 4^5 = 1024 at 2
+# took 2.2 to 4.4 ms in 12 fresh processes.
+_TYPE_TABLE_MAX_ELL = 5
+_TYPE_TABLES: dict[int, tuple[str | None, ...]] = {}
 
 
-def _good_table(ell: int) -> bytes | None:
-    """For ell <= _GOOD_TABLE_MAX_ELL, one flag per residue tuple (a_i mod
-    ell), packed as (((a1 ell + a2) ell + a3) ell + a4) ell + a6: is ell
-    prime to Delta?  None for a larger ell.  Built once per ell from
-    compute_invariants of the residue tuples themselves, in the order of
+def _table_modulus(ell: int) -> int:
+    """The residues a table at ell reads: the a_i mod 4 at 2, mod ell else."""
+    return 4 if ell == 2 else ell
+
+
+def _residue_index(model: WeierstrassModel, m: int) -> int:
+    """The residues a_i mod m of model, packed as (((a1 m + a2) m + a3) m +
+    a4) m + a6."""
+    a1, a2, a3, a4, a6 = model
+    return (((a1 % m * m + a2 % m) * m + a3 % m) * m + a4 % m) * m + a6 % m
+
+
+def _type_table(ell: int) -> tuple[str | None, ...] | None:
+    """For ell <= _TYPE_TABLE_MAX_ELL, one entry per residue tuple a_i mod m
+    (m = _table_modulus(ell)), at its _residue_index: the Kodaira label at
+    ell of every model with those residues, or None where a Tate run must
+    decide (localdata._residue_type).  None for a larger ell.  Built once
+    per ell from the residue tuples themselves, in the order of
     itertools.product, which is that packing."""
-    if ell > _GOOD_TABLE_MAX_ELL:
+    if ell > _TYPE_TABLE_MAX_ELL:
         return None
-    table = _GOOD_TABLES.get(ell)
+    table = _TYPE_TABLES.get(ell)
     if table is None:
-        table = _GOOD_TABLES[ell] = bytes(
-            compute_invariants(a).delta % ell != 0 for a in product(range(ell), repeat=5))
+        table = _TYPE_TABLES[ell] = tuple(
+            None if (ktype := _residue_type(WeierstrassModel(*a), ell)) is None else ktype.label
+            for a in product(range(_table_modulus(ell)), repeat=5))
     return table
 
 
@@ -372,24 +405,32 @@ def _kodaira_chunk(spec: SampleSpec, ell: int, index: int) -> dict[str, int]:
     """Kodaira label -> count over the models of one chunk, "singular" for
     a singular model; ell is prime.
 
-    Delta is a polynomial in a1, ..., a6 with integer coefficients, so
-    whether ell | Delta depends only on the a_i mod ell.  For ell <= 5
-    (_good_table), a model whose residues the table flags has ell prime to
-    Delta: it is ell-minimal with good reduction, type I0, and is counted
-    without computing an invariant.  Every other model, and every model at
-    a larger ell, gets a Tate run.  Flagged models are not all the I0 ones:
-    a non-minimal model with ell | Delta can have good reduction too, and
-    its Tate run says so.
+    For ell <= 5 one lookup in _type_table(ell) types most draws without
+    computing an invariant.  Its entries are sound for every lift because
+    each reads only polynomials in the a_i modulo a power of ell that the
+    residues fix (localdata._residue_type):
+    - ell prime to Delta: I0.  This depends only on the a_i mod ell.
+    - At 2, c4 odd and Delta = 2 (mod 4): I1.
+    - At 2, c4 even: after Tate's cusp shift, read mod 2, a6' mod 4 decides
+      II, b8' mod 8 decides III (with a1, a3', a4' and a6' even it depends
+      only on the a_i mod 4), and a3' mod 4 decides IV.
+    A singular model never gets a label: Delta = 0 is even, and its
+    singular point is integral, so shifting to it gives a6' = 0 (mod 4),
+    b8' = 0 (mod 8) and a3' = 0 (mod 4).  It gets a Tate run, which raises.
+    Every other model, and every model at a larger ell, gets a Tate run
+    too.  Labelled models are not all those of their types: a non-minimal
+    model with ell | Delta can have good reduction, and its Tate run says so.
     """
-    good = _good_table(ell)
+    table = _type_table(ell) or ()
+    m = _table_modulus(ell)
+    # draws per table entry, added to their labels once per chunk
+    tally = [0] * len(table)
     out: dict[str, int] = {}
-    i0 = 0
     for model in _iter_chunk(spec, index):
-        if good is not None:
-            a1, a2, a3, a4, a6 = model
-            if good[(((a1 % ell * ell + a2 % ell) * ell + a3 % ell) * ell + a4 % ell) * ell
-                    + a6 % ell]:
-                i0 += 1
+        if table:
+            i = _residue_index(model, m)
+            if table[i] is not None:
+                tally[i] += 1
                 continue
         # a Tate run computes the invariants once and raises on a singular
         # model; its types are shared and keep their labels, so a label is
@@ -399,8 +440,9 @@ def _kodaira_chunk(spec: SampleSpec, ell: int, index: int) -> dict[str, int]:
         except SingularCurveError:
             key = "singular"
         out[key] = out.get(key, 0) + 1
-    if i0:
-        out[_I0.label] = out.get(_I0.label, 0) + i0
+    for label, n in zip(table, tally):
+        if n:
+            out[label] = out.get(label, 0) + n
     return out
 
 
@@ -673,6 +715,8 @@ def estimate(
     _run_chunks); the report depends only on (spec, theory), never on it.
     """
     _require_threads(threads)
+    # built here, so that forked workers inherit it
+    _type_table(2)
     counts = _run_chunks(spec, partial(_count_chunk, spec), threads)
     theory = theory or {}
     rows = _build_rows(spec, [(flag, counts[flag], theory.get(flag)) for flag in _FLAG_ORDER])
@@ -717,7 +761,7 @@ def kodaira_frequency(spec: SampleSpec, ell: int, threads: int = 1) -> KodairaFr
     if not is_prime(ell):
         raise InputError(f"{ell} is not prime")
     # built here, so that forked workers inherit it
-    _good_table(ell)
+    _type_table(ell)
     counts = _run_chunks(spec, partial(_kodaira_chunk, spec, ell), threads)
     entries = []
     for label in sorted(counts):

@@ -12,7 +12,9 @@ _tate_run's first pass takes the caller's invariants when it has them
 rescaling computes its own.  The type III test reads b8 of the cusp-shifted
 model by the translation formula b8 + 3r b6 + 3r^2 b4 + r^3 b2 + 3r^4, since
 the b_i move with r alone, so a run that stops at II or III computes no
-invariants.
+invariants.  The cusp shift and the II, III and IV tests are one function,
+_cusp_steps; _residue_type runs it on the a_i mod 4 to type at 2 every model
+of a residue class at once, and the sampler's residue tables come from it.
 Roots of the I0* cubic are counted by T^p = T mod f and Stickelberger's
 parity rule on its discriminant (brute force only at 2).
 
@@ -196,6 +198,61 @@ def _y_quadratic(cur: WeierstrassModel, p: int, e: int) -> tuple[bool | None, in
     return None, q * (A6 % 2 if p == 2 else -A3 * pow(2, -1, p) % p)
 
 
+def _cusp_steps(cur: WeierstrassModel, p: int,
+                inv: Invariants) -> tuple[WeierstrassModel, KodairaType | None, int, int]:
+    """Steps 3 to 5 of Tate's algorithm (Silverman, Advanced Topics, IV.9.4)
+    on a model with p | Delta and p | c4, whose invariants are inv: move the
+    cusp to (0, 0) and test for types II, III and IV.
+
+    Returns (shifted model, type, c, t).  The type is None where the run
+    goes on, and t is then the Y-step's shift (see _y_quadratic).
+    """
+    if p == 2:
+        # 2 | b2 here (c4 = b2^2 mod 2), so a1 is even
+        r = cur.a4 % 2
+        t = (r * (1 + cur.a2 + cur.a4) + cur.a6) % 2
+    elif p == 3:
+        # 3 | b2 here (c4 = b2^2 mod 3), so the cusp is the cube root of -b6
+        r = (-inv.b6) % 3
+        t = (cur.a1 * r + cur.a3) % 3
+    else:
+        r = (-inv.b2 * pow(12, -1, p)) % p
+        t = (-(cur.a1 * r + cur.a3) * pow(2, -1, p)) % p
+    cur = transform(cur, 1, r, 0, t)
+    if cur.a6 % (p * p) != 0:
+        return cur, _II, 1, 0
+    # b8 of the shifted model; the b_i move with r only, not with t
+    b8 = inv.b8 + r * (3 * inv.b6 + r * (3 * inv.b4 + r * (inv.b2 + 3 * r)))
+    if b8 % p**3 != 0:
+        return cur, _III, 2, 0
+    split, t = _y_quadratic(cur, p, 1)
+    if split is not None:
+        return cur, _IV, 3 if split else 1, 0
+    return cur, None, 0, t
+
+
+def _residue_type(a: WeierstrassModel, ell: int) -> KodairaType | None:
+    """The Kodaira type at ell shared by every integral model congruent to
+    a modulo 4 at ell = 2, modulo ell at an odd ell; None where this rule
+    cannot tell.
+
+    Each test reads a polynomial in the a_i modulo a power of ell that the
+    congruence fixes, so it holds for every lift of a: ell prime to Delta
+    gives I0; at 2, c4 odd with Delta = 2 (mod 4) gives I1, and c4 even
+    runs _cusp_steps, whose shift is read mod 2 and whose II, III and IV
+    tests read a6' mod 4, b8' mod 8 and a3' mod 4 (see harness for why
+    these are fixed, and why no singular lift gets a type).
+    """
+    inv = compute_invariants(a)
+    if inv.delta % ell:
+        return _I0
+    if ell != 2:
+        return None
+    if inv.c4 % 2:
+        return _I_n(1) if inv.delta % 4 else None
+    return _cusp_steps(a, 2, inv)[1]
+
+
 def _tate_run(model: WeierstrassModel, ell: int,
               inv: Invariants | None = None) -> tuple[WeierstrassModel, LocalData]:
     """Full Tate loop; returns (ell-minimal model, LocalData).  inv, if
@@ -219,31 +276,8 @@ def _tate_run(model: WeierstrassModel, ell: int,
             else:
                 c, reduction = 2 - n % 2, NONSPLIT
             return cur, LocalData(p, _I_n(n), c, 1, n, scalings == 0, reduction)
-        # cusp: move the singular point to (0, 0)
-        if p == 2:
-            # 2 | b2 here (c4 = b2^2 mod 2), so a1 is even
-            r = cur.a4 % 2
-            t = (r * (1 + cur.a2 + cur.a4) + cur.a6) % 2
-        elif p == 3:
-            # 3 | b2 here (c4 = b2^2 mod 3), so the cusp is the cube root of -b6
-            r = (-inv.b6) % 3
-            t = (cur.a1 * r + cur.a3) % 3
-        else:
-            r = (-inv.b2 * pow(12, -1, p)) % p
-            t = (-(cur.a1 * r + cur.a3) * pow(2, -1, p)) % p
-        cur = transform(cur, 1, r, 0, t)
-
-        if cur.a6 % (p * p) != 0:
-            ktype, c = _II, 1
-            break
-        # b8 of the shifted model; the b_i move with r only, not with t
-        b8 = inv.b8 + r * (3 * inv.b6 + r * (3 * inv.b4 + r * (inv.b2 + 3 * r)))
-        if b8 % p**3 != 0:
-            ktype, c = _III, 2
-            break
-        split, t = _y_quadratic(cur, p, 1)
-        if split is not None:
-            ktype, c = _IV, 3 if split else 1
+        cur, ktype, c, t = _cusp_steps(cur, p, inv)
+        if ktype is not None:
             break
 
         # normalise to p|a1,a2, p^2|a3,a4, p^3|a6; the s-shift leaves a3

@@ -17,15 +17,16 @@ from ellstat.density import CertifiedValue, sp_doubleprime_density
 from ellstat.finitefield import reduce_model, group_order
 from ellstat.harness import (
     _BLOCK,
-    _GOOD_TABLE_MAX_ELL,
+    _TYPE_TABLE_MAX_ELL,
     ClassificationFlags,
     SampleSpec,
     _classify_chunk,
+    _c_ell_divisible,
     _chunk_rng,
-    _good_table,
     _iter_chunk,
     _kodaira_chunk,
     _run_chunks,
+    _type_table,
     classify,
     estimate,
     exhaustive_box_size,
@@ -342,7 +343,10 @@ def test_classify_chunk_across_an_all_singular_batch():
 def test_classify_tate_runs_at_ii_and_iii_compute_no_invariants(monkeypatch):
     # classify hands its invariants to each Tate run, and the type III test
     # reads b8 of the shifted model from them, so a run that stops at II or
-    # III computes none
+    # III computes none.  At 2 classify makes no such run: the residue table
+    # settles II and III there, so the runs at 2 that classify made before
+    # it (every model with 2 | gcd(Delta, c4), as v(Delta) >= 4 > p = 3)
+    # are made here, from the invariants classify would hand them
     import ellstat.harness as harness
     import ellstat.localdata as localdata
 
@@ -355,6 +359,7 @@ def test_classify_tate_runs_at_ii_and_iii_compute_no_invariants(monkeypatch):
 
     run = localdata._tate_run
     ends = {}
+    classify_ends = []
 
     def watched_run(model, ell, inv=None):
         before = len(computed)
@@ -365,12 +370,25 @@ def test_classify_tate_runs_at_ii_and_iii_compute_no_invariants(monkeypatch):
         ends[kind] = ends.get(kind, 0) + 1
         return out
 
+    def classify_run(model, ell, inv=None):
+        assert inv is not None, (model, ell)
+        out = watched_run(model, ell, inv)
+        classify_ends.append((ell, out[1].kodaira.kind))
+        return out
+
     monkeypatch.setattr(localdata, "compute_invariants", counting_compute)
     monkeypatch.setattr(localdata, "_tate_run", watched_run)
-    monkeypatch.setattr(harness, "_tate_run", watched_run)
+    monkeypatch.setattr(harness, "_tate_run", classify_run)
     rng = random.Random(14)
     models = [sample_tuple(rng, 1000) for _ in range(2000)]
     list(_classify_chunk(models, 3))
+    assert classify_ends
+    assert not [end for end in classify_ends if end in ((2, "II"), (2, "III"))]
+    ends.clear()
+    for model in models:
+        inv = compute(model)
+        if inv.delta and inv.delta % 2 == 0 and inv.c4 % 2 == 0:
+            watched_run(model, 2, inv)
     assert ends["II"] + ends["III"] >= 300
     assert ends["II"] + ends["III"] > sum(ends.values()) // 2
 
@@ -611,46 +629,128 @@ def test_kodaira_frequency_at_three_matches_table():
 
 
 # ---------------------------------------------------------------------------
-# the good-reduction table of --kodaira-at: one flag per residue tuple mod ell
+# the residue tables of --kodaira-at: one Kodaira label or None per residue
+# tuple, a_i mod 4 at ell = 2 and mod ell at 3 and 5
 
 WEIGHTS = (1, 2, 3, 4, 6)
+HEIGHTS = (10**3, 5 * 10**4, 10**6)
+
+
+def _modulus(ell):
+    return 4 if ell == 2 else ell
+
+
+def _index(a, m):
+    a1, a2, a3, a4, a6 = (x % m for x in a)
+    return (((a1 * m + a2) * m + a3) * m + a4) * m + a6
+
+
+def _lift(rng, residues, m, height):
+    """A seeded model of the box |a_i| < H^i with a_i = residues mod m."""
+    lift = WeierstrassModel(*(
+        r + m * rng.randint(-((height**w - 1 + r) // m), (height**w - 1 - r) // m)
+        for r, w in zip(residues, WEIGHTS)))
+    assert all(a % m == r for a, r in zip(lift, residues))
+    return lift
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5])
 def test_good_table_flags_ell_prime_to_discriminant(ell):
-    table = _good_table(ell)
-    assert len(table) == ell**5
-    for a in itertools.product(range(ell), repeat=5):
-        a1, a2, a3, a4, a6 = a
-        index = (((a1 * ell + a2) * ell + a3) * ell + a4) * ell + a6
-        assert table[index] == (c4_and_discriminant(a)[1] % ell != 0), a
+    # the I0 entries are exactly the classes with ell prime to Delta
+    m = _modulus(ell)
+    table = _type_table(ell)
+    assert len(table) == m**5
+    for a in itertools.product(range(m), repeat=5):
+        assert (table[_index(a, m)] == "I0") == (c4_and_discriminant(a)[1] % ell != 0), a
+    # mod ell only I0 is settled, mod 4 also I1, II, III and IV
+    labels = {"I0", None} if ell > 2 else {"I0", "In:1", "II", "III", "IV", None}
+    assert set(table) == labels
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5])
 def test_good_table_flags_exactly_the_minimal_i0_lifts(ell):
-    # one seeded lift of every residue tuple into each box: a flagged lift
-    # is ell-minimal of type I0, and an unflagged one (ell | Delta) is
-    # singular, of bad reduction, or of good reduction only on a smaller
-    # model
-    table = _good_table(ell)
+    # one seeded lift of every residue class into each box: a lift of an I0
+    # class is ell-minimal of type I0, and one of any other class (ell |
+    # Delta) is singular, of bad reduction, or of good reduction only on a
+    # smaller model
+    m = _modulus(ell)
+    table = _type_table(ell)
     rng = random.Random(1000 + ell)
-    for height in (10**3, 5 * 10**4, 10**6):
-        for index, residues in enumerate(itertools.product(range(ell), repeat=5)):
-            # a = r + ell k with |a| < H^w
-            lift = WeierstrassModel(*(
-                r + ell * rng.randint(-((height**w - 1 + r) // ell), (height**w - 1 - r) // ell)
-                for r, w in zip(residues, WEIGHTS)))
-            assert all(a % ell == r for a, r in zip(lift, residues))
+    for height in HEIGHTS:
+        for index, residues in enumerate(itertools.product(range(m), repeat=5)):
+            lift = _lift(rng, residues, m, height)
             if c4_and_discriminant(lift)[1] == 0:
-                assert not table[index], lift
+                assert table[index] is None, lift
                 continue
             data = tate(lift, ell)
-            assert table[index] == (data.kodaira.label == "I0" and data.was_minimal), lift
+            assert (table[index] == "I0") == (data.kodaira.label == "I0" and data.was_minimal), lift
+
+
+def test_type_table_labels_match_tate_on_lifts():
+    # eight seeded lifts of every labelled class at 2 into each box
+    table = _type_table(2)
+    rng = random.Random(2024)
+    for height in HEIGHTS:
+        for index, residues in enumerate(itertools.product(range(4), repeat=5)):
+            if table[index] is None:
+                continue
+            for _ in range(8):
+                lift = _lift(rng, residues, 4, height)
+                assert tate(lift, 2).kodaira.label == table[index], (lift, table[index])
+    # 864 of the 1024 classes get a label
+    assert sum(label is not None for label in table) == 864
+
+
+def test_type_table_leaves_every_singular_model_of_h2_box_untyped():
+    # Delta is a quadratic in a6 with leading coefficient -27 * 16, so the
+    # singular models of each (a1, a2, a3, a4) are the integer roots of the
+    # quadratic through Delta at a6 = 0, 1, 2
+    table = _type_table(2)
+    box = [range(1 - 2**w, 2**w) for w in WEIGHTS]
+    singular = 0
+    for head in itertools.product(*box[:4]):
+        d0, d1, d2 = (c4_and_discriminant((*head, a6))[1] for a6 in (0, 1, 2))
+        a = (d2 - 2 * d1 + d0) // 2
+        b = d1 - d0 - a
+        assert a == -432
+        disc = b * b - 4 * a * d0
+        root = math.isqrt(disc) if disc >= 0 else -1
+        if root * root != disc:
+            continue
+        for num in {-b + root, -b - root}:
+            if num % (2 * a) == 0 and num // (2 * a) in box[4]:
+                model = (*head, num // (2 * a))
+                assert c4_and_discriminant(model)[1] == 0
+                assert table[_index(model, 4)] is None, model
+                singular += 1
+    assert singular == 725
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_classify_skip_at_two_matches_tate(p):
+    # seeded lifts of every II, III and IV class at 2: whether p | c_2, with
+    # the Tate run skipped where the label bounds c_2, against tate
+    table = _type_table(2)
+    rng = random.Random(300 + p)
+    seen = set()
+    for height in HEIGHTS:
+        for index, residues in enumerate(itertools.product(range(4), repeat=5)):
+            if table[index] not in ("II", "III", "IV"):
+                continue
+            for _ in range(8):
+                lift = _lift(rng, residues, 4, height)
+                inv = compute_invariants(lift)
+                c = tate(lift, 2).tamagawa
+                seen.add((table[index], c))
+                got = _c_ell_divisible(lift, 2, valuation(inv.delta, 2), inv, p)
+                assert got == (c % p == 0), (lift, table[index], c)
+    # IV with c = 3 occurs, so at p = 3 its run is not skipped
+    assert seen == {("II", 1), ("III", 2), ("IV", 1), ("IV", 3)}
 
 
 @pytest.mark.parametrize("ell", [7, 11])
 def test_kodaira_chunk_matches_tate_without_table(ell):
-    assert ell > _GOOD_TABLE_MAX_ELL and _good_table(ell) is None
+    assert ell > _TYPE_TABLE_MAX_ELL and _type_table(ell) is None
     for height, seed, index in ((1000, 23, 0), (50000, 24, 1), (2, 31, 3)):
         spec = SampleSpec(height=height, p=3, count=8000, seed=seed, chunk_size=2000)
         want = {}
@@ -666,12 +766,12 @@ def test_kodaira_chunk_matches_tate_without_table(ell):
 def test_kodaira_frequency_at_large_ell_builds_no_table(monkeypatch):
     import ellstat.harness as harness
 
-    monkeypatch.setattr(harness, "_GOOD_TABLES", {})
+    monkeypatch.setattr(harness, "_TYPE_TABLES", {})
     rep = kodaira_frequency(SampleSpec(height=1000, p=3, count=10, seed=0), 1000003)
     assert sum(rep.counts.values()) == 10
-    assert harness._GOOD_TABLES == {}
+    assert harness._TYPE_TABLES == {}
     kodaira_frequency(SampleSpec(height=1000, p=3, count=10, seed=0), 5)
-    assert list(harness._GOOD_TABLES) == [5]
+    assert list(harness._TYPE_TABLES) == [5]
 
 
 @pytest.mark.parametrize("height", [1, 2])
