@@ -8,8 +8,9 @@ line on stderr, any other exception exits 1.  Beyond parsing their own
 arguments, and `families` handling each t, the commands catch nothing.
 
 All randomness flows from --seed; --threads (default 1) is the number of
-worker processes, capped at the chunk count and at the CPUs this process
-may run on, and only changes wall time, never output bytes.
+worker processes, capped at the chunk count, at the CPUs this process may
+run on and at the workers the run's estimated work pays for (a short run
+forks fewer, or none), and only changes wall time, never output bytes.
 """
 
 from __future__ import annotations
@@ -272,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk-size", type=int, default=SampleSpec.chunk_size)
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes, at most one per chunk and per CPU "
-                        "this process may run on (default: 1)")
+                        "this process may run on, and fewer for short runs, where "
+                        "forking would cost more than it saves (default: 1)")
     p.add_argument("--z", type=float, default=SampleSpec.z)
     p.add_argument("--wilson", action="store_true")
     p.add_argument("--kodaira-at", type=int, default=None, metavar="ELL",

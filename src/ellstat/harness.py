@@ -8,7 +8,9 @@ split into fixed-size chunks whose RNG streams are derived from (master
 seed, chunk index), so reports are bit-identical for a given (seed, chunk
 size) no matter how many worker processes run the chunks.  Workers are
 forked (os.fork), so call with more than one worker only from a
-single-threaded process.
+single-threaded process.  A call forks only the workers its estimated work
+pays for, at a measured cost per fork, so a short call runs in one process
+whatever the worker count.
 
 Classification at p decides S_p by one rule: p | c_ell needs either
 ell | gcd(Delta, c4), where Tate decides, or ell^3 | Delta with ell prime to
@@ -347,6 +349,11 @@ def _iter_chunk(spec: SampleSpec, index: int):
 
 
 _FLAG_ORDER = ("singular", "bad_at_p", "tamagawa_divisible", "anomalous_good", "unclassified")
+# the estimated cost of one sample of _count_chunk, for the worker plan of
+# _run_chunks.  Median of 5 chunks of 3000 draws (2 vCPUs, Python 3.11):
+# 20 to 24 us at H = 10^3, 30 at 5 * 10^4 and 32 to 34 at 10^6, for p = 3
+# and 7.  The low end is taken.
+_CLASSIFY_US = 20
 
 
 def _count_chunk(spec: SampleSpec, index: int) -> dict[str, int]:
@@ -399,6 +406,13 @@ def _type_table(ell: int) -> tuple[str | None, ...] | None:
             None if (ktype := _residue_type(WeierstrassModel(*a), ell)) is None else ktype.label
             for a in product(range(_table_modulus(ell)), repeat=5))
     return table
+
+
+# the estimated cost of one draw of _kodaira_chunk, as _CLASSIFY_US: with a
+# residue table (ell <= 5) 3.6 to 6.1 us, and with a Tate run on every draw
+# (ell = 7 and 11) 6.9 to 8.9 us, at H = 10^3 to 10^6 (chunks of 5000)
+_KODAIRA_TABLE_US = 4
+_KODAIRA_TATE_US = 7
 
 
 def _kodaira_chunk(spec: SampleSpec, ell: int, index: int) -> dict[str, int]:
@@ -459,16 +473,38 @@ def _require_threads(threads: int) -> None:
         raise InputError(f"worker count must be a positive integer, got {threads}")
 
 
-def _run_chunks(spec: SampleSpec, chunk_fn, threads: int) -> dict[str, int]:
+# the estimated work, in us on one worker, that pays for each worker of a
+# call: k workers run only if the call's work is at least k * _FORK_US.  A
+# forked worker costs the fork, the copy-on-write faults on both sides, a
+# pipe, a pickle and a waitpid: a _fork_join of 4 empty chunks takes 2.4 ms
+# on two workers (2.9 pinned) against 0.02 ms on one.  Medians of 25
+# interleaved in-process cli.main calls in 4 chunks (2 vCPUs, Python 3.11)
+# break even at 8 to 10 ms on one worker, about 1 ms of it the call's own
+# fixed cost, for every chunk function:
+#   --kodaira-at 2, H = 5 * 10^4, 1000 / 2000 / 4000 draws:
+#     5.9 / 10.6 / 18.5 ms on one worker, 7.2 / 10.0 / 13.5 ms on two
+#   --kodaira-at 7, H = 10^3, 500 / 1000 / 2000 draws:
+#     4.2 / 8.0 / 15.4 ms on one worker, 5.4 / 7.6 / 11.5 ms on two
+#   classify, H = 10^3, 128 / 256 / 512 samples:
+#     3.7 / 6.4 / 12.9 ms on one worker, 6.1 / 7.3 / 10.5 ms on two
+_FORK_US = 5000
+
+
+def _run_chunks(spec: SampleSpec, chunk_fn, threads: int,
+                sample_us: int | None = None) -> dict[str, int]:
     """Sum the per-chunk counts chunk_fn(index) over every chunk of spec;
-    threads >= 1.
+    threads >= 1, and sample_us, if given, is the estimated cost of one
+    sample of chunk_fn in microseconds.
 
     The worker plan is decided here and nowhere else.  The CPUs this
     process may run on are its affinity set, or os.cpu_count() where that
     set is unknown; a cgroup CPU quota is not seen.  k = min(threads,
-    chunks, CPUs) processes share the chunks: this one and k - 1 forked
-    children.  k is 1 where os.fork is missing, and with k = 1 every chunk
-    runs here and nothing is started.
+    chunks, CPUs, max(1, W // _FORK_US)) processes share the chunks: this
+    one and k - 1 forked children.  W = spec.total * sample_us is the
+    estimated work of the call, so each worker is given at least _FORK_US
+    of it, about what forking one costs; without sample_us that term sets
+    no bound.  k is 1 where os.fork is missing, and with k = 1 every
+    chunk runs here and nothing is started.
 
     The workers are pinned one per CPU of the set exactly when k > 1 is the
     set's size: every CPU is then busy anyway.  A larger set (several runs
@@ -481,6 +517,8 @@ def _run_chunks(spec: SampleSpec, chunk_fn, threads: int) -> dict[str, int]:
     n_chunks = -(-spec.total // spec.chunk_size)
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     k = min(threads, n_chunks, len(cpus) or os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    if sample_us is not None:
+        k = min(k, max(1, spec.total * sample_us // _FORK_US))
     return _sum_counts(_fork_join(chunk_fn, n_chunks, k, cpus if 1 < k == len(cpus) else []))
 
 
@@ -717,7 +755,7 @@ def estimate(
     _require_threads(threads)
     # built here, so that forked workers inherit it
     _type_table(2)
-    counts = _run_chunks(spec, partial(_count_chunk, spec), threads)
+    counts = _run_chunks(spec, partial(_count_chunk, spec), threads, _CLASSIFY_US)
     theory = theory or {}
     rows = _build_rows(spec, [(flag, counts[flag], theory.get(flag)) for flag in _FLAG_ORDER])
     return EmpiricalReport(spec, counts, rows)
@@ -761,8 +799,8 @@ def kodaira_frequency(spec: SampleSpec, ell: int, threads: int = 1) -> KodairaFr
     if not is_prime(ell):
         raise InputError(f"{ell} is not prime")
     # built here, so that forked workers inherit it
-    _type_table(ell)
-    counts = _run_chunks(spec, partial(_kodaira_chunk, spec, ell), threads)
+    sample_us = _KODAIRA_TABLE_US if _type_table(ell) else _KODAIRA_TATE_US
+    counts = _run_chunks(spec, partial(_kodaira_chunk, spec, ell), threads, sample_us)
     entries = []
     for label in sorted(counts):
         table = label != "singular" and not label.startswith("I*n:")

@@ -10,9 +10,11 @@ say so in the change log.
 import contextlib
 import hashlib
 import io
+import os
 
 import pytest
 
+from ellstat import harness
 from ellstat.cli import main
 
 E1 = "--curve=1,0,1,-141,624"
@@ -144,6 +146,27 @@ def test_golden_stdout(name):
 def test_golden_stdout_independent_of_threads(name):
     for threads in ("1", "3"):
         assert _run(CASES[name] + ["--threads", threads]) == GOLDEN[name]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("name", ["empirical-csv", "empirical-json", "kodaira-csv", "kodaira-json"])
+def test_golden_stdout_on_forked_workers(monkeypatch, name):
+    # these calls are too short to pay for a fork, so the test above may run
+    # them in one process.  Here a fork costs nothing and three CPUs are
+    # faked (with pinning a no-op), so --threads 3 forks two workers.
+    monkeypatch.setattr(harness, "_FORK_US", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert _run(CASES[name] + ["--threads", "3"]) == GOLDEN[name]
+    assert len(forks) == 2
 
 
 def test_golden_stdout_replayed_in_reverse():

@@ -17,6 +17,7 @@ from ellstat.density import CertifiedValue, sp_doubleprime_density
 from ellstat.finitefield import reduce_model, group_order
 from ellstat.harness import (
     _BLOCK,
+    _FORK_US,
     _TYPE_TABLE_MAX_ELL,
     ClassificationFlags,
     SampleSpec,
@@ -866,6 +867,67 @@ def test_run_chunks_one_worker_runs_in_process(monkeypatch):
     parent = os.getpid()
     counts = _run_chunks(EIGHT_CHUNKS, lambda i: {"here": os.getpid() == parent}, 8)
     assert counts == {"here": 8} and forks == []
+
+
+@needs_fork
+def test_run_chunks_gives_each_worker_a_fork_of_work(monkeypatch):
+    # eight chunks on four CPUs: work of just over 3 * _FORK_US pays for
+    # three workers, just under it for two
+    forks = _count_forks(monkeypatch, cpus=4)
+    assert _run_chunks(EIGHT_CHUNKS, lambda i: {"n": 1}, 4, 3 * _FORK_US // 8 + 1) == {"n": 8}
+    assert len(forks) == 2
+    forks.clear()
+    assert _run_chunks(EIGHT_CHUNKS, lambda i: {"n": 1}, 4, 3 * _FORK_US // 8 - 1) == {"n": 8}
+    assert len(forks) == 1
+    _assert_no_children()
+
+
+# (p, height, samples, chunk size, ell or None for classify) of calls whose
+# two-worker plan is pinned: each case of CI's 1- vs 2-worker cmp loop and
+# the benchmark's 8000-sample classify call (sample-h1e3) fork a child
+FORKING_CALLS = [
+    (3, 1000, 20000, 5000, None),
+    (3, 1000, 20003, 4999, None),
+    (31, 1000, 20000, 5000, None),
+    (3, 1000, 20003, 4999, 2),
+    (3, 1000, 20003, 4999, 3),
+    (3, 1000, 20003, 4999, 5),
+    (3, 1000000, 20003, 4999, 2),
+    (3, 1000, 8000, 2000, None),
+]
+# and these run in one process: the benchmark's Kodaira call of sample-tall
+# (also a cmp-loop case) and its 64-sample warm-up call
+IN_PROCESS_CALLS = [
+    (3, 50000, 1000, 250, 2),
+    (3, 1000, 64, 16, None),
+]
+
+
+def _call_id(call) -> str:
+    p, height, samples, chunk_size, ell = call
+    kind = "classify" if ell is None else f"ell{ell}"
+    return f"p{p}-H{height}-n{samples}-c{chunk_size}-{kind}"
+
+
+@needs_fork
+@pytest.mark.parametrize("call, forked", [pytest.param(c, 1, id=_call_id(c)) for c in FORKING_CALLS]
+                         + [pytest.param(c, 0, id=_call_id(c)) for c in IN_PROCESS_CALLS])
+def test_two_workers_fork_only_where_the_work_pays(monkeypatch, call, forked):
+    # the chunk functions are stubbed out, so only the worker plan runs
+    import ellstat.harness as harness
+
+    forks = _count_forks(monkeypatch, cpus=2)
+    monkeypatch.setattr(harness, "_count_chunk",
+                        lambda spec, index: dict.fromkeys(harness._FLAG_ORDER, 0))
+    monkeypatch.setattr(harness, "_kodaira_chunk", lambda spec, ell, index: {"I0": 0})
+    p, height, samples, chunk_size, ell = call
+    spec = SampleSpec(height=height, p=p, count=samples, chunk_size=chunk_size)
+    if ell is None:
+        estimate(spec, threads=2)
+    else:
+        kodaira_frequency(spec, ell, threads=2)
+    assert len(forks) == forked
+    _assert_no_children()
 
 
 def test_run_chunks_without_fork_runs_in_process(monkeypatch):
