@@ -655,6 +655,21 @@ def _lift(rng, residues, m, height):
     return lift
 
 
+@pytest.mark.parametrize("ell, size, digest", [
+    (2, 1024, "85cbf6592704eb7a0f4de73a2aa71e3ef68cace93a55ae96492bed92b150f023"),
+    (3, 243, "48497443a5e1044f009d7ee5e10d37e15b361f1a8278fdaae03b82b15060f6a4"),
+    (5, 3125, "939c70b2083733a2bb310eee366f582f54e4a16c19f29261690e65c414e05f4e"),
+])
+def test_type_table_labels_pinned(ell, size, digest):
+    # every entry of each residue table, in index order: a table rebuilt by
+    # other code must equal this one entry for entry
+    table = _type_table(ell)
+    # the label tuple, also where the table comes with its modulus
+    labels = table[1] if len(table) == 2 else table
+    assert len(labels) == size
+    assert hashlib.sha256(repr(labels).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("ell", [2, 3, 5])
 def test_good_table_flags_ell_prime_to_discriminant(ell):
     # the I0 entries are exactly the classes with ell prime to Delta
