@@ -26,26 +26,10 @@ Samples that genuinely need a factorisation that exceeds its budget land in
 an explicit "unclassified" bucket; a run is valid while that bucket stays
 under 0.1%.
 
-Kodaira types at a fixed ell (kodaira_frequency) skip Tate's algorithm on
-most draws.  The a_i mod 4 at ell = 2, and mod ell at 3 and 5, index a
-residue table of Kodaira labels, built once per ell from the residue tuples
-themselves (1024 entries at 2 in 2 to 4 ms, 2 cores, Python 3.11).  Each
-label is read from polynomial congruences in the a_i that the residues fix,
-so it holds for every lift (localdata._residue_type):
-- ell prime to Delta: I0, an ell-minimal model of good reduction.
-- At 2, c4 odd and Delta = 2 (mod 4): I1.
-- At 2, c4 even: Tate's own cusp shift, read mod 2, fixes the shifted a_i
-  mod 4.  a6' mod 4 decides II; then a1, a3', a4' and a6' are even, so
-  b8' mod 8 depends only on the a_i mod 4 and decides III; a3' mod 4
-  decides IV (the label only: its c reads a6' mod 8).
-A singular model gets no label: Delta = 0 is even, and its singular point is
-integral, so shifting to it makes a6' = 0 (mod 4), b8' = 0 (mod 8) and
-a3' = 0 (mod 4).  The table at 2 labels 864 of its 1024 classes, and so
-84% of the draws at H = 10^3 to 10^6 (I0 alone 50%); at 3 and 5 it
-labels two thirds and four fifths.  Every other draw, and every draw at a
-larger ell, gets a Tate run.  classify reads the same table at 2
-and skips the Tate run of II and III (c <= 2), and of IV (c = 1 or 3) when
-p > 3.
+Kodaira types at a fixed ell (kodaira_frequency) are looked up, where they
+can be, in the residue tables of localdata._type_table, which says which
+residues decide which type; every other draw gets a Tate run.  classify reads
+the table at 2 to skip the Tate runs that cannot give p | c_2.
 """
 
 from __future__ import annotations
@@ -71,7 +55,8 @@ from .curves import Invariants, SingularCurveError, WeierstrassModel, _box, comp
 from .density import CertifiedValue, rho, rho_Instar_ge1
 from .finitefield import _p_divides_order, _require_point_count_prime
 from .kodaira import parse_kodaira
-from .localdata import _good_invariants, _residue_type, _split_multiplicative, _tate_run
+from .localdata import (_good_invariants, _residue_index, _split_multiplicative, _tate_run,
+                        _type_table)
 
 __all__ = [
     "SampleSpec",
@@ -178,7 +163,7 @@ def _c_ell_divisible(model: WeierstrassModel, ell: int, v: int, inv: Invariants,
         if v <= p:
             return False
         if ell == 2:
-            label = _type_table(2)[_residue_index(model, 4)]
+            label = _type_table(2)[1][_residue_index(model, 4)]
             if label == "II" or label == "III" or label == "IV" and p > 3:
                 return False
         # ell comes from a factorisation, so tate's primality check is moot
@@ -371,43 +356,6 @@ def _count_chunk(spec: SampleSpec, index: int) -> dict[str, int]:
     return dict(zip(_FLAG_ORDER, (singular, bad, tam, anom, uncl)))
 
 
-# the largest ell with a residue table.  At an odd ell a table has ell^5
-# entries: the 3125 of ell = 5 take about 7 ms to build (2 cores, Python
-# 3.11), and the 16807 of ell = 7 would take 37 ms.  The 4^5 = 1024 at 2
-# took 2.2 to 4.4 ms in 12 fresh processes.
-_TYPE_TABLE_MAX_ELL = 5
-_TYPE_TABLES: dict[int, tuple[str | None, ...]] = {}
-
-
-def _table_modulus(ell: int) -> int:
-    """The residues a table at ell reads: the a_i mod 4 at 2, mod ell else."""
-    return 4 if ell == 2 else ell
-
-
-def _residue_index(model: WeierstrassModel, m: int) -> int:
-    """The residues a_i mod m of model, packed as (((a1 m + a2) m + a3) m +
-    a4) m + a6."""
-    a1, a2, a3, a4, a6 = model
-    return (((a1 % m * m + a2 % m) * m + a3 % m) * m + a4 % m) * m + a6 % m
-
-
-def _type_table(ell: int) -> tuple[str | None, ...] | None:
-    """For ell <= _TYPE_TABLE_MAX_ELL, one entry per residue tuple a_i mod m
-    (m = _table_modulus(ell)), at its _residue_index: the Kodaira label at
-    ell of every model with those residues, or None where a Tate run must
-    decide (localdata._residue_type).  None for a larger ell.  Built once
-    per ell from the residue tuples themselves, in the order of
-    itertools.product, which is that packing."""
-    if ell > _TYPE_TABLE_MAX_ELL:
-        return None
-    table = _TYPE_TABLES.get(ell)
-    if table is None:
-        table = _TYPE_TABLES[ell] = tuple(
-            None if (ktype := _residue_type(WeierstrassModel(*a), ell)) is None else ktype.label
-            for a in product(range(_table_modulus(ell)), repeat=5))
-    return table
-
-
 # the estimated cost of one draw of _kodaira_chunk, as _CLASSIFY_US: with a
 # residue table (ell <= 5) 3.6 to 6.1 us, and with a Tate run on every draw
 # (ell = 7 and 11) 6.9 to 8.9 us, at H = 10^3 to 10^6 (chunks of 5000)
@@ -420,23 +368,11 @@ def _kodaira_chunk(spec: SampleSpec, ell: int, index: int) -> dict[str, int]:
     a singular model; ell is prime.
 
     For ell <= 5 one lookup in _type_table(ell) types most draws without
-    computing an invariant.  Its entries are sound for every lift because
-    each reads only polynomials in the a_i modulo a power of ell that the
-    residues fix (localdata._residue_type):
-    - ell prime to Delta: I0.  This depends only on the a_i mod ell.
-    - At 2, c4 odd and Delta = 2 (mod 4): I1.
-    - At 2, c4 even: after Tate's cusp shift, read mod 2, a6' mod 4 decides
-      II, b8' mod 8 decides III (with a1, a3', a4' and a6' even it depends
-      only on the a_i mod 4), and a3' mod 4 decides IV.
-    A singular model never gets a label: Delta = 0 is even, and its
-    singular point is integral, so shifting to it gives a6' = 0 (mod 4),
-    b8' = 0 (mod 8) and a3' = 0 (mod 4).  It gets a Tate run, which raises.
-    Every other model, and every model at a larger ell, gets a Tate run
-    too.  Labelled models are not all those of their types: a non-minimal
-    model with ell | Delta can have good reduction, and its Tate run says so.
+    computing an invariant; localdata._residue_type says why its labels
+    hold for every lift and never for a singular model.  Every other model
+    gets a Tate run, which raises on a singular one.
     """
-    table = _type_table(ell) or ()
-    m = _table_modulus(ell)
+    m, table = _type_table(ell) or (1, ())
     # draws per table entry, added to their labels once per chunk
     tally = [0] * len(table)
     out: dict[str, int] = {}

@@ -14,7 +14,9 @@ model by the translation formula b8 + 3r b6 + 3r^2 b4 + r^3 b2 + 3r^4, since
 the b_i move with r alone, so a run that stops at II or III computes no
 invariants.  The cusp shift and the II, III and IV tests are one function,
 _cusp_steps; _residue_type runs it on the a_i mod 4 to type at 2 every model
-of a residue class at once, and the sampler's residue tables come from it.
+of a residue class at once.  The residue tables, _type_table, hold its type
+of every residue class at ell <= 5; the sampler and classify look draws up
+in them instead of running Tate.
 Roots of the I0* cubic are counted by T^p = T mod f and Stickelberger's
 parity rule on its discriminant (brute force only at 2).
 
@@ -54,7 +56,8 @@ after the unramified quadratic base change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
+from itertools import product
 from typing import NamedTuple
 
 from .arith import (InputError, factorize, is_prime, legendre, primes_up_to, require_odd_prime,
@@ -237,11 +240,19 @@ def _residue_type(a: WeierstrassModel, ell: int) -> KodairaType | None:
     cannot tell.
 
     Each test reads a polynomial in the a_i modulo a power of ell that the
-    congruence fixes, so it holds for every lift of a: ell prime to Delta
-    gives I0; at 2, c4 odd with Delta = 2 (mod 4) gives I1, and c4 even
-    runs _cusp_steps, whose shift is read mod 2 and whose II, III and IV
-    tests read a6' mod 4, b8' mod 8 and a3' mod 4 (see harness for why
-    these are fixed, and why no singular lift gets a type).
+    congruence fixes, so it holds for every lift of a:
+    - ell prime to Delta: I0, an ell-minimal model of good reduction.  This
+      depends only on the a_i mod ell.
+    - At 2, c4 odd and Delta = 2 (mod 4): I1.
+    - At 2, c4 even: _cusp_steps, whose cusp shift is read mod 2, fixes the
+      shifted a_i mod 4.  a6' mod 4 decides II; then a1, a3', a4' and a6'
+      are even, so b8' mod 8 depends only on the a_i mod 4 and decides III;
+      a3' mod 4 decides IV (the label only: its c reads a6' mod 8).
+    No singular lift gets a type: Delta = 0 is even, and its singular point
+    is integral, so shifting to it makes a6' = 0 (mod 4), b8' = 0 (mod 8)
+    and a3' = 0 (mod 4).  A typed class need not hold every model of its
+    type: a non-minimal model with ell | Delta can have good reduction, and
+    only its Tate run says so.
     """
     inv = compute_invariants(a)
     if inv.delta % ell:
@@ -251,6 +262,40 @@ def _residue_type(a: WeierstrassModel, ell: int) -> KodairaType | None:
     if inv.c4 % 2:
         return _I_n(1) if inv.delta % 4 else None
     return _cusp_steps(a, 2, inv)[1]
+
+
+# the largest ell with a residue table.  At an odd ell a table has ell^5
+# entries: the 3125 of ell = 5 take about 7 ms to build (2 cores, Python
+# 3.11), and the 16807 of ell = 7 would take 37 ms.  The 4^5 = 1024 at 2
+# took 2.2 to 4.4 ms in 12 fresh processes.
+_TYPE_TABLE_MAX_ELL = 5
+
+
+def _residue_index(model: WeierstrassModel, m: int) -> int:
+    """The residues a_i mod m of model, packed as (((a1 m + a2) m + a3) m +
+    a4) m + a6."""
+    a1, a2, a3, a4, a6 = model
+    return (((a1 % m * m + a2 % m) * m + a3 % m) * m + a4 % m) * m + a6 % m
+
+
+@cache
+def _type_table(ell: int) -> tuple[int, tuple[str | None, ...]] | None:
+    """The residue table at ell, (m, labels), or None above _TYPE_TABLE_MAX_ELL.
+
+    m is the modulus _residue_type reads, 4 at 2 and ell at 3 and 5; labels
+    holds, at the _residue_index of each residue tuple a_i mod m, the
+    Kodaira label at ell of every model with those residues, or None where
+    a Tate run must decide.  Built once per ell, in the order of
+    itertools.product, which is that packing.  At 2 it labels 864 of 1024
+    classes, 84% of the draws at H = 10^3 to 10^6 (I0 alone 50%); at 3 and
+    5 two thirds and four fifths.
+    """
+    if ell > _TYPE_TABLE_MAX_ELL:
+        return None
+    m = 4 if ell == 2 else ell
+    return m, tuple(
+        None if (ktype := _residue_type(WeierstrassModel(*a), ell)) is None else ktype.label
+        for a in product(range(m), repeat=5))
 
 
 def _tate_run(model: WeierstrassModel, ell: int,

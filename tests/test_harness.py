@@ -18,7 +18,6 @@ from ellstat.finitefield import reduce_model, group_order
 from ellstat.harness import (
     _BLOCK,
     _FORK_US,
-    _TYPE_TABLE_MAX_ELL,
     ClassificationFlags,
     SampleSpec,
     _classify_chunk,
@@ -27,14 +26,13 @@ from ellstat.harness import (
     _iter_chunk,
     _kodaira_chunk,
     _run_chunks,
-    _type_table,
     classify,
     estimate,
     exhaustive_box_size,
     kodaira_frequency,
     sample_tuple,
 )
-from ellstat.localdata import tamagawa_p_divisible, tate
+from ellstat.localdata import _TYPE_TABLE_MAX_ELL, _type_table, tamagawa_p_divisible, tate
 
 from oracles import c4_and_discriminant, good_after_minimising, sample_tuple_by_randrange
 
@@ -673,8 +671,8 @@ def test_type_table_labels_pinned(ell, size, digest):
 @pytest.mark.parametrize("ell", [2, 3, 5])
 def test_good_table_flags_ell_prime_to_discriminant(ell):
     # the I0 entries are exactly the classes with ell prime to Delta
-    m = _modulus(ell)
-    table = _type_table(ell)
+    m, table = _type_table(ell)
+    assert m == _modulus(ell)
     assert len(table) == m**5
     for a in itertools.product(range(m), repeat=5):
         assert (table[_index(a, m)] == "I0") == (c4_and_discriminant(a)[1] % ell != 0), a
@@ -689,8 +687,8 @@ def test_good_table_flags_exactly_the_minimal_i0_lifts(ell):
     # class is ell-minimal of type I0, and one of any other class (ell |
     # Delta) is singular, of bad reduction, or of good reduction only on a
     # smaller model
-    m = _modulus(ell)
-    table = _type_table(ell)
+    m, table = _type_table(ell)
+    assert m == _modulus(ell)
     rng = random.Random(1000 + ell)
     for height in HEIGHTS:
         for index, residues in enumerate(itertools.product(range(m), repeat=5)):
@@ -704,7 +702,7 @@ def test_good_table_flags_exactly_the_minimal_i0_lifts(ell):
 
 def test_type_table_labels_match_tate_on_lifts():
     # eight seeded lifts of every labelled class at 2 into each box
-    table = _type_table(2)
+    _, table = _type_table(2)
     rng = random.Random(2024)
     for height in HEIGHTS:
         for index, residues in enumerate(itertools.product(range(4), repeat=5)):
@@ -721,7 +719,7 @@ def test_type_table_leaves_every_singular_model_of_h2_box_untyped():
     # Delta is a quadratic in a6 with leading coefficient -27 * 16, so the
     # singular models of each (a1, a2, a3, a4) are the integer roots of the
     # quadratic through Delta at a6 = 0, 1, 2
-    table = _type_table(2)
+    _, table = _type_table(2)
     box = [range(1 - 2**w, 2**w) for w in WEIGHTS]
     singular = 0
     for head in itertools.product(*box[:4]):
@@ -746,7 +744,7 @@ def test_type_table_leaves_every_singular_model_of_h2_box_untyped():
 def test_classify_skip_at_two_matches_tate(p):
     # seeded lifts of every II, III and IV class at 2: whether p | c_2, with
     # the Tate run skipped where the label bounds c_2, against tate
-    table = _type_table(2)
+    _, table = _type_table(2)
     rng = random.Random(300 + p)
     seen = set()
     for height in HEIGHTS:
@@ -780,14 +778,21 @@ def test_kodaira_chunk_matches_tate_without_table(ell):
 
 
 def test_kodaira_frequency_at_large_ell_builds_no_table(monkeypatch):
-    import ellstat.harness as harness
+    # a table types each residue class through localdata._residue_type: no
+    # class at a large ell, and the 5^5 classes of one table at 5, once
+    import ellstat.localdata as localdata
 
-    monkeypatch.setattr(harness, "_TYPE_TABLES", {})
+    typed = []
+    residue_type = localdata._residue_type
+    monkeypatch.setattr(localdata, "_residue_type",
+                        lambda a, ell: typed.append(ell) or residue_type(a, ell))
+    _type_table.cache_clear()
     rep = kodaira_frequency(SampleSpec(height=1000, p=3, count=10, seed=0), 1000003)
     assert sum(rep.counts.values()) == 10
-    assert harness._TYPE_TABLES == {}
-    kodaira_frequency(SampleSpec(height=1000, p=3, count=10, seed=0), 5)
-    assert list(harness._TYPE_TABLES) == [5]
+    assert typed == []
+    for _ in range(2):
+        kodaira_frequency(SampleSpec(height=1000, p=3, count=10, seed=0), 5)
+    assert typed == [5] * 5**5
 
 
 @pytest.mark.parametrize("height", [1, 2])
