@@ -426,11 +426,10 @@ def _require_threads(threads: int) -> None:
 _FORK_US = 5000
 
 
-def _run_chunks(spec: SampleSpec, chunk_fn, threads: int,
-                sample_us: int | None = None) -> dict[str, int]:
+def _run_chunks(spec: SampleSpec, chunk_fn, threads: int, sample_us: int) -> dict[str, int]:
     """Sum the per-chunk counts chunk_fn(index) over every chunk of spec;
-    threads >= 1, and sample_us, if given, is the estimated cost of one
-    sample of chunk_fn in microseconds.
+    threads >= 1, and sample_us is the estimated cost of one sample of
+    chunk_fn in microseconds.
 
     The worker plan is decided here and nowhere else.  The CPUs this
     process may run on are its affinity set, or os.cpu_count() where that
@@ -438,9 +437,8 @@ def _run_chunks(spec: SampleSpec, chunk_fn, threads: int,
     chunks, CPUs, max(1, W // _FORK_US)) processes share the chunks: this
     one and k - 1 forked children.  W = spec.total * sample_us is the
     estimated work of the call, so each worker is given at least _FORK_US
-    of it, about what forking one costs; without sample_us that term sets
-    no bound.  k is 1 where os.fork is missing, and with k = 1 every
-    chunk runs here and nothing is started.
+    of it, about what forking one costs.  k is 1 where os.fork is missing,
+    and with k = 1 every chunk runs here and nothing is started.
 
     The workers are pinned one per CPU of the set exactly when k > 1 is the
     set's size: every CPU is then busy anyway.  A larger set (several runs
@@ -452,9 +450,8 @@ def _run_chunks(spec: SampleSpec, chunk_fn, threads: int,
     """
     n_chunks = -(-spec.total // spec.chunk_size)
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    k = min(threads, n_chunks, len(cpus) or os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    if sample_us is not None:
-        k = min(k, max(1, spec.total * sample_us // _FORK_US))
+    k = min(threads, n_chunks, len(cpus) or os.cpu_count() or 1,
+            max(1, spec.total * sample_us // _FORK_US)) if hasattr(os, "fork") else 1
     return _sum_counts(_fork_join(chunk_fn, n_chunks, k, cpus if 1 < k == len(cpus) else []))
 
 

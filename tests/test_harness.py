@@ -866,7 +866,8 @@ def test_run_chunks_shares_chunks_with_children(monkeypatch):
     # three workers: this process runs chunks 0, 3, 6 and two children the rest
     forks = _count_forks(monkeypatch, cpus=4)
     parent = os.getpid()
-    counts = _run_chunks(EIGHT_CHUNKS, lambda i: {"index": i, "in_child": os.getpid() != parent}, 3)
+    counts = _run_chunks(EIGHT_CHUNKS, lambda i: {"index": i, "in_child": os.getpid() != parent},
+                         3, _FORK_US)
     assert counts == {"index": sum(range(8)), "in_child": 5}
     assert len(forks) == 2
     _assert_no_children()
@@ -876,7 +877,7 @@ def test_run_chunks_shares_chunks_with_children(monkeypatch):
 def test_run_chunks_caps_workers_at_cpu_count(monkeypatch):
     # the 8 chunks bound the forks even if the cap were wrong
     forks = _count_forks(monkeypatch, cpus=2)
-    assert _run_chunks(EIGHT_CHUNKS, lambda i: {"n": 1}, 64) == {"n": 8}
+    assert _run_chunks(EIGHT_CHUNKS, lambda i: {"n": 1}, 64, _FORK_US) == {"n": 8}
     assert len(forks) == 1
     _assert_no_children()
 
@@ -885,7 +886,7 @@ def test_run_chunks_caps_workers_at_cpu_count(monkeypatch):
 def test_run_chunks_one_worker_runs_in_process(monkeypatch):
     forks = _count_forks(monkeypatch, cpus=1)
     parent = os.getpid()
-    counts = _run_chunks(EIGHT_CHUNKS, lambda i: {"here": os.getpid() == parent}, 8)
+    counts = _run_chunks(EIGHT_CHUNKS, lambda i: {"here": os.getpid() == parent}, 8, _FORK_US)
     assert counts == {"here": 8} and forks == []
 
 
@@ -954,7 +955,8 @@ def test_run_chunks_without_fork_runs_in_process(monkeypatch):
     _fake_cpus(monkeypatch, 4)
     monkeypatch.delattr(os, "fork", raising=False)
     parent = os.getpid()
-    assert _run_chunks(EIGHT_CHUNKS, lambda i: {"here": os.getpid() == parent}, 4) == {"here": 8}
+    counts = _run_chunks(EIGHT_CHUNKS, lambda i: {"here": os.getpid() == parent}, 4, _FORK_US)
+    assert counts == {"here": 8}
 
 
 @needs_fork
@@ -968,7 +970,7 @@ def test_run_chunks_reraises_child_exception(monkeypatch):
         return {"n": 1}
 
     with pytest.raises(KeyError) as exc:
-        _run_chunks(EIGHT_CHUNKS, chunk, 2)
+        _run_chunks(EIGHT_CHUNKS, chunk, 2, _FORK_US)
     assert exc.value.args[0] != parent
     _assert_no_children()
 
@@ -985,7 +987,7 @@ def test_run_chunks_own_exception_kills_children(monkeypatch):
 
     t0 = time.monotonic()
     with pytest.raises(KeyError):
-        _run_chunks(EIGHT_CHUNKS, chunk, 2)
+        _run_chunks(EIGHT_CHUNKS, chunk, 2, _FORK_US)
     assert time.monotonic() - t0 < 30
     _assert_no_children()
 
@@ -1003,10 +1005,10 @@ def test_run_chunks_child_without_result_raises(monkeypatch):
         return chunk
 
     with pytest.raises(RuntimeError, match="exit code 3"):
-        _run_chunks(EIGHT_CHUNKS, leave(lambda: os._exit(3)), 2)
+        _run_chunks(EIGHT_CHUNKS, leave(lambda: os._exit(3)), 2, _FORK_US)
     _assert_no_children()
     with pytest.raises(RuntimeError, match=f"signal {int(signal.SIGKILL)}"):
-        _run_chunks(EIGHT_CHUNKS, leave(lambda: os.kill(os.getpid(), signal.SIGKILL)), 2)
+        _run_chunks(EIGHT_CHUNKS, leave(lambda: os.kill(os.getpid(), signal.SIGKILL)), 2, _FORK_US)
     _assert_no_children()
 
 
@@ -1036,7 +1038,8 @@ def two_cpus():
 @needs_affinity
 @needs_fork
 def test_run_chunks_pins_each_worker_to_its_own_cpu(two_cpus):
-    counts = _run_chunks(EIGHT_CHUNKS, lambda i: {str(sorted(os.sched_getaffinity(0))): 1}, 2)
+    counts = _run_chunks(EIGHT_CHUNKS, lambda i: {str(sorted(os.sched_getaffinity(0))): 1},
+                         2, _FORK_US)
     assert counts == {str(two_cpus[:1]): 4, str(two_cpus[1:]): 4}
     assert os.sched_getaffinity(0) == set(two_cpus)
     _assert_no_children()
@@ -1054,11 +1057,11 @@ def test_run_chunks_restores_affinity(two_cpus):
             return {"n": 1}
         return chunk
 
-    assert _run_chunks(EIGHT_CHUNKS, lambda i: {"n": 1}, 2) == {"n": 8}
+    assert _run_chunks(EIGHT_CHUNKS, lambda i: {"n": 1}, 2, _FORK_US) == {"n": 8}
     assert os.sched_getaffinity(0) == set(two_cpus)
     for in_parent in (True, False):
         with pytest.raises(KeyError):
-            _run_chunks(EIGHT_CHUNKS, raise_in(in_parent), 2)
+            _run_chunks(EIGHT_CHUNKS, raise_in(in_parent), 2, _FORK_US)
         assert os.sched_getaffinity(0) == set(two_cpus)
         _assert_no_children()
 
@@ -1074,7 +1077,7 @@ def test_run_chunks_other_set_sizes_are_left_unpinned(monkeypatch, cpus):
     calls = []
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(cpus))
     # a child reports the calls made in it, since its list is its own copy
-    counts = _run_chunks(EIGHT_CHUNKS, lambda i: {"n": 1, "pins": len(calls)}, 2)
+    counts = _run_chunks(EIGHT_CHUNKS, lambda i: {"n": 1, "pins": len(calls)}, 2, _FORK_US)
     assert counts == {"n": 8, "pins": 0} and calls == []
     _assert_no_children()
 
@@ -1091,7 +1094,7 @@ def test_run_chunks_affinity_set_caps_and_pins_workers(monkeypatch, cpus, forked
     calls = []
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(sorted(cpus)))
     # a worker reports the pins made in it, since a child's list is its own copy
-    counts = _run_chunks(EIGHT_CHUNKS, lambda i: {str(calls): 1}, 8)
+    counts = _run_chunks(EIGHT_CHUNKS, lambda i: {str(calls): 1}, 8, _FORK_US)
     assert len(forks) == forked
     if forked:
         assert counts == {"[[0]]": 3, "[[1]]": 3, "[[2]]": 2}
@@ -1110,5 +1113,6 @@ def test_run_chunks_ignores_refused_pinning(monkeypatch):
         raise OSError(22, "Invalid argument")
 
     monkeypatch.setattr(os, "sched_setaffinity", refuse)
-    assert _run_chunks(EIGHT_CHUNKS, lambda i: {"index": i}, 2) == {"index": sum(range(8))}
+    counts = _run_chunks(EIGHT_CHUNKS, lambda i: {"index": i}, 2, _FORK_US)
+    assert counts == {"index": sum(range(8))}
     _assert_no_children()
