@@ -2,10 +2,11 @@
 empirical runs and the twist / split-Cartan family generators.
 
 Exit codes: 0 success, 1 internal error, 2 invalid input.  `main` is the
-one place that maps errors to them: an `InputError` from the library, a
-`SingularCurveError` and a `FactorBudgetExceeded` exit 2 with one `error:`
-line on stderr, any other exception exits 1.  Beyond parsing their own
-arguments, and `families` handling each t, the commands catch nothing.
+one place that maps errors to them: an `InputError` from the library or
+from a command's own argument checks, a `SingularCurveError` and a
+`FactorBudgetExceeded` exit 2 with one `error:` line on stderr, any other
+exception exits 1.  Beyond parsing their own arguments, and `families`
+handling each t, the commands catch nothing.
 
 All randomness flows from --seed; --threads (default 1) is the number of
 worker processes, capped at the chunk count, at the CPUs this process may
@@ -51,7 +52,7 @@ def _parse_curve(text: str) -> WeierstrassModel:
     try:
         return WeierstrassModel.from_string(text)
     except ValueError as exc:
-        raise _fail(f"bad curve spec: {exc}")
+        raise InputError(f"bad curve spec: {exc}")
 
 
 def _curve_report(model: WeierstrassModel) -> tuple[str, int, list[LocalData]]:
@@ -104,7 +105,7 @@ def cmd_theory(args) -> int:
     try:
         tol = Fraction(args.tol)
     except (ValueError, ZeroDivisionError):  # not a number, or a zero denominator
-        raise _fail(f"bad tolerance {args.tol!r}")
+        raise InputError(f"bad tolerance {args.tol!r}")
     rep = density_report(args.p, tol)
     lines = [
         f"p = {rep.p}",
@@ -177,9 +178,9 @@ def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo_i, hi_i = int(lo), int(hi)
     except ValueError:
-        raise _fail(f"bad range {text!r}; expected lo..hi")
+        raise InputError(f"bad range {text!r}; expected lo..hi")
     if hi_i < lo_i:
-        raise _fail(f"empty range {text!r}")
+        raise InputError(f"empty range {text!r}")
     return lo_i, hi_i
 
 
@@ -187,14 +188,14 @@ def cmd_families(args) -> int:
     rows = []
     if args.family == "twist":
         if not args.base:
-            raise _fail("--family twist needs --base")
+            raise InputError("--family twist needs --base")
         base = _parse_curve(args.base)
         lo, hi = _parse_range(args.range)
         for t in range(lo, hi + 1):
             try:
                 E = quadratic_twist(base, t)
             except FactorBudgetExceeded:
-                raise _fail(f"twist parameter {t} not factored within budget")
+                raise InputError(f"twist parameter {t} not factored within budget")
             except ValueError:
                 continue  # t = 0 or not squarefree
             rows.append((str(t), E))
