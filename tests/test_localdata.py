@@ -762,3 +762,33 @@ def test_indexed_kodaira_caches_are_bounded():
         for n in range(1, maxsize + 51):
             assert tate(model(n), 3).kodaira == KodairaType(kind, n)
         assert cache.cache_info().currsize <= maxsize
+
+
+def _deep_chain_models(ell):
+    """y^2 = x^3 + u ell x^2 + w ell^k and y^2 = x^3 + u ell x^2 + w ell^k x
+    for k = 6..19, each also moved by a seeded (r, s, t) shift, so that the
+    chain's own shifts are nonzero, and rescaled by ell."""
+    base = [WeierstrassModel(0, u * ell, 0, a4, a6)
+            for u in (1, -1, 2) for w in (1, -1, 2, 3) for k in range(6, 20)
+            for a4, a6 in ((0, w * ell**k), (w * ell**k, 0))]
+    base = [m for m in base if compute_invariants(m).delta != 0]
+    rng = random.Random(ell)
+    moved = [transform(m, 1, *(rng.randrange(-50, 51) for _ in range(3))) for m in base]
+    return base + moved + [_rescaled(m, ell) for m in moved[::4]]
+
+
+def test_tate_deep_chain_pinned():
+    # sha256 of every (ell, ell-minimal model, LocalData) on models deep in
+    # the I_nu* chain; recorded before its X- and Y-steps became one rule
+    h = hashlib.sha256()
+    for ell in (2, 3, 5):
+        cells = set()
+        for m in _deep_chain_models(ell):
+            minimal, data = _tate_run(m, ell)
+            h.update(repr((ell, minimal, data)).encode())
+            if data.kodaira.kind == "In*" and data.kodaira.n >= 10:
+                cells.add((data.kodaira.n % 2, data.tamagawa))
+        # both exits (Y-side at odd nu, X-side at even nu), each with c = 2
+        # and c = 4, past nu = 10
+        assert cells == {(parity, c) for parity in (0, 1) for c in (2, 4)}, ell
+    assert h.hexdigest() == "4101c5bbc04e31df2a7db13c939011a0798b08e69a93b58231bad1fcb4a1d05c"
