@@ -4,9 +4,11 @@ tate() runs the full algorithm at any prime, including the wild cases at
 2 and 3, minimising the model on the way (step-11 rescalings).  The
 conductor exponent comes out of Ogg's relation f = v(D_min) + 1 - m with m
 the component count of the Kodaira type, which is valid at every prime.
-Types IV and IV* and each Y-side step of the I_n* chain are one rule,
-_y_quadratic: the quadratic Y^2 + a3,e Y - a6,2e over F_p at e = 1, 2 and
-(n + 3)/2 (Silverman, Advanced Topics, IV.9.4, steps 5, 8 and 7).
+Every F_p quadratic of the algorithm is read by one rule, _quadratic, which
+returns a double root for the next shift.  Types IV and IV* and the Y-side
+steps of the I_n* chain read Y^2 + a3,e Y - a6,2e at e = 1, 2 and (n + 3)/2
+(_y_quadratic; Silverman, Advanced Topics, IV.9.4, steps 5, 8 and 7), and
+its X-side steps read a2,1 X^2 + a4,e+1 X + a6,2e+1 at e = (n + 2)/2.
 _tate_run's first pass takes the caller's invariants when it has them
 (classify, _good_invariants and _local_table do), and only a pass after a
 rescaling computes its own.  The type III test reads b8 of the cusp-shifted
@@ -128,13 +130,17 @@ def _split_multiplicative(c6: int, ell: int) -> bool:
     return legendre(-c6, ell) == 1
 
 
-def _quad_has_roots(A: int, B: int, C: int, p: int) -> bool:
-    """Does A x^2 + B x + C have a root in F_p?  A is a unit mod p for odd p:
-    1, or the I_n* X-step's a2 / p, nonzero since that cubic root is double."""
-    A, B, C = A % p, B % p, C % p
+def _quadratic(A: int, B: int, C: int, p: int) -> tuple[bool | None, int]:
+    """A x^2 + B x + C over F_p, with A a unit mod p: (whether its two
+    distinct roots lie in F_p, 0), or (None, x) for a double root x.  At
+    p = 2 the roots are distinct when B is odd, and x^2 + x + C has them in
+    F_2 when C is even; x^2 + C = (x + C)^2."""
     if p == 2:
-        return C == 0 or (A + B + C) % 2 == 0
-    return legendre(B * B - 4 * A * C, p) >= 0
+        return (C % 2 == 0, 0) if B % 2 else (None, C % 2)
+    D = B * B - 4 * A * C
+    if D % p:
+        return legendre(D, p) == 1, 0
+    return None, -B * pow(2 * A, -1, p) % p
 
 
 def _cubic_disc(b: int, c: int, d: int) -> int:
@@ -194,11 +200,8 @@ def _y_quadratic(cur: WeierstrassModel, p: int, e: int) -> tuple[bool | None, in
     t-shift after which p^(e+1) | a3 and p^(2e+1) | a6.
     """
     q = p**e
-    A3 = cur.a3 // q % p
-    A6 = cur.a6 // (q * q) % p
-    if (A3 * A3 + 4 * A6) % p:
-        return _quad_has_roots(1, A3, -A6, p), 0
-    return None, q * (A6 % 2 if p == 2 else -A3 * pow(2, -1, p) % p)
+    split, y = _quadratic(1, cur.a3 // q, -(cur.a6 // (q * q)), p)
+    return split, q * y
 
 
 def _cusp_steps(cur: WeierstrassModel, p: int,
@@ -343,27 +346,23 @@ def _tate_run(model: WeierstrassModel, ell: int,
             cur = transform(cur, 1, p * tau, 0, 0)
 
         if not triple:
-            # I_nu* chain: alternate Y- and X-side quadratics
+            # I_nu* chain at level e = (nu + 3) // 2: the Y-step at odd nu,
+            # the X-step at even nu, whose double root x gives the r-shift p^e x
             nu = 1
             while True:
-                split, t = _y_quadratic(cur, p, (nu + 3) // 2)
+                e = (nu + 3) // 2
+                if nu % 2:
+                    split, t = _y_quadratic(cur, p, e)
+                    r = 0
+                else:
+                    q = p**e
+                    split, x = _quadratic(cur.a2 // p, cur.a4 // (q * p), cur.a6 // (q * q * p), p)
+                    r, t = q * x, 0
                 if split is not None:
-                    ktype, c = _I_n_star(nu), 4 if split else 2
                     break
-                cur = transform(cur, 1, 0, 0, t)
+                cur = transform(cur, 1, r, 0, t)
                 nu += 1
-                e4 = (nu + 4) // 2
-                B2 = cur.a2 // p % p
-                B4 = cur.a4 // p**e4 % p
-                B6 = cur.a6 // p ** (nu + 3) % p
-                if (B4 * B4 - 4 * B2 * B6) % p != 0:
-                    ktype = _I_n_star(nu)
-                    c = 4 if _quad_has_roots(B2, B4, B6, p) else 2
-                    break
-                xi = B6 % 2 if p == 2 else (-B4 * pow(2 * B2, -1, p)) % p
-                if xi:
-                    cur = transform(cur, 1, p ** (e4 - 1) * xi, 0, 0)
-                nu += 1
+            ktype, c = _I_n_star(nu), 4 if split else 2
             break
 
         # triple root: IV*, III*, II* or a non-minimal model

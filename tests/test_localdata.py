@@ -633,6 +633,29 @@ def test_nroots_cubic_matches_brute_force():
         assert seen == {0, 1, 3}  # the split, one-root and irreducible cases
 
 
+def test_quadratic_matches_brute_force():
+    from ellstat.localdata import _quadratic
+
+    # every quadratic with A != 0 over F_2, F_3, F_5 and F_7, also given by
+    # lifts outside 0..p-1, as Tate's steps pass them
+    rng = random.Random(82)
+    for p in (2, 3, 5, 7):
+        seen = set()
+        for A in range(1, p):
+            for B in range(p):
+                for C in range(p):
+                    roots = [x for x in range(p) if (A * x * x + B * x + C) % p == 0]
+                    # one root over F_p is a double root; two or none are distinct
+                    want = (None, roots[0]) if len(roots) == 1 else (len(roots) == 2, 0)
+                    lifts = [(A, B, C)] + [
+                        tuple(v + p * rng.randrange(-10**6, 10**6) for v in (A, B, C))
+                        for _ in range(3)]
+                    for args in lifts:
+                        assert _quadratic(*args, p) == want, (args, p)
+                    seen.add(want[0])
+        assert seen == {None, True, False}, p
+
+
 def test_one_tate_run_per_bad_prime(monkeypatch):
     import ellstat.localdata as localdata
 
