@@ -173,15 +173,33 @@ def _theory_column(p: int) -> tuple[tuple[str, CertifiedValue], ...]:
     )
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition("..")
+# The most curves one families call may try, and the largest --min-search.
+# Each t of --range tries one curve, or 2 M twists under --min-search M, so
+# the range may span 2000 values of t without a search and 10 at M = 100.
+# At |t| <= 10^4 the largest accepted calls took 1.5 to 5.6 s (one core,
+# Python 3.11); larger t cost more per conductor.
+_MAX_FAMILY_CURVES = 2000
+_MAX_MIN_SEARCH = 100
+
+
+def _family_range(args) -> range:
+    """The t of --range, checked against _MAX_FAMILY_CURVES and --min-search
+    against _MAX_MIN_SEARCH."""
+    lo, _, hi = args.range.partition("..")
     try:
         lo_i, hi_i = int(lo), int(hi)
     except ValueError:
-        raise InputError(f"bad range {text!r}; expected lo..hi")
+        raise InputError(f"bad range {args.range!r}; expected lo..hi")
     if hi_i < lo_i:
-        raise InputError(f"empty range {text!r}")
-    return lo_i, hi_i
+        raise InputError(f"empty range {args.range!r}")
+    if not 0 <= args.min_search <= _MAX_MIN_SEARCH:
+        raise InputError(f"--min-search must lie in [0, {_MAX_MIN_SEARCH}]")
+    search = args.min_search if args.family == "zywina" else 0
+    most = _MAX_FAMILY_CURVES // max(1, 2 * search)
+    if hi_i - lo_i >= most:
+        raise InputError(f"range {args.range!r} spans {hi_i - lo_i + 1} values of t; at most "
+                         f"{most} are accepted" + (f" with --min-search {search}" if search else ""))
+    return range(lo_i, hi_i + 1)
 
 
 def cmd_families(args) -> int:
@@ -190,8 +208,7 @@ def cmd_families(args) -> int:
         if not args.base:
             raise InputError("--family twist needs --base")
         base = _parse_curve(args.base)
-        lo, hi = _parse_range(args.range)
-        for t in range(lo, hi + 1):
+        for t in _family_range(args):
             try:
                 E = quadratic_twist(base, t)
             except FactorBudgetExceeded:
@@ -200,8 +217,7 @@ def cmd_families(args) -> int:
                 continue  # t = 0 or not squarefree
             rows.append((str(t), E))
     else:
-        lo, hi = _parse_range(args.range)
-        for t in range(lo, hi + 1):
+        for t in _family_range(args):
             if t == 0:
                 continue
             j = zywina_j2(Fraction(t))
@@ -287,9 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("twist", "zywina"), required=True)
     p.add_argument("--base", default=None,
                    help="base curve for twists; write --base=-1,... when a1 < 0")
-    p.add_argument("--range", required=True, help="t range lo..hi")
+    p.add_argument("--range", required=True,
+                   help="t range lo..hi; a call tries at most 2000 curves")
     p.add_argument("--min-search", type=int, default=0,
-                   help="twist bound for the smallest-conductor search (zywina)")
+                   help="twist bound for the smallest-conductor search (zywina), "
+                        "at most 100; each t then tries 2 * MIN_SEARCH twists")
     add_format(p)
     p.set_defaults(func=cmd_families)
     return ap

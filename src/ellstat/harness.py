@@ -305,6 +305,8 @@ class SampleSpec:
         if not 0 < self.z < inf:
             raise InputError("z must be positive and finite")
         if self.exhaustive:
+            if self.count:
+                raise InputError("an exhaustive run takes no sample count")
             if exhaustive_box_size(self.height) > 10**7:
                 raise InputError("exhaustive box exceeds 10^7 tuples")
         elif self.count < 1:

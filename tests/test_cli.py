@@ -190,6 +190,24 @@ def test_families_bad_range_exits_2(capsys, text, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("family, search, widest", [
+    ("zywina", 0, 2000), ("zywina", 1, 1000), ("zywina", 5, 200), ("zywina", 100, 10),
+    ("twist", 0, 2000), ("twist", 100, 2000),  # the twist family makes no search
+])
+def test_families_range_bound_edges(family, search, widest):
+    from argparse import Namespace
+    from ellstat.arith import InputError
+    from ellstat.cli import _family_range
+
+    def t_range(width):
+        return _family_range(Namespace(family=family, range=f"-3..{width - 4}",
+                                       min_search=search))
+
+    assert t_range(widest) == range(-3, widest - 3)
+    with pytest.raises(InputError, match=f"at most {widest} are accepted"):
+        t_range(widest + 1)
+
+
 def test_families_twist_of_singular_base_reports_no_invariants(capsys):
     code, out, _ = run_cli(
         capsys, "families", "--family", "twist", "--base", "0,0,0,0,0",
@@ -401,6 +419,8 @@ INVALID = [
      "error: z must be positive and finite\n"),
     ("empirical --p 3 --height 100 --exhaustive",
      "error: exhaustive box exceeds 10^7 tuples\n"),
+    ("empirical --p 3 --height 2 --exhaustive --samples 5",
+     "error: an exhaustive run takes no sample count\n"),
     ("empirical --p 3 --height 10 --samples 50 --threads 0",
      "error: worker count must be a positive integer, got 0\n"),
     ("empirical --p 3 --height 10 --samples 50 --kodaira-at 4",
@@ -411,6 +431,16 @@ INVALID = [
      "error: --family twist needs --base\n"),
     ("families --family twist --base 1,2 --range 1..2",
      "error: bad curve spec: expected 5 comma-separated integers, got '1,2'\n"),
+    ("families --family zywina --range 1..2001",
+     "error: range '1..2001' spans 2001 values of t; at most 2000 are accepted\n"),
+    ("families --family twist --base 1,0,1,-141,624 --range 1..2001",
+     "error: range '1..2001' spans 2001 values of t; at most 2000 are accepted\n"),
+    ("families --family zywina --range 1..11 --min-search 100",
+     "error: range '1..11' spans 11 values of t; at most 10 are accepted with --min-search 100\n"),
+    ("families --family zywina --range 1..2 --min-search 101",
+     "error: --min-search must lie in [0, 100]\n"),
+    ("families --family zywina --range 1..2 --min-search -1",
+     "error: --min-search must lie in [0, 100]\n"),
 ]
 
 
