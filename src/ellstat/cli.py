@@ -196,7 +196,7 @@ def _family_range(args) -> range:
         raise InputError(f"--min-search must lie in [0, {_MAX_MIN_SEARCH}]")
     search = args.min_search if args.family == "zywina" else 0
     most = _MAX_FAMILY_CURVES // max(1, 2 * search)
-    if hi_i - lo_i >= most:
+    if hi_i - lo_i + 1 > most:
         raise InputError(f"range {args.range!r} spans {hi_i - lo_i + 1} values of t; at most "
                          f"{most} are accepted" + (f" with --min-search {search}" if search else ""))
     return range(lo_i, hi_i + 1)
