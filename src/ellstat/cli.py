@@ -197,8 +197,9 @@ def _family_range(args) -> range:
     search = args.min_search if args.family == "zywina" else 0
     most = _MAX_FAMILY_CURVES // max(1, 2 * search)
     if hi_i - lo_i + 1 > most:
-        raise InputError(f"range {args.range!r} spans {hi_i - lo_i + 1} values of t; at most "
-                         f"{most} are accepted" + (f" with --min-search {search}" if search else ""))
+        under = f" with --min-search {search}" if search else ""
+        raise InputError(f"range {args.range!r} spans {hi_i - lo_i + 1} values of t; "
+                         f"at most {most} are accepted{under}")
     return range(lo_i, hi_i + 1)
 
 
@@ -304,10 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", default=None,
                    help="base curve for twists; write --base=-1,... when a1 < 0")
     p.add_argument("--range", required=True,
-                   help="t range lo..hi; a call tries at most 2000 curves")
+                   help=f"t range lo..hi; a call tries at most {_MAX_FAMILY_CURVES} curves")
     p.add_argument("--min-search", type=int, default=0,
-                   help="twist bound for the smallest-conductor search (zywina), "
-                        "at most 100; each t then tries 2 * MIN_SEARCH twists")
+                   help="twist bound for the smallest-conductor search (zywina), at most "
+                        f"{_MAX_MIN_SEARCH}; each t then tries 2 * MIN_SEARCH twists")
     add_format(p)
     p.set_defaults(func=cmd_families)
     return ap
