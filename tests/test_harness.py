@@ -117,8 +117,8 @@ def test_spec_validation():
     (dict(height=10, count=5, chunk_size=0), "chunk size"),
     (dict(height=10, count=5, z=math.nan), "z must"),
     (dict(height=3, exhaustive=True), "exhaustive box"),
-    (dict(height=2, exhaustive=True, count=5), "exhaustive run takes no sample count"),
     (dict(height=10, count=0), "sample count"),
+    (dict(height=2, exhaustive=True, count=5), "exhaustive run takes no sample count"),
 ])
 def test_spec_checks_raise_input_error(fields, message):
     with pytest.raises(InputError, match=message):
