@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -228,6 +229,29 @@ def test_curve_from_j_minimal_conductor_search():
     model = curve_from_j(Fraction(-64), minimize_conductor=True, twist_bound=20)
     assert j_invariant(model) == -64
     assert 1568 % conductor(model) == 0
+
+
+def test_curve_from_j_search_matches_conductor_of_every_twist():
+    from ellstat.localdata import conductor
+
+    def least_conductor_twist(base, bound):
+        # every squarefree d with |d| <= bound, keyed as curve_from_j breaks
+        # ties: conductor, then |d|, then d > 0 first
+        keyed = []
+        for absd in range(1, bound + 1):
+            if any(absd % (q * q) == 0 for q in range(2, math.isqrt(absd) + 1)):
+                continue
+            for d in (absd, -absd):
+                twisted = quadratic_twist(base, d)
+                keyed.append(((conductor(twisted), absd, d < 0), twisted))
+        return min(keyed, key=lambda entry: entry[0])[1]
+
+    js = [zywina_j2(Fraction(t)) for t in (1, 2, 3, -2, 5, 7, -9, 12, 97, -1000, 9991)]
+    js += [Fraction(0), Fraction(1728), Fraction(-64), Fraction(857375, 8)]
+    for j in js:
+        model = curve_from_j(j, minimize_conductor=True, twist_bound=30)
+        assert model == least_conductor_twist(curve_from_j(j), 30), j
+        assert j_invariant(model) == j
 
 
 def test_serialization_round_trip():

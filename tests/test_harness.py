@@ -243,6 +243,15 @@ def test_classify_perfect_power_cofactor_without_divisible_c():
     assert tate(m, q).tamagawa == 3
     assert tamagawa_p_divisible(m, 5) == []
     assert classify(m, 5) == ClassificationFlags(False, True, False, False)
+    # two rests above the trial bound that no odd p can reach through a
+    # multiplicity: Delta = 98 * 10513 leaves the single prime 10513, and
+    # Delta = -2 * 7 * 97 * 199 * 10009^3 leaves the cube 10009^3 (split I3,
+    # c = 3) at p = 5 and 7, where 7 | Delta is divided out first
+    for coeffs, p in (((101, 0, 1, 0, 0), 3), ((1, 0, 10009, 0, 0), 5),
+                      ((1, 0, 10009, 0, 0), 7)):
+        m = WeierstrassModel(*coeffs)
+        assert tamagawa_p_divisible(m, p) == []
+        assert not classify(m, p).tamagawa_divisible, (coeffs, p)
 
 
 # M = q1 q2, for q1 < q2 the first two primes above 2^45, divides Delta and c4
