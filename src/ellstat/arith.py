@@ -200,6 +200,17 @@ def _may_be_kth_power(n: int, k: int) -> bool:
     return True
 
 
+def _perfect_power(n: int) -> tuple[int, int] | None:
+    """(r, k) with r^k = n for the first k in (2, 3, 5, 7) that has one, or
+    None; n >= 0.  Sieved before any root is taken."""
+    for k in (2, 3, 5, 7):
+        if _may_be_kth_power(n, k):
+            r, exact = iroot(n, k)
+            if exact:
+                return r, k
+    return None
+
+
 def _pollard_brent(n: int, max_iter: int) -> int | None:
     """A nontrivial factor of composite n, or None if the budget runs out.  n
     is odd and above 10^8 (factorize strips primes below 10^4), so c = seed != 0 mod n."""
@@ -243,9 +254,10 @@ def factorize(n: int, *, rho_budget: int = 1 << 22) -> dict[int, int]:
     """Full factorisation {prime: exponent} of |n|, n != 0.
 
     The primes below 10^4 come out of g = gcd(n, their product), divided
-    out in ascending order until g is used up; Pollard-Brent splits what is
-    left.  Raises FactorBudgetExceeded if a composite cofactor survives the
-    rho budget; callers that must not fail should catch it and report.
+    out in ascending order until g is used up; above them a perfect power
+    r^k splits into k copies of r, and Pollard-Brent splits the rest.  Raises
+    FactorBudgetExceeded if a composite cofactor survives the rho budget;
+    callers that must not fail should catch it and report.
     """
     n = abs(n)
     if n == 0:
@@ -270,12 +282,9 @@ def factorize(n: int, *, rho_budget: int = 1 << 22) -> dict[int, int]:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        for k in (2, 3, 5):
-            if _may_be_kth_power(m, k):
-                r, exact = iroot(m, k)
-                if exact:
-                    stack.extend([r] * k)
-                    break
+        if power := _perfect_power(m):
+            r, k = power
+            stack.extend([r] * k)
         else:
             d = _pollard_brent(m, rho_budget)
             if d is None:

@@ -232,17 +232,21 @@ def curve_from_j(
         base = WeierstrassModel(0, 0, 0, -3 * p * k * q * q, -2 * p * k * k * q**3)
     if not minimize_conductor:
         return base
-    from .localdata import conductor  # deferred: localdata sits above this module
+    from .localdata import _conductor_over  # deferred: localdata sits above this module
 
+    # the twist of the short base by d has discriminant d^6 Delta(base), so
+    # its primes are those of Delta(base), factored once, and those of d
+    base_primes = factorize(compute_invariants(base).delta).keys()
     best: tuple[int, int, int] | None = None
     best_model = base
     for absd in range(1, twist_bound + 1):
+        primes = base_primes | factorize(absd).keys()
         for d in (absd, -absd):
             try:
                 twisted = quadratic_twist(base, d)
             except ValueError:
                 break  # not squarefree; same for both signs
-            key = (conductor(twisted), absd, 0 if d > 0 else 1)
+            key = (_conductor_over(twisted, primes), absd, 0 if d > 0 else 1)
             if best is None or key < best:
                 best = key
                 best_model = twisted

@@ -49,8 +49,8 @@ from math import gcd, inf, prod, sqrt
 from typing import NoReturn
 
 from . import __version__
-from .arith import (_SMALL_BOUND, FactorBudgetExceeded, InputError, _may_be_kth_power, _primorial,
-                    factorize, iroot, is_prime, require_odd_prime, valuation)
+from .arith import (FactorBudgetExceeded, InputError, _perfect_power, _primorial, factorize,
+                    is_prime, require_odd_prime, valuation)
 from .curves import Invariants, SingularCurveError, WeierstrassModel, _box, compute_invariants
 from .density import CertifiedValue, rho, rho_Instar_ge1
 from .finitefield import _p_divides_order, _require_point_count_prime
@@ -70,7 +70,6 @@ __all__ = [
     "exhaustive_box_size",
 ]
 
-_SMALL_CUBE = _SMALL_BOUND**3
 _RHO_BUDGET = 1 << 20
 # models read per batch; their discriminants share one reduction of the
 # primorial.  Per sample (median of 20 to 30 rounds, 2 cores, Python 3.11),
@@ -100,6 +99,11 @@ def classify(model: WeierstrassModel, p: int) -> ClassificationFlags:
 
     S_p'' is decided on the p-minimal model; S_p' uses the discriminant of
     the given equation, per its literal definition.
+
+    S_p misses the one case assumed absent: a rest q^3 * r above 10^4 that
+    is not a perfect power.  A caller can meet it: y^2 + xy = x^3 + q^3,
+    q = 10007, is split I3 at q with c_q = 3, so it lies in S_3, yet
+    classify(model, 3).tamagawa_divisible is False.
     """
     return next(_classify_chunk((model,), p))
 
@@ -203,29 +207,17 @@ def _tamagawa_divisible(model: WeierstrassModel, C: int, s: int, inv: Invariants
     big_additive = gcd(C, inv.c4)
     if big_additive > 1:
         for q in factorize(big_additive, rho_budget=_RHO_BUDGET):
-            v = 0
-            while C % q == 0:
-                C //= q
-                v += 1
+            v = valuation(C, q)
+            C //= q**v
             if _c_ell_divisible(model, q, v, inv, p):
                 return True
-    if C < _SMALL_CUBE:
-        # q^3 <= C < bound^3 is impossible, so every multiplicity here is 1
-        # or 2 and c lies in {1, 2}: no odd p divides it
-        return False
     # the only way left for some multiplicity to reach 3 (short of the
     # assumed-absent q^3 * r event) is C itself being a perfect power
-    for k in (2, 3, 5, 7):
-        if _may_be_kth_power(C, k):
-            m, exact = iroot(C, k)
-            if exact:
-                break
-    else:
+    if _perfect_power(C) is None:
         return False
-    if k % p == 0 or m >= _SMALL_CUBE:
-        for q, n in factorize(C, rho_budget=_RHO_BUDGET).items():
-            if _c_ell_divisible(model, q, n, inv, p):
-                return True
+    for q, n in factorize(C, rho_budget=_RHO_BUDGET).items():
+        if _c_ell_divisible(model, q, n, inv, p):
+            return True
     return False
 
 

@@ -43,8 +43,9 @@ Good reduction at an odd prime p is decided by one rule, _good_invariants:
 p prime to Delta is good on the given model; a model with v(c4) = 0 or
 v(Delta) < 12 is already p-minimal (Cremona, Algorithms for Modular Elliptic
 Curves, 3.2), so p | Delta makes it bad; otherwise Tate's algorithm decides,
-and p | #E(F_p) is decided on the p-minimal model it returns.  classify,
-is_anomalous and prime_scan call it.
+and p | #E(F_p) is decided on the p-minimal model it returns.  classify and
+is_anomalous call it.  prime_scan reads the same answer off the Tate run it
+already has at each p | Delta.
 
 Multiplicative reduction is split exactly when -c6 is a square in Q_ell
 (Legendre test for odd ell, unit = 1 mod 8 at ell = 2).  Local p-torsion
@@ -60,6 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
 from itertools import product
+from math import prod
 from typing import NamedTuple
 
 from .arith import (InputError, factorize, is_prime, legendre, primes_up_to, require_odd_prime,
@@ -394,16 +396,14 @@ def local_minimal_model(model: WeierstrassModel, ell: int) -> tuple[WeierstrassM
     return _tate_run(model, ell)
 
 
-def _good_invariants(model: WeierstrassModel, inv: Invariants, p: int,
-                     _run: tuple[WeierstrassModel, LocalData] | None = None) -> Invariants | None:
+def _good_invariants(model: WeierstrassModel, inv: Invariants, p: int) -> Invariants | None:
     """Invariants of a p-minimal model of E if E has good reduction at the
-    odd prime p, else None; inv are the invariants of model, Delta != 0.
-    _run, if given, is _tate_run(model, p), already taken."""
+    odd prime p, else None; inv are the invariants of model, Delta != 0."""
     if inv.delta % p:
         return inv
     if inv.c4 % p or valuation(inv.delta, p) < 12:
         return None  # already p-minimal, so bad
-    minimal, data = _run or _tate_run(model, p, inv)
+    minimal, data = _tate_run(model, p, inv)
     return compute_invariants(minimal) if data.kodaira.is_good else None
 
 
@@ -434,10 +434,14 @@ def _local_table(model: WeierstrassModel) -> dict[int, tuple[WeierstrassModel, L
 
 def conductor(model: WeierstrassModel) -> int:
     """prod ell^f_ell over the primes dividing the discriminant."""
-    n = 1
-    for ell, (_, data) in _local_table(model).items():
-        n *= ell**data.conductor_exponent
-    return n
+    return _conductor_over(model, bad_primes(model))
+
+
+def _conductor_over(model: WeierstrassModel, primes) -> int:
+    """prod ell^f_ell over the given primes, one Tate run each: the
+    conductor of model when they hold every prime of its discriminant."""
+    inv = compute_invariants(model)
+    return prod(ell ** _tate_run(model, ell, inv)[1].conductor_exponent for ell in primes)
 
 
 def tamagawa_p_divisible(model: WeierstrassModel, p: int) -> list[int]:
@@ -563,14 +567,17 @@ def prime_scan(model: WeierstrassModel, p_max: int) -> PrimeScanReport:
     failure sets are expected to thin out for non-CM curves.
 
     Once per curve: the factorisation, the Tate runs and one product over
-    the bad primes.  Per prime: Delta mod p (_good_invariants decides only
-    when p divides it), the p | #E(F_p) predicate, and the Tamagawa and
+    the bad primes.  Per prime: good reduction, from the Tate run where p
+    divides Delta, the p | #E(F_p) predicate, and the Tamagawa and
     torsion rules only when p divides the product.  Nothing is kept between
     calls.
     """
     table = _local_table(model)
     truly_bad = {ell: entry for ell, entry in table.items() if not entry[1].kodaira.is_good}
     inv = compute_invariants(model)
+    # _good_invariants at each p | Delta, read off the Tate run at p
+    good_at = {ell: compute_invariants(minimal) if d.kodaira.is_good else None
+               for ell, (minimal, d) in table.items()}
     # Either flag at p needs p to divide suspects, the product over the
     # truly bad ell of c_ell (ell^2 - 1) v, v = v(Delta_min) >= 1:
     # - the Tamagawa flag, and the torsion flag at an additive ell, are
@@ -584,7 +591,7 @@ def prime_scan(model: WeierstrassModel, p_max: int) -> PrimeScanReport:
         suspects *= d.tamagawa * (d.prime * d.prime - 1) * d.v_min_delta
     rows = []
     for p in primes_up_to(p_max)[1:]:
-        good = inv if inv.delta % p else _good_invariants(model, inv, p, table.get(p))
+        good = good_at.get(p, inv)
         anomalous = good is not None and _p_divides_order(p, good.b2, good.b4, good.b6)
         tam = torsion = False
         if suspects % p == 0:

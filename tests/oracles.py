@@ -117,7 +117,7 @@ def prime_scan_rows_by_prime(model: WeierstrassModel, p_max: int) -> list[PrimeS
     inv = compute_invariants(model)
     rows = []
     for p in primes_up_to(p_max)[1:]:
-        good = _good_invariants(model, inv, p, table.get(p))
+        good = _good_invariants(model, inv, p)
         anomalous = good is not None and _p_divides_order(p, good.b2, good.b4, good.b6)
         away = [entry for ell, entry in truly_bad.items() if ell != p]
         tam = any(d.tamagawa % p == 0 for _, d in away)

@@ -9,6 +9,7 @@ from ellstat.arith import (
     FactorBudgetExceeded,
     InputError,
     _may_be_kth_power,
+    _perfect_power,
     _pollard_brent,
     _power_residue_tables,
     factorize,
@@ -161,6 +162,29 @@ def test_may_be_kth_power_accepts_powers():
         # and non-powers are mostly rejected
         kept = sum(_may_be_kth_power(rng.randrange(10**30), k) for _ in range(2000))
         assert kept < 100
+
+
+def test_perfect_power_matches_brute_force():
+    bound = 10**5
+    roots = {k: {r**k: r for r in range(iroot(bound, k)[0] + 1)} for k in (2, 3, 5, 7)}
+    for n in range(bound):
+        want = next(((roots[k][n], k) for k in (2, 3, 5, 7) if n in roots[k]), None)
+        assert _perfect_power(n) == want, n
+    for q in (10007, 1000003, 2**61 - 1):
+        # the first k in (2, 3, 5, 7) wins, so q^4 and q^6 read as squares
+        want = {2: (q, 2), 3: (q, 3), 4: (q * q, 2), 5: (q, 5), 6: (q**3, 2), 7: (q, 7)}
+        for k, root in want.items():
+            assert _perfect_power(q**k) == root, (q, k)
+            assert _perfect_power(q**k * 10009) is None, (q, k)
+
+
+def test_factorize_splits_a_seventh_power_without_rho(monkeypatch):
+    calls = []
+    monkeypatch.setattr(arith, "_pollard_brent", lambda n, budget: calls.append(n))
+    q = 1000003
+    assert factorize(q**7) == {q: 7}
+    assert factorize(2**3 * q**7) == {2: 3, q: 7}
+    assert calls == []
 
 
 def test_factorize_roundtrip():

@@ -254,6 +254,23 @@ def test_classify_perfect_power_cofactor_without_divisible_c():
         assert not classify(m, p).tamagawa_divisible, (coeffs, p)
 
 
+# y^2 + xy = x^3 + q^3, q = 10007: Delta = -q^3 (1 + 432 q^3), split I3 at
+# q, and the rest above 10^4 is q^3 times two primes, not a perfect power
+_CUBE_TIMES_REST = WeierstrassModel(1, 0, 0, 0, 10007**3)
+
+
+def test_cube_times_rest_is_in_s3():
+    assert compute_invariants(_CUBE_TIMES_REST).delta == -(10007**3) * (1 + 432 * 10007**3)
+    assert tate(_CUBE_TIMES_REST, 10007).tamagawa == 3
+    assert tamagawa_p_divisible(_CUBE_TIMES_REST, 3) == [10007]
+
+
+@pytest.mark.xfail(strict=True, reason="classify assumes that no rest q^3 * r above 10^4 "
+                                       "is left that is not a perfect power")
+def test_classify_finds_cube_times_rest():
+    assert classify(_CUBE_TIMES_REST, 3).tamagawa_divisible
+
+
 # M = q1 q2, for q1 < q2 the first two primes above 2^45, divides Delta and c4
 # of y^2 = x^3 + M x + M, and rho cannot split it within the classifier's
 # budget
