@@ -254,8 +254,9 @@ def factorize(n: int, *, rho_budget: int = 1 << 22) -> dict[int, int]:
     """Full factorisation {prime: exponent} of |n|, n != 0.
 
     The primes below 10^4 come out of g = gcd(n, their product), divided
-    out in ascending order until g is used up; above them a perfect power
-    r^k splits into k copies of r, and Pollard-Brent splits the rest.  Raises
+    out in ascending order until g is used up.  Above them each cofactor is
+    pushed once with its multiplicity e: a perfect power r^k as r with e*k,
+    and both factors of a Pollard-Brent split with e.  Raises
     FactorBudgetExceeded if a composite cofactor survives the rho budget;
     callers that must not fail should catch it and report.
     """
@@ -274,20 +275,16 @@ def factorize(n: int, *, rho_budget: int = 1 << 22) -> dict[int, int]:
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
-    if n == 1:
-        return out
-    stack = [n]  # n > 1, and only nontrivial factors and roots r >= 2 join it
+    # (cofactor m > 1, multiplicity e): m^e is still to be factored
+    stack = [(n, 1)] if n > 1 else []
     while stack:
-        m = stack.pop()
+        m, e = stack.pop()
         if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        if power := _perfect_power(m):
-            r, k = power
-            stack.extend([r] * k)
+            out[m] = out.get(m, 0) + e
+        elif power := _perfect_power(m):
+            stack.append((power[0], e * power[1]))
+        elif d := _pollard_brent(m, rho_budget):
+            stack += (d, e), (m // d, e)
         else:
-            d = _pollard_brent(m, rho_budget)
-            if d is None:
-                raise FactorBudgetExceeded(f"no factor of {m} within budget")
-            stack.extend([d, m // d])
+            raise FactorBudgetExceeded(f"no factor of {m} within budget")
     return out

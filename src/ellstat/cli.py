@@ -176,9 +176,9 @@ def _theory_column(p: int) -> tuple[tuple[str, CertifiedValue], ...]:
 # The most curves one families call may try, and the largest --min-search.
 # Each t of --range tries one curve, or 2 M twists under --min-search M, so
 # the range may span 2000 values of t without a search and 10 at M = 100.
-# At |t| <= 10^4 the largest accepted calls took 1.3 to 3.9 s without a
-# search and 0.4 to 0.5 s at M = 100 (one core, Python 3.11); larger t cost
-# more per conductor.
+# At |t| <= 10^4 the largest accepted calls took 1.0 to 2.0 s without a
+# search and 0.5 s at M = 100 (one core, Python 3.11); larger t cost more
+# per conductor.
 _MAX_FAMILY_CURVES = 2000
 _MAX_MIN_SEARCH = 100
 

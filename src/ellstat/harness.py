@@ -336,17 +336,19 @@ _CLASSIFY_US = 20
 
 
 def _count_chunk(spec: SampleSpec, index: int) -> dict[str, int]:
+    """Flag -> count over the samples of one chunk.  An unclassified sample
+    is counted only in "unclassified": its bad_at_p and anomalous_good are
+    dropped, although every row's N is the run size (spec.total)."""
     singular = bad = tam = anom = uncl = 0
     for flags in _classify_chunk(_iter_chunk(spec, index), spec.p):
         if flags.singular:
             singular += 1
-            continue
-        if flags.unclassified:
+        elif flags.unclassified:
             uncl += 1
-            continue
-        bad += flags.bad_at_p
-        tam += flags.tamagawa_divisible
-        anom += flags.anomalous_good
+        else:
+            bad += flags.bad_at_p
+            tam += flags.tamagawa_divisible
+            anom += flags.anomalous_good
     return dict(zip(_FLAG_ORDER, (singular, bad, tam, anom, uncl)))
 
 

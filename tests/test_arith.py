@@ -187,6 +187,24 @@ def test_factorize_splits_a_seventh_power_without_rho(monkeypatch):
     assert calls == []
 
 
+def test_factorize_splits_the_root_of_a_power_once(monkeypatch):
+    calls = []
+
+    def counted(n, budget):
+        calls.append(n)
+        return _pollard_brent(n, budget)
+
+    monkeypatch.setattr(arith, "_pollard_brent", counted)
+    a, b, c = 1000003, 1000033, 1000037
+    assert factorize((a * b) ** 3) == {a: 3, b: 3}
+    assert calls == [a * b]
+    calls.clear()
+    # a sixth power reads as the square of a cube: still one split of a*b
+    assert factorize((a * b) ** 6) == {a: 6, b: 6}
+    assert calls == [a * b]
+    assert factorize(((a * b) ** 2 * c) ** 3) == {a: 6, b: 6, c: 3}
+
+
 def test_factorize_roundtrip():
     rng = random.Random(11)
     for _ in range(150):
