@@ -284,7 +284,7 @@ def factorize(n: int, *, rho_budget: int = 1 << 22) -> dict[int, int]:
         elif power := _perfect_power(m):
             stack.append((power[0], e * power[1]))
         elif d := _pollard_brent(m, rho_budget):
-            stack += (d, e), (m // d, e)
+            stack += [(d, e), (m // d, e)]
         else:
             raise FactorBudgetExceeded(f"no factor of {m} within budget")
     return out
