@@ -11,7 +11,8 @@ predicate, _p_divides_order.  For a prime p >= 7 Hasse's bound
 #E = p, and that holds exactly when p P = O for one point P != O (such a P
 has order p).  So above a measured crossover the predicate runs one x-only
 Montgomery ladder for p P on the short model y^2 = x^3 + A x + B, about
-log2(p) steps; below it, it counts.  In front of the ladder, one power
+log2(p) steps; below it, it counts.  The ladder is arith._ladder, which
+ECM in arith.factorize shares.  In front of the ladder, one power
 decides whether the discriminant of x^3 + A x + B is a square mod p; when
 it is not, the cubic has one root (Stickelberger), #E is even, and the
 answer is no without a ladder.  That is about half of all curves.
@@ -29,7 +30,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 
-from .arith import InputError, factorize, is_prime, require_odd_prime
+from .arith import InputError, _ladder, factorize, is_prime, require_odd_prime
 from .curves import WeierstrassModel, compute_invariants, format_rational
 
 __all__ = [
@@ -138,13 +139,8 @@ def _order_is_p(p: int, b2: int, b4: int, b6: int) -> bool:
     whose x^3 + A x + B is a nonzero square: x != 0 keeps the differential
     addition defined and y != 0 keeps P off the 2-torsion.  If there is
     none, every affine point has x = 0 or y = 0, so #E <= 6 < p.
-    Otherwise a Montgomery ladder on (X:Z) gives p P, which is O exactly
-    when Z = 0 (Brier and Joye, "Weierstrass elliptic curves and
-    side-channel attacks", PKC 2002):
-      x(Q+R) x(Q-R) = ((x_Q x_R - A)^2 - 4B (x_Q + x_R)) / (x_Q - x_R)^2,
-      x(2Q) = ((x^2 - A)^2 - 8B x) / (4 (x^3 + A x + B)).
-    The ladder holds (kP, (k+1)P), whose difference is P; O enters and
-    leaves it as (X:0) with X != 0, so no step collapses to (0:0).
+    Otherwise arith._ladder, the x-only Montgomery ladder on (X:Z) that
+    ECM in factorize also runs, gives p P, which is O exactly when Z = 0.
     """
     A = -27 * (b2 * b2 - 24 * b4) % p
     B = 54 * (b2 * (b2 * b2 - 36 * b4) + 216 * b6) % p  # -54 c6
@@ -158,26 +154,7 @@ def _order_is_p(p: int, b2: int, b4: int, b6: int) -> bool:
             break
     else:
         return False
-    B4, B8 = 4 * B, 8 * B
-    t = x * x - A
-    x0, z0, x1, z1 = x, 1, (t * t - B8 * x) % p, 4 * f  # P, 2P
-    for bit in bin(p)[3:]:
-        # the sum of the two, with difference P
-        u, v, zz = x0 * z1, x1 * z0, z0 * z1 % p
-        t = (x0 * x1 - A * zz) % p
-        s = (u - v) % p
-        xs, zs = (t * t - B4 * zz * (u + v)) % p, x * s * s % p
-        # the double of the one this bit keeps
-        xd, zd = (x1, z1) if bit == "1" else (x0, z0)
-        xx, zz, xz = xd * xd % p, zd * zd % p, xd * zd % p
-        azz = A * zz
-        t = xx - azz
-        xn, zn = (t * t - B8 * xz * zz) % p, 4 * (xz * (xx + azz) + B * zz * zz) % p
-        if bit == "1":
-            x0, z0, x1, z1 = xs, zs, xn, zn
-        else:
-            x0, z0, x1, z1 = xn, zn, xs, zs
-    return z0 == 0
+    return _ladder(p, x, A, B, p)[1] == 0
 
 
 def group_order(curve: ReducedCurve) -> int:

@@ -6,8 +6,9 @@ and d(p) walk every short form or every (b2, b4, b6), class numbers come
 from reducing every form in a box, reduced forms from filtering one box by
 the reduction inequalities, heights are compared by cross-powering, local
 p-torsion ranks come from Hensel-lifting roots of the p-division
-polynomial to precision ell^40, and height-box draws from one randrange
-call per coefficient.  Discriminants and good reduction come from the
+polynomial to precision ell^40, height-box draws from one randrange
+call per coefficient, and multiples of a point from the affine chord and
+tangent law.  Discriminants and good reduction come from the
 b-invariant formulas written out here and from searching every u = ell
 change of variables for an integral model.  The torsion oracle is one-sided
 by construction: it can only declare "no torsion" when no root survives at
@@ -36,6 +37,29 @@ def naive_group_order(p: int, a1: int, a2: int, a3: int, a4: int, a6: int) -> in
             if (y * y + a1 * x * y + a3 * y) % p == rhs:
                 count += 1
     return count
+
+
+def affine_multiple(k: int, point, A: int, B: int, p: int):
+    """k P on y^2 = x^3 + A x + B over F_p by k - 1 affine chord-and-tangent
+    additions, as (x, y), or None for O."""
+
+    def add(P, Q):
+        if P is None or Q is None:
+            return Q if P is None else P
+        (x1, y1), (x2, y2) = P, Q
+        if x1 == x2 and (y1 + y2) % p == 0:
+            return None
+        if P == Q:
+            lam = (3 * x1 * x1 + A) * pow(2 * y1, -1, p) % p
+        else:
+            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (lam * lam - x1 - x2) % p
+        return x3, (lam * (x1 - x3) - y1) % p
+
+    Q = point
+    for _ in range(k - 1):
+        Q = add(Q, point)
+    return Q
 
 
 def d_count_literal(p: int) -> int:

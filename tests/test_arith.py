@@ -8,6 +8,8 @@ from ellstat import arith
 from ellstat.arith import (
     FactorBudgetExceeded,
     InputError,
+    _Budget,
+    _ladder,
     _may_be_kth_power,
     _perfect_power,
     _pollard_brent,
@@ -21,6 +23,10 @@ from ellstat.arith import (
     sieve_primes,
     valuation,
 )
+from ellstat.curves import compute_invariants
+from ellstat.harness import sample_tuple
+
+from oracles import affine_multiple
 
 
 def test_sieve_matches_trial_division():
@@ -247,6 +253,84 @@ def test_factor_budget_raises():
     hard = (2**89 - 1) * (2**107 - 1)  # both prime; rho cannot split in a tiny budget
     with pytest.raises(FactorBudgetExceeded):
         factorize(hard, rho_budget=64)
+
+
+def test_factor_budget_counts_multiplications(monkeypatch):
+    # the budget of each call is read back: rho and ECM charge each batch
+    # or stage before it runs, so a raise leaves spent at most the limit,
+    # and the budget is not left unused by more than one ECM curve
+    budgets = []
+
+    class Recorded(_Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(arith, "_Budget", Recorded)
+    hard = (2**89 - 1) * (2**107 - 1)
+    k, muls1, m0, pairs, muls2 = arith._ecm_bounds(*arith._ECM_PLAN[-1][:2])
+    for B in (64, 5000, 10**5, 10**6):
+        with pytest.raises(FactorBudgetExceeded):
+            factorize(hard, rho_budget=B)
+        assert budgets[-1].limit == B
+        assert B - muls1 - muls2 < budgets[-1].spent <= B, B
+
+
+def test_factor_budget_weighs_multiplications_by_size():
+    budget = _Budget(10**6)
+    budget.charge(100, 2**255 - 1)
+    assert budget.spent == 100
+    budget.charge(100, 2**1023 + 1)  # 1024 bits: 1 + 4^2 per multiplication
+    assert budget.spent == 100 + 1700
+    with pytest.raises(FactorBudgetExceeded):
+        budget.charge(10**6, 3)
+    assert budget.spent == 1800
+
+
+def test_factorize_finds_a_prime_beyond_rho_by_ecm(monkeypatch):
+    # rho's squarings cannot reach a 40-bit prime: ECM splits n
+    calls = []
+    real = arith._ecm
+    monkeypatch.setattr(arith, "_ecm", lambda n, budget: calls.append(n) or real(n, budget))
+    p, q = 1099511627791, 2**89 - 1  # the first prime above 2^40, and a Mersenne prime
+    assert factorize(p * q) == {p: 1, q: 1}
+    assert calls == [p * q]
+
+
+def test_ladder_matches_affine_multiples():
+    # y^2 = x^3 + 3x + 5 over F_10007, from a point with y != 0: k P and
+    # (k+1) P from the ladder, and a sum with a difference whose Z is not 1
+    p, A, B = 10007, 3, 5
+    x = next(x for x in range(1, p) if legendre(x**3 + A * x + B, p) == 1)
+    y = next(y for y in range(p) if (y * y - x**3 - A * x - B) % p == 0)
+    for k in (1, 2, 3, 4, 5, 12, 97, 210, 1000):
+        want = [affine_multiple(j, (x, y), A, B, p) for j in (k, k + 1)]
+        x0, z0, x1, z1 = _ladder(k, x, A, B, p)
+        for (X, Z), w in zip(((x0, z0), (x1, z1)), want):
+            assert Z % p and X * pow(Z, -1, p) % p == w[0], k
+    xq, zq, _, _ = _ladder(7, x, A, B, p)
+    xr, zr, _, _ = _ladder(3, x, A, B, p)
+    xd, zd, _, _ = _ladder(4, x, A, B, p)
+    X, Z = arith._xadd((xq, zq), (xr, zr), (xd, zd), A, B, p)
+    assert X * pow(Z, -1, p) % p == affine_multiple(10, (x, y), A, B, p)[0]
+
+
+def test_seeded_height_1000_discriminants_factor():
+    # the |Delta| of the first 40 draws of random.Random(5) at H = 10^3 have
+    # 123 to 128 bits; six hold two primes of 43 to 57 bits that rho alone
+    # never split.  All 40 take about 2.5 s with the default budget (2
+    # cores, Python 3.11).  sympy's BPSW test checks every prime: with the
+    # product, that pins the factorisation, where sympy.factorint would take
+    # about 14 s more
+    rng = random.Random(5)
+    deltas = [compute_invariants(sample_tuple(rng, 1000)).delta for _ in range(40)]
+    got = [factorize(d) for d in deltas]
+    for d, fac in zip(deltas, got):
+        assert all(is_prime(q) for q in fac), d
+        assert math.prod(q**e for q, e in fac.items()) == abs(d)
+    sympy = pytest.importorskip("sympy")
+    for d, fac in zip(deltas, got):
+        assert all(sympy.isprime(q) for q in fac), d
 
 
 def test_pollard_brent_restarts_with_next_seed():

@@ -271,10 +271,11 @@ def test_classify_finds_cube_times_rest():
     assert classify(_CUBE_TIMES_REST, 3).tamagawa_divisible
 
 
-# M = q1 q2, for q1 < q2 the first two primes above 2^45, divides Delta and c4
-# of y^2 = x^3 + M x + M, and rho cannot split it within the classifier's
-# budget
-_M = 35184372088891 * 35184372088907
+# M = q1 q2 divides Delta and c4 of y^2 = x^3 + M x + M, and neither rho nor
+# ECM splits it within the classifier's budget.  q1 < q2 are the first two
+# consecutive primes above 2^100 with q1 q2 = 2 (mod 5), so that 5 | 4M + 27
+# and the model is bad at 5
+_M = (2**100 + 627) * (2**100 + 643)
 _UNSPLIT = WeierstrassModel(0, 0, 0, _M, _M)
 
 
