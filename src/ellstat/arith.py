@@ -7,11 +7,11 @@ sieves, quadratic residue tests, integer roots and a power-residue sieve
 that rejects almost every non-power before a root is taken.
 
 factorize finds the primes below 10^4 by one gcd with their product, then
-splits each composite cofactor that is not a perfect power by a short
-Pollard-Brent run and, if that fails, by ECM on curves whose bounds rise
-as they fail.  Every modular multiplication of rho and ECM is charged to
-one budget, so a cofactor with no small enough prime costs a bounded
-amount of work before FactorBudgetExceeded.  ECM's stage 1 runs on
+splits each composite cofactor that is not a perfect power by one short
+Pollard-Brent walk and, if that fails, by ECM on curves whose bounds rise
+as they fail.  Every modular multiplication of the walk and of ECM is
+charged to one budget, so a cofactor with no small enough prime costs a
+bounded amount of work before FactorBudgetExceeded.  ECM's stage 1 runs on
 _ladder, the x-only Montgomery ladder on a short Weierstrass model that
 finitefield also uses to test whether p P = O.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 from itertools import count
-from math import gcd, inf, isqrt, prod
+from math import gcd, inf, isqrt, lcm, prod
 
 __all__ = [
     "sieve_primes",
@@ -243,66 +243,60 @@ class _Budget:
         self.spent += muls
 
 
-# rho's squarings over all its seeds before factorize moves on to ECM.  On
-# the cofactors of 6031 `local` discriminants it found nearly every prime
-# below 2^20 and about half of those of 21 to 25 bits in that many; caps
-# of 2000 to 32000 cost as many multiplications or more in all
+# the cap on rho's squarings: the walk runs rounds r = 1 to 2048, 8190
+# squarings, before factorize moves on to ECM.  On the 1713 cofactors of
+# the 6031 `local` discriminants of perfbench's `exact` seed 1 it split
+# 1123 of the 1125 whose least prime is below 2^21, 335 of the 406 of 21
+# to 25 bits and 22 of the 182 above.  Factoring all 6031 counts 12.41M
+# multiplications; caps of 4000 and 16000 (rounds to 1024 and 4096) count
+# 12.47M and 12.50M, and 2000 and 32000 count 13.38M and 13.04M
 _RHO_SQUARINGS = 8000
 
 
-def _pollard_brent(n: int, budget: _Budget | int) -> int | None:
-    """A nontrivial factor of composite n, or None after about _RHO_SQUARINGS
-    squarings over at most eight seeds.  n is odd and above 10^8
-    (factorize strips primes below 10^4), so c = seed != 0 mod n.  Each
-    batch of squarings is charged to budget before it runs; an int budget
-    starts a fresh one."""
-    if isinstance(budget, int):
-        budget = _Budget(budget)
-    seed, squarings = 1, 0
-    while True:
-        y, c, m = (seed * 2862933555777941757 + 3037000493) % n, seed, 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            budget.charge(r, n)
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                steps = min(m, r - k)
-                budget.charge(2 * steps, n)
-                # q is reduced once per four steps: a reduction costs more
-                # than a product below about 2^256
-                for _ in range(steps >> 2):
-                    y1 = (y * y + c) % n
-                    y2 = (y1 * y1 + c) % n
-                    y3 = (y2 * y2 + c) % n
-                    y = (y3 * y3 + c) % n
-                    q = q * (x - y1) * (x - y2) * (x - y3) * (x - y) % n
-                for _ in range(steps & 3):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = gcd(q, n)
-                k += m
-            squarings += 2 * r
-            r *= 2
-            if squarings > _RHO_SQUARINGS:
-                return None
-        if g != n:
-            return g
+def _pollard_brent(n: int, budget: _Budget) -> int | None:
+    """A nontrivial factor of composite n from one Pollard-Brent walk
+    (Brent, BIT 20, 1980), or None.  It stops once its rounds have made
+    more than _RHO_SQUARINGS squarings, or when the walk meets the cycles of
+    all primes of n at once and the backtrack gives n too; factorize then
+    hands n to ECM.  The walk iterates y -> y^2 + 1 mod n.  Each batch of
+    squarings is charged to budget before it runs."""
+    y, m = (2862933555777941757 + 3037000493) % n, 128
+    g = q = r = 1
+    while g == 1:
+        # rounds 1 to r/2 made 2 (r - 1) squarings
+        if 2 * (r - 1) > _RHO_SQUARINGS:
+            return None
+        x = y
+        budget.charge(r, n)
+        for _ in range(r):
+            y = (y * y + 1) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            steps = min(m, r - k)
+            budget.charge(2 * steps, n)
+            # q is reduced once per four steps: a reduction costs more
+            # than a product below about 2^256
+            for _ in range(steps >> 2):
+                y1 = (y * y + 1) % n
+                y2 = (y1 * y1 + 1) % n
+                y3 = (y2 * y2 + 1) % n
+                y = (y3 * y3 + 1) % n
+                q = q * (x - y1) * (x - y2) * (x - y3) * (x - y) % n
+            for _ in range(steps & 3):
+                y = (y * y + 1) % n
+                q = q * (x - y) % n
+            g = gcd(q, n)
+            k += m
+        r *= 2
+    if g == n:
         # backtrack when the batched gcd overshot
         g = 1
         while g == 1:
             budget.charge(1, n)
-            ys = (ys * ys + c) % n
+            ys = (ys * ys + 1) % n
             g = gcd(x - ys, n)
-        if g != n:
-            return g
-        seed += 1
-        if seed > 8:
-            return None
+    return g if g < n else None
 
 
 # multiplications modulo n in one step of _ladder and in one _xadd
@@ -366,20 +360,13 @@ _ECM_PLAN = ((200, 12_000, 8), (600, 40_000, 24), (2000, 100_000, inf))
 
 @cache
 def _ecm_bounds(b1: int, b2: int) -> tuple[int, int, int, tuple[tuple[int, ...], ...], int]:
-    """(k, muls1, m0, pairs, muls2) for the bounds B1 = b1 <= 10^4 and
-    B2 = b2.  k is lcm(1..b1), the stage-1 scalar, and pairs[i] holds the
-    indices into _BABY of the j for which (m0 + i) _D - j or (m0 + i) _D + j
-    is a prime of (b1, b2].  muls1 and muls2 are the multiplications of
-    the two stages.  Built on first use from a sieve of its own, so the
-    cache of primes_up_to is left alone."""
-    k = 1
-    for p in _small_primes():
-        if p > b1:
-            break
-        q = p
-        while q * p <= b1:
-            q *= p
-        k *= q
+    """(k, muls1, m0, pairs, muls2) for the bounds B1 = b1 and B2 = b2.  k
+    is lcm(1..b1), the stage-1 scalar, and pairs[i] holds the indices into
+    _BABY of the j for which (m0 + i) _D - j or (m0 + i) _D + j is a prime
+    of (b1, b2].  muls1 and muls2 are the multiplications of the two
+    stages.  Built on first use from a sieve of its own, so the cache of
+    primes_up_to is left alone."""
+    k = lcm(*range(1, b1 + 1))
     index = {j: i for i, j in enumerate(_BABY)}
     by_m: dict[int, set[int]] = {}
     for p in sieve_primes(b2):
@@ -475,18 +462,19 @@ def factorize(n: int, *, rho_budget: int = 1 << 22) -> dict[int, int]:
     out in ascending order until g is used up.  Above them each cofactor is
     pushed once with its multiplicity e: a prime is recorded, a perfect
     power r^k is pushed as r with e*k, and any other cofactor is split,
-    both factors pushed with e.  A split is tried first by Pollard-Brent
-    for about _RHO_SQUARINGS squarings, then by ECM (_ecm) until a curve
-    splits it.
+    both factors pushed with e.  A split is tried first by one
+    Pollard-Brent walk of about _RHO_SQUARINGS squarings, then, if the
+    walk gives none, by ECM (_ecm) until a curve splits it.
 
-    rho_budget counts modular multiplications: every one made by rho, over
-    all its seeds, and by ECM, for all cofactors of n together.  Work that
-    would pass it raises FactorBudgetExceeded instead; callers that must
-    not fail should catch it and report.  With the default, the |Delta| of
-    the first 40 draws of random.Random(5) at H = 10^3, with primes of up to
-    57 bits, factor in 2.0 to 2.7 s together, and the 1059-bit cofactor of
-    the Delta of y^2 = x^3 + x + 10^160 + 7 raises after about 2 s (2
-    cores, Python 3.11).
+    rho_budget counts modular multiplications: every one made by the rho
+    walks and by ECM, for all cofactors of n together, with one modulo an
+    n of b bits counted 1 + (b // 256)^2 times.  Work that would pass it
+    raises FactorBudgetExceeded instead; callers that must not fail should
+    catch it and report.  With the default, the |Delta| of the first 40
+    draws of random.Random(5) at H = 10^3, with primes of up to 57 bits,
+    factor in 1.5 to 1.8 s together, and the 1059-bit cofactor of the Delta
+    of y^2 = x^3 + x + 10^160 + 7 raises after 1.4 to 1.9 s (2 cores,
+    Python 3.11).
     """
     n = abs(n)
     if n == 0:

@@ -333,20 +333,49 @@ def test_seeded_height_1000_discriminants_factor():
         assert all(sympy.isprime(q) for q in fac), d
 
 
-def test_pollard_brent_restarts_with_next_seed():
+def test_pollard_brent_gives_up_when_both_cycles_meet(monkeypatch):
     # 102781897 = 10007 * 10271, found by a search over products of primes
-    # above 10^4: the seed-1 walk meets both cycles at once, so its batched
-    # gcd and the backtrack both give n, and seed 2 splits it
-    assert _pollard_brent(102781897, 1 << 22) == 10007
+    # above 10^4: the walk meets both cycles at once, so its batched gcd
+    # and the backtrack both give n, the only two of its gcds that are not
+    # 1, and it returns None with no second walk
+    n = 102781897
+    seen = []
+    monkeypatch.setattr(arith, "gcd", lambda a, b: seen.append(math.gcd(a, b)) or seen[-1])
+    assert _pollard_brent(n, _Budget(1 << 22)) is None
+    assert [g for g in seen if g != 1] == [n, n] and seen[-1] == n
+    # where every gcd is n, exactly those two gcd calls are made
+    seen.clear()
+    monkeypatch.setattr(arith, "gcd", lambda a, b: seen.append(b) or b)
+    assert _pollard_brent(n, _Budget(1 << 22)) is None
+    assert seen == [n, n]
 
 
-def test_pollard_brent_gives_up_after_eight_seeds(monkeypatch):
-    # every gcd is n, so each seed ends on g == n after the backtrack, one
-    # batched gcd and one backtrack gcd per seed
+def test_factorize_hands_a_failed_walk_to_ecm(monkeypatch):
     calls = []
-    monkeypatch.setattr(arith, "gcd", lambda a, b: calls.append(a) or b)
-    assert _pollard_brent(102781897, 1 << 22) is None
-    assert len(calls) == 2 * 8
+    real = arith._ecm
+    monkeypatch.setattr(arith, "_ecm", lambda n, budget: calls.append(n) or real(n, budget))
+    assert factorize(102781897) == {10007: 1, 10271: 1}
+    assert calls == [102781897]
+
+
+def test_pollard_brent_keeps_the_factor_of_its_last_round():
+    # 12314000140217 = 1536893 * 8012269 was found by replaying the walk on
+    # the cofactors that factorize gives it from the |Delta| of perfbench's
+    # `exact` seeds 1 and 2: it is the smallest of the 250 that the walk
+    # splits with its first nontrivial batched gcd in the last round,
+    # r = 2048.  Rounds 1 to 1024 charge 3 * 2047 multiplications, so more
+    # than that is spent
+    n = 12314000140217
+    budget = _Budget(1 << 22)
+    assert _pollard_brent(n, budget) in (1536893, 8012269)
+    assert budget.spent > 3 * 2047
+
+
+def test_ecm_curve_splits_on_its_parameter_gcd():
+    # sigma = 102 gives u = 102^2 - 5 = 10399, a prime, so the curve's
+    # parameter denominator 4 u^3 v^4 shares 10399 with n before any ladder
+    n = 10399 * (2**61 - 1)
+    assert arith._ecm_curve(n, 102, arith._ecm_bounds(200, 12_000), _Budget(1 << 22)) == 10399
 
 
 def test_primes_up_to_cached():
