@@ -173,34 +173,26 @@ def _theory_column(p: int) -> tuple[tuple[str, CertifiedValue], ...]:
     )
 
 
-# The most curves one families call may try, and the largest --min-search.
-# Each t of --range tries one curve, or 2 M twists under --min-search M, so
-# the range may span 2000 values of t without a search and 10 at M = 100.
-# At |t| <= 10^4 the largest accepted calls took 1.0 to 2.0 s without a
-# search and 0.5 s at M = 100 (one core, Python 3.11); larger t cost more
+# The most curves one families call may try: one for each t of --range.  At
+# |t| <= 10^4 the widest accepted calls took 2.5 to 2.7 s, and 10.5 to 11.7 s
+# with --minimal-twist, whose exact rule adds a factorisation and a few Tate
+# runs per t (one process on an Intel Xeon, Python 3.11); larger t cost more
 # per conductor.
 _MAX_FAMILY_CURVES = 2000
-_MAX_MIN_SEARCH = 100
 
 
-def _family_range(args) -> range:
-    """The t of --range, checked against _MAX_FAMILY_CURVES and --min-search
-    against _MAX_MIN_SEARCH."""
-    lo, _, hi = args.range.partition("..")
+def _family_range(text: str) -> range:
+    """The t of a --range lo..hi, checked against _MAX_FAMILY_CURVES."""
+    lo, _, hi = text.partition("..")
     try:
         lo_i, hi_i = int(lo), int(hi)
     except ValueError:
-        raise InputError(f"bad range {args.range!r}; expected lo..hi")
+        raise InputError(f"bad range {text!r}; expected lo..hi")
     if hi_i < lo_i:
-        raise InputError(f"empty range {args.range!r}")
-    if not 0 <= args.min_search <= _MAX_MIN_SEARCH:
-        raise InputError(f"--min-search must lie in [0, {_MAX_MIN_SEARCH}]")
-    search = args.min_search if args.family == "zywina" else 0
-    most = _MAX_FAMILY_CURVES // max(1, 2 * search)
-    if hi_i - lo_i + 1 > most:
-        under = f" with --min-search {search}" if search else ""
-        raise InputError(f"range {args.range!r} spans {hi_i - lo_i + 1} values of t; "
-                         f"at most {most} are accepted{under}")
+        raise InputError(f"empty range {text!r}")
+    if hi_i - lo_i + 1 > _MAX_FAMILY_CURVES:
+        raise InputError(f"range {text!r} spans {hi_i - lo_i + 1} values of t; "
+                         f"at most {_MAX_FAMILY_CURVES} are accepted")
     return range(lo_i, hi_i + 1)
 
 
@@ -209,8 +201,10 @@ def cmd_families(args) -> int:
     if args.family == "twist":
         if not args.base:
             raise InputError("--family twist needs --base")
+        if args.minimal_twist:
+            raise InputError("--minimal-twist applies only to --family zywina")
         base = _parse_curve(args.base)
-        for t in _family_range(args):
+        for t in _family_range(args.range):
             try:
                 E = quadratic_twist(base, t)
             except FactorBudgetExceeded:
@@ -219,16 +213,10 @@ def cmd_families(args) -> int:
                 continue  # t = 0 or not squarefree
             rows.append((str(t), E))
     else:
-        for t in _family_range(args):
+        for t in _family_range(args.range):
             if t == 0:
                 continue
-            j = zywina_j2(Fraction(t))
-            # the conductor search factors Delta of the untwisted curve once
-            E = curve_from_j(
-                j,
-                minimize_conductor=args.min_search > 0,
-                twist_bound=args.min_search,
-            )
+            E = curve_from_j(zywina_j2(Fraction(t)), minimize_conductor=args.minimal_twist)
             rows.append((str(t), E))
     payload = []
     lines = []
@@ -307,9 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base curve for twists; write --base=-1,... when a1 < 0")
     p.add_argument("--range", required=True,
                    help=f"t range lo..hi; a call tries at most {_MAX_FAMILY_CURVES} curves")
-    p.add_argument("--min-search", type=int, default=0,
-                   help="twist bound for the smallest-conductor search (zywina), at most "
-                        f"{_MAX_MIN_SEARCH}; each t then tries 2 * MIN_SEARCH twists")
+    p.add_argument("--minimal-twist", action="store_true",
+                   help="report the quadratic twist of least conductor at each t "
+                        "(zywina only), decided exactly from the local data of "
+                        "the untwisted curve")
     add_format(p)
     p.set_defaults(func=cmd_families)
     return ap

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import NamedTuple
 
 from .arith import factorize
@@ -208,18 +209,31 @@ def zywina_j2(t: Fraction) -> Fraction:
     return 27 * (t + 1) ** 3 * (t - 3) ** 3 / t**3
 
 
-def curve_from_j(
-    j: Fraction,
-    *,
-    minimize_conductor: bool = False,
-    twist_bound: int = 100,
-) -> WeierstrassModel:
+def curve_from_j(j: Fraction, *, minimize_conductor: bool = False) -> WeierstrassModel:
     """An integral model with the given j-invariant.
 
-    With minimize_conductor=True the conductor is minimised over quadratic
-    twists by squarefree d with |d| <= twist_bound.  That bounded search is a
-    heuristic stand-in for a true smallest-conductor model; ties break toward
-    small |d|, then positive d.
+    With minimize_conductor=True it is the quadratic twist of least
+    conductor, ties broken toward small |d|, then positive d.  The base is a
+    short model y^2 = x^3 + A x + B, its twist by d is y^2 = x^3 + A d^2 x
+    + B d^3, and the exponent f_ell at a prime ell depends only on how the
+    twist character chi_d restricts to inertia at ell:
+
+    - at an odd ell it is trivial exactly when ell does not divide d
+      (Serre-Tate, Ann. Math. 88, 1968), so an odd prime of good reduction
+      in d raises f from 0 to 2, and f_ell at an odd ell | Delta(base)
+      depends only on whether ell | d;
+    - at 2 it depends only on the class of d modulo 5 and the squares of
+      Q_2^*, as Q_2(sqrt 5) is unramified: on whether 2 | d and on
+      d / 2^v(d) mod 4.
+
+    So the least conductor is reached at some d | 2 rad(Delta(base)).  Each
+    odd ell | Delta(base) is in d exactly when that lowers f_ell, which one
+    twist by the product M of those ell decides for all of them at once:
+    every other prime of M is a unit at ell.  Let m be the product of the
+    ell whose f_ell drops.  As -1 and 2 are units at every odd ell, the four
+    candidates m, -m, 2m and -2m share every odd f_ell and reach all four
+    classes at 2; the least f_2 among them, in that order, is the answer.
+    Sage's `minimal_quadratic_twist` computes the same object.
     """
     j = Fraction(j)
     if j == 0:
@@ -232,25 +246,21 @@ def curve_from_j(
         base = WeierstrassModel(0, 0, 0, -3 * p * k * q * q, -2 * p * k * k * q**3)
     if not minimize_conductor:
         return base
-    from .localdata import _conductor_over  # deferred: localdata sits above this module
+    from .localdata import _tate_run  # deferred: localdata sits above this module
 
-    # the twist of the short base by d has discriminant d^6 Delta(base), so
-    # its primes are those of Delta(base), factored once, and those of d
-    base_primes = factorize(compute_invariants(base).delta).keys()
-    best: tuple[int, int, int] | None = None
-    best_model = base
-    for absd in range(1, twist_bound + 1):
-        primes = base_primes | factorize(absd).keys()
-        for d in (absd, -absd):
-            try:
-                twisted = quadratic_twist(base, d)
-            except ValueError:
-                break  # not squarefree; same for both signs
-            key = (_conductor_over(twisted, primes), absd, 0 if d > 0 else 1)
-            if best is None or key < best:
-                best = key
-                best_model = twisted
-    return best_model
+    A, B = base.a4, base.a6
+
+    def twist(d: int) -> WeierstrassModel:
+        return WeierstrassModel(0, 0, 0, A * d * d, B * d**3)
+
+    def f(model: WeierstrassModel, ell: int) -> int:
+        return _tate_run(model, ell)[1].conductor_exponent
+
+    odd = [ell for ell in factorize(compute_invariants(base).delta) if ell != 2]
+    twisted = twist(prod(odd))
+    m = prod(ell for ell in odd if f(twisted, ell) < f(base, ell))
+    # min keeps the first of equal f_2, so the order is the tie rule
+    return twist(min((m, -m, 2 * m, -2 * m), key=lambda d: f(twist(d), 2)))
 
 
 def format_rational(x: Fraction) -> str:

@@ -434,14 +434,7 @@ def _local_table(model: WeierstrassModel) -> dict[int, tuple[WeierstrassModel, L
 
 def conductor(model: WeierstrassModel) -> int:
     """prod ell^f_ell over the primes dividing the discriminant."""
-    return _conductor_over(model, bad_primes(model))
-
-
-def _conductor_over(model: WeierstrassModel, primes) -> int:
-    """prod ell^f_ell over the given primes, one Tate run each: the
-    conductor of model when they hold every prime of its discriminant."""
-    inv = compute_invariants(model)
-    return prod(ell ** _tate_run(model, ell, inv)[1].conductor_exponent for ell in primes)
+    return prod(ell ** data.conductor_exponent for ell, (_, data) in _local_table(model).items())
 
 
 def tamagawa_p_divisible(model: WeierstrassModel, p: int) -> list[int]:

@@ -17,14 +17,19 @@ full precision.
 The one exception is prime_scan_rows_by_prime, the earlier per-prime loop
 of prime_scan kept as it was.  It shares the library's per-prime rules and
 checks only that the work lifted out of the loop changes no row.
+least_conductor_twist shares the library's Tate runs and factorisation,
+but not its twist rule: it tries every twist the rule chooses among.
 """
 
 from __future__ import annotations
 
-from ellstat.arith import legendre, primes_up_to
+from itertools import combinations
+from math import prod
+
+from ellstat.arith import factorize, legendre, primes_up_to
 from ellstat.curves import WeierstrassModel, compute_invariants
 from ellstat.finitefield import _p_divides_order
-from ellstat.localdata import PrimeScanRow, _good_invariants, _local_table, _mult_rank
+from ellstat.localdata import PrimeScanRow, _good_invariants, _local_table, _mult_rank, tate
 from ellstat.quadforms import BinaryQuadraticForm, reduce_form
 
 
@@ -406,3 +411,21 @@ def local_torsion_rank_oracle(model: WeierstrassModel, ell: int, p: int, prec: i
     if hits not in table:
         raise RuntimeError(f"oracle found {hits} torsion x-coordinates at ell={ell}, p={p}")
     return table[hits]
+
+
+def least_conductor_twist(base: WeierstrassModel) -> WeierstrassModel:
+    """The quadratic twist of least conductor of the short model base, by
+    brute force over every squarefree d | 2 rad(Delta(base)) with both
+    signs, keyed as curve_from_j breaks ties: conductor, then |d|, then
+    d > 0 first.  The twist by d, y^2 = x^3 + a4 d^2 x + a6 d^3, has
+    discriminant d^6 Delta(base), so its conductor is a product over the
+    primes of Delta(base) and 2."""
+    primes = sorted(set(factorize(compute_invariants(base).delta)) | {2})
+    keyed = []
+    for r in range(len(primes) + 1):
+        for absd in map(prod, combinations(primes, r)):
+            for d in (absd, -absd):
+                twisted = WeierstrassModel(0, 0, 0, base.a4 * d * d, base.a6 * d**3)
+                N = prod(ell ** tate(twisted, ell).conductor_exponent for ell in primes)
+                keyed.append(((N, absd, d < 0), twisted))
+    return min(keyed)[1]

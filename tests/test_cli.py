@@ -190,22 +190,13 @@ def test_families_bad_range_exits_2(capsys, text, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("family, search, widest", [
-    ("zywina", 0, 2000), ("zywina", 1, 1000), ("zywina", 5, 200), ("zywina", 100, 10),
-    ("twist", 0, 2000), ("twist", 100, 2000),  # the twist family makes no search
-])
-def test_families_range_bound_edges(family, search, widest):
-    from argparse import Namespace
+def test_families_range_bound_edges():
     from ellstat.arith import InputError
     from ellstat.cli import _family_range
 
-    def t_range(width):
-        return _family_range(Namespace(family=family, range=f"-3..{width - 4}",
-                                       min_search=search))
-
-    assert t_range(widest) == range(-3, widest - 3)
-    with pytest.raises(InputError, match=f"at most {widest} are accepted"):
-        t_range(widest + 1)
+    assert _family_range("-3..1996") == range(-3, 1997)
+    with pytest.raises(InputError, match="at most 2000 are accepted"):
+        _family_range("-3..1997")
 
 
 def test_families_twist_of_singular_base_reports_no_invariants(capsys):
@@ -343,7 +334,7 @@ def test_unfactored_discriminant_exits_2(capsys, monkeypatch):
     monkeypatch.setattr("ellstat.curves.factorize", give_up)
     for args in (["local", "--curve=1,0,1,-141,624"],
                  ["families", "--family", "zywina", "--range", "1..2"],
-                 ["families", "--family", "zywina", "--range", "1..2", "--min-search", "1"],
+                 ["families", "--family", "zywina", "--range", "1..2", "--minimal-twist"],
                  ["families", "--family", "twist", "--base=1,0,1,-141,624", "--range", "2..3"]):
         assert _exit_code(capsys, *args) == 2
 
@@ -435,12 +426,10 @@ INVALID = [
      "error: range '1..2001' spans 2001 values of t; at most 2000 are accepted\n"),
     ("families --family twist --base 1,0,1,-141,624 --range 1..2001",
      "error: range '1..2001' spans 2001 values of t; at most 2000 are accepted\n"),
-    ("families --family zywina --range 1..11 --min-search 100",
-     "error: range '1..11' spans 11 values of t; at most 10 are accepted with --min-search 100\n"),
-    ("families --family zywina --range 1..2 --min-search 101",
-     "error: --min-search must lie in [0, 100]\n"),
-    ("families --family zywina --range 1..2 --min-search -1",
-     "error: --min-search must lie in [0, 100]\n"),
+    ("families --family zywina --range 1..2001 --minimal-twist",
+     "error: range '1..2001' spans 2001 values of t; at most 2000 are accepted\n"),
+    ("families --family twist --base 1,0,1,-141,624 --range 1..2 --minimal-twist",
+     "error: --minimal-twist applies only to --family zywina\n"),
 ]
 
 
@@ -454,7 +443,7 @@ def test_invalid_input_stderr_pinned(capsys, argv, err):
 
 @pytest.mark.parametrize("argv, err", [
     ("local --curve=1,0,1,-141,624", "error: discriminant not factored within budget\n"),
-    ("families --family zywina --range 1..2 --min-search 1",
+    ("families --family zywina --range 1..2 --minimal-twist",
      "error: discriminant not factored within budget\n"),
     ("families --family twist --base=1,0,1,-141,624 --range 2..3",
      "error: twist parameter 2 not factored within budget\n"),

@@ -22,7 +22,7 @@ from ellstat.curves import (
     zywina_j2,
 )
 
-from oracles import height_less_by_crosspower
+from oracles import height_less_by_crosspower, least_conductor_twist
 
 E1 = WeierstrassModel(1, 0, 1, -141, 624)
 E2 = WeierstrassModel(0, 0, 0, -83667346875, -10711930420406250)
@@ -226,7 +226,7 @@ def test_curve_from_j_special_points():
 def test_curve_from_j_minimal_conductor_search():
     from ellstat.localdata import conductor
 
-    model = curve_from_j(Fraction(-64), minimize_conductor=True, twist_bound=20)
+    model = curve_from_j(Fraction(-64), minimize_conductor=True)
     assert j_invariant(model) == -64
     assert 1568 % conductor(model) == 0
 
@@ -234,7 +234,7 @@ def test_curve_from_j_minimal_conductor_search():
 def test_curve_from_j_search_matches_conductor_of_every_twist():
     from ellstat.localdata import conductor
 
-    def least_conductor_twist(base, bound):
+    def bounded_least_twist(base, bound):
         # every squarefree d with |d| <= bound, keyed as curve_from_j breaks
         # ties: conductor, then |d|, then d > 0 first
         keyed = []
@@ -249,8 +249,19 @@ def test_curve_from_j_search_matches_conductor_of_every_twist():
     js = [zywina_j2(Fraction(t)) for t in (1, 2, 3, -2, 5, 7, -9, 12, 97, -1000, 9991)]
     js += [Fraction(0), Fraction(1728), Fraction(-64), Fraction(857375, 8)]
     for j in js:
-        model = curve_from_j(j, minimize_conductor=True, twist_bound=30)
-        assert model == least_conductor_twist(curve_from_j(j), 30), j
+        model = curve_from_j(j, minimize_conductor=True)
+        bounded = bounded_least_twist(curve_from_j(j), 30)
+        # equal conductors give equal models under the tie rule
+        assert conductor(model) < conductor(bounded) or model == bounded, j
+        assert j_invariant(model) == j
+
+
+def test_curve_from_j_least_conductor_matches_brute_force():
+    js = [zywina_j2(Fraction(t)) for t in range(-20, 21) if t]
+    js += [Fraction(0), Fraction(1728), Fraction(-64), Fraction(857375, 8)]
+    for j in js:
+        model = curve_from_j(j, minimize_conductor=True)
+        assert model == least_conductor_twist(curve_from_j(j)), j
         assert j_invariant(model) == j
 
 

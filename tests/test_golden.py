@@ -81,7 +81,7 @@ CASES = {
     "families-twist-json": TWIST + ["--format", "json"],
     "families-zywina-text": ["families", "--family", "zywina", "--range", "1..6"],
     "families-zywina-json": ["families", "--family", "zywina", "--range", "1..6",
-                             "--min-search", "5", "--format", "json"],
+                             "--minimal-twist", "--format", "json"],
     # the discriminants of this range hold the cubes of six composite numbers
     # above 10^8, so factorize splits them with Pollard-Brent
     "families-zywina-cubes-text": ["families", "--family", "zywina", "--range=9991..10000"],
@@ -131,7 +131,7 @@ GOLDEN = {
     "families-twist-text": (0, "859981163611a746352a3baa28eba6e369cbbfcac00a59b0c181c5d65b90a2ae"),
     "families-twist-json": (0, "485c686100135c1bb6a0ffa013d0773a0c497dd5d537139cea602dc7101de0b6"),
     "families-zywina-text": (0, "7b011f292ae19ddc269138f727e370e52776dc31ad88c6253a2489c69b8a2d33"),
-    "families-zywina-json": (0, "9e71a01b7ccac8857a31d69907f2f7e7ba10276114bb01e6fa58aea24338739e"),
+    "families-zywina-json": (0, "92723b12c13183d625ac6f0f9316c5700682a338b1c0482a4cd5e2d7207f770f"),
     "families-zywina-cubes-text": (0, "1f5c2101edd0feba02ff57e252e780833a5c82d3ac3d4e9635fa2b79f8df9ee9"),
     "families-zywina-cubes-json": (0, "0fe1b053ad23c765f59aba4279ce25a349692b7d2a06b233ba1f7eab8e90800d"),
 }
