@@ -190,13 +190,23 @@ def test_families_bad_range_exits_2(capsys, text, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_families_range_bound_edges():
+@pytest.mark.parametrize("family, lo, widest", [("zywina", 0, 2000), ("twist", 0, 2000)])
+def test_families_range_bound_edges(capsys, family, lo, widest):
     from ellstat.arith import InputError
     from ellstat.cli import _family_range
 
-    assert _family_range("-3..1996") == range(-3, 1997)
-    with pytest.raises(InputError, match="at most 2000 are accepted"):
-        _family_range("-3..1997")
+    assert _family_range(f"{lo - 3}..{lo + widest - 4}") == range(lo - 3, lo + widest - 3)
+    with pytest.raises(InputError, match=f"at most {widest} are accepted"):
+        _family_range(f"{lo - 3}..{lo + widest - 3}")
+    # each family refuses the over-wide range before it builds a curve
+    with pytest.raises(SystemExit) as exc:
+        main(["families", "--family", family, "--base", "1,0,1,-141,624",
+              "--range", f"{lo}..{lo + widest}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: range '{lo}..{lo + widest}' spans {widest + 1} values of t; "
+        f"at most {widest} are accepted\n"
+    )
 
 
 def test_families_twist_of_singular_base_reports_no_invariants(capsys):
