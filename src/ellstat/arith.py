@@ -11,9 +11,10 @@ splits each composite cofactor that is not a perfect power by one short
 Pollard-Brent walk and, if that fails, by ECM on curves whose bounds rise
 as they fail.  Every modular multiplication of the walk and of ECM is
 charged to one budget, so a cofactor with no small enough prime costs a
-bounded amount of work before FactorBudgetExceeded.  ECM's stage 1 runs on
-_ladder, the x-only Montgomery ladder on a short Weierstrass model that
-finitefield also uses to test whether p P = O.
+bounded amount of work before FactorBudgetExceeded.  ECM runs on
+Suyama's Montgomery curves, by their own x-only ladder _mladder at 11
+multiplications per bit; _ladder, the ladder on a short Weierstrass model
+at 20, serves finitefield's test of whether p P = O.
 """
 
 from __future__ import annotations
@@ -243,14 +244,14 @@ class _Budget:
         self.spent += muls
 
 
-# the cap on rho's squarings: the walk runs rounds r = 1 to 2048, 8190
+# the cap on rho's squarings: the walk runs rounds r = 1 to 512, 2046
 # squarings, before factorize moves on to ECM.  On the 1713 cofactors of
-# the 6031 `local` discriminants of perfbench's `exact` seed 1 it split
-# 1123 of the 1125 whose least prime is below 2^21, 335 of the 406 of 21
-# to 25 bits and 22 of the 182 above.  Factoring all 6031 counts 12.41M
-# multiplications; caps of 4000 and 16000 (rounds to 1024 and 4096) count
-# 12.47M and 12.50M, and 2000 and 32000 count 13.38M and 13.04M
-_RHO_SQUARINGS = 8000
+# the 6031 `local` discriminants of perfbench's `exact` seed 1 it splits
+# 1069 of the 1126 whose least prime is below 2^20, 99 of the 405 below
+# 2^25 and 2 of the 182 above.  Factoring all 6031 counts 8.61M
+# multiplications; caps of 1000 and 4000 (rounds to 256 and 1024) count
+# 8.79M and 8.88M, and 500 and 8000 count 9.57M and 9.74M
+_RHO_SQUARINGS = 2000
 
 
 def _pollard_brent(n: int, budget: _Budget) -> int | None:
@@ -299,15 +300,10 @@ def _pollard_brent(n: int, budget: _Budget) -> int | None:
     return g if g < n else None
 
 
-# multiplications modulo n in one step of _ladder and in one _xadd
-_STEP_MULS = 20
-_ADD_MULS = 11
-
-
 def _ladder(k: int, x: int, A: int, B: int, n: int) -> tuple[int, int, int, int]:
     """(X0, Z0, X1, Z1), the points k P and (k + 1) P in (X:Z), for k >= 1
     and x = x(P) on y^2 = x^3 + A x + B modulo n.  A Montgomery ladder,
-    k.bit_length() - 1 steps of _STEP_MULS multiplications (Brier and Joye,
+    k.bit_length() - 1 steps of 20 multiplications (Brier and Joye,
     "Weierstrass elliptic curves and side-channel attacks", PKC 2002):
       x(Q+R) x(Q-R) = ((x_Q x_R - A)^2 - 4B (x_Q + x_R)) / (x_Q - x_R)^2,
       x(2Q) = ((x^2 - A)^2 - 8B x) / (4 (x^3 + A x + B)).
@@ -338,15 +334,43 @@ def _ladder(k: int, x: int, A: int, B: int, n: int) -> tuple[int, int, int, int]
     return x0, z0, x1, z1
 
 
-def _xadd(q: tuple[int, int], r: tuple[int, int], d: tuple[int, int], A: int, B: int,
-          n: int) -> tuple[int, int]:
-    """Q + R in (X:Z) from Q, R and D = Q - R: the sum step of _ladder, with
-    a difference whose Z need not be 1."""
+def _mxadd(q: tuple[int, int], r: tuple[int, int], d: tuple[int, int],
+           n: int) -> tuple[int, int]:
+    """Q + R in (X:Z) on a Montgomery curve b y^2 = x^3 + C x^2 + x modulo
+    n, from Q, R and D = Q - R, in 6 multiplications (Montgomery, Math.
+    Comp. 48, 1987, 10.3.1):
+      X = Z_D ((X_Q - Z_Q)(X_R + Z_R) + (X_Q + Z_Q)(X_R - Z_R))^2,
+      Z = X_D ((X_Q - Z_Q)(X_R + Z_R) - (X_Q + Z_Q)(X_R - Z_R))^2."""
     (x1, z1), (x2, z2), (xd, zd) = q, r, d
-    u, v, zz = x1 * z2, x2 * z1, z1 * z2 % n
-    t = (x1 * x2 - A * zz) % n
-    s = (u - v) % n
-    return zd * (t * t - 4 * B * zz * (u + v)) % n, xd * s * s % n
+    u, v = (x1 - z1) * (x2 + z2) % n, (x1 + z1) * (x2 - z2) % n
+    return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
+
+
+def _mladder(k: int, x: int, z: int, a24: int, n: int) -> tuple[int, int, int, int]:
+    """(X0, Z0, X1, Z1), the points k P and (k + 1) P, for k >= 1 and
+    P = (x:z) on b y^2 = x^3 + C x^2 + x modulo n, with a24 = (C + 2) / 4.
+    A Montgomery ladder: one doubling of 5 multiplications,
+      X = (X + Z)^2 (X - Z)^2,  Z = 4XZ ((X - Z)^2 + a24 4XZ),
+    with 4XZ = (X + Z)^2 - (X - Z)^2, and then per bit one sum as in _mxadd
+    and one doubling, 11 multiplications.  Modulo a prime q of n, a multiple
+    that is O is (X:0) with X != 0 as long as P is not 2-torsion, so Z = 0
+    mod q exactly when it is O."""
+    s, t = (x + z) ** 2 % n, (x - z) ** 2 % n
+    x0, z0, x1, z1 = x, z, s * t % n, (s - t) * (t + a24 * (s - t)) % n  # P, 2P
+    for bit in bin(k)[3:]:
+        # the sum of the two, with difference P
+        u, v = (x0 - z0) * (x1 + z1) % n, (x0 + z0) * (x1 - z1) % n
+        xs, zs = z * (u + v) ** 2 % n, x * (u - v) ** 2 % n
+        # and the double of the one this bit keeps
+        if bit == "1":
+            s, t = (x1 + z1) ** 2 % n, (x1 - z1) ** 2 % n
+            w = s - t
+            x0, z0, x1, z1 = xs, zs, s * t % n, w * (t + a24 * w) % n
+        else:
+            s, t = (x0 + z0) ** 2 % n, (x0 - z0) ** 2 % n
+            w = s - t
+            x0, z0, x1, z1 = s * t % n, w * (t + a24 * w) % n, xs, zs
+    return x0, z0, x1, z1
 
 
 # ECM's stage 2 takes each prime of (B1, B2] as m _D + j or m _D - j with j
@@ -354,8 +378,11 @@ def _xadd(q: tuple[int, int], r: tuple[int, int], d: tuple[int, int], A: int, B:
 _D = 210
 _BABY = tuple(j for j in range(1, _D // 2, 2) if gcd(j, _D) == 1)
 # (B1, B2, last): the curves numbered below last (from 0) that no earlier
-# row takes use these bounds, so B1 rises as curves fail
-_ECM_PLAN = ((200, 12_000, 8), (600, 40_000, 24), (2000, 100_000, inf))
+# row takes use these bounds, so B1 rises as curves fail.  On the 6031
+# discriminants of the _RHO_SQUARINGS comment it counts 8.61M
+# multiplications, and first rows of (200, 12_000, 8), (600, 40_000, 24)
+# count 9.68M
+_ECM_PLAN = ((150, 8_000, 12), (500, 30_000, 24), (2000, 100_000, inf))
 
 
 @cache
@@ -377,12 +404,13 @@ def _ecm_bounds(b1: int, b2: int) -> tuple[int, int, int, tuple[tuple[int, ...],
             by_m.setdefault(m, set()).add(index[j])
     m0 = min(by_m)
     pairs = tuple(tuple(sorted(by_m.get(m, ()))) for m in range(m0, max(by_m) + 1))
-    # stage 1: the curve and the ladder; stage 2: the sums 3Q to 103Q, their
-    # x, the ladders to _D Q and m0 _D Q, one sum per giant step and two
-    # multiplications per pair, with 60 for the rest
-    muls1 = 30 + (k.bit_length() - 1) * _STEP_MULS
-    muls2 = ((_D.bit_length() + m0.bit_length() - 2) * _STEP_MULS
-             + (_D // 4 + len(pairs)) * _ADD_MULS + 2 * sum(map(len, pairs)) + 60)
+    # stage 1: the curve and the ladder, 11 multiplications per bit; stage
+    # 2: the sums 3Q to 103Q, 6 each, their x, the ladders to _D Q and
+    # m0 _D Q, one sum per giant step and two multiplications per pair,
+    # with 60 for the rest
+    muls1 = 30 + (k.bit_length() - 1) * 11
+    muls2 = ((_D.bit_length() + m0.bit_length() - 2) * 11
+             + (_D // 4 + len(pairs)) * 6 + 2 * sum(map(len, pairs)) + 60)
     return k, muls1, m0, pairs, muls2
 
 
@@ -401,10 +429,10 @@ def _ecm_curve(n: int, sigma: int, bounds: tuple, budget: _Budget) -> int | None
     _ecm_bounds, or None.
 
     Suyama's parametrisation (Montgomery, Math. Comp. 48, 1987) gives a
-    curve b y^2 = x^3 + C x^2 + x with 12 | #E mod every prime of n, and
-    x(P) = u^3 / v^3.  x-only arithmetic ignores b, and w = 9x + 3C maps it
-    to y^2 = w^3 + A w + B with A = 81 - 27 C^2, B = 54 C^3 - 243 C, where
-    _ladder runs.  Stage 1 computes Q = k P.  Stage 2 looks for a prime
+    curve b y^2 = x^3 + C x^2 + x with 12 | #E mod every prime of n, the
+    point P = (u^3 : v^3) and a24 = (C + 2) / 4 = (v - u)^3 (3u + v) /
+    (16 u^3 v); x-only arithmetic ignores b, so _mladder runs on it
+    directly.  Stage 1 computes Q = k P.  Stage 2 looks for a prime
     l = m _D +- j of (B1, B2] with l Q = O, that is x(m _D Q) = x(j Q), in
     the product of X_m - x_j Z_m over the pairs.  A denominator that has no
     inverse mod n is a gcd that splits it.
@@ -412,25 +440,19 @@ def _ecm_curve(n: int, sigma: int, bounds: tuple, budget: _Budget) -> int | None
     k, muls1, m0, pairs, muls2 = bounds
     budget.charge(muls1, n)
     u, v = sigma * sigma - 5, 4 * sigma
-    u3, v3 = u**3, v**3
-    den = 4 * u3 * v * v3 % n
+    den = 16 * u**3 * v % n
     if (g := gcd(den, n)) > 1:
         return g if g < n else None
-    inv = pow(den, -1, n)
-    c = ((v - u) ** 3 * (3 * u + v) * v3 * inv - 2) % n
-    w = (9 * 4 * u3 * u3 * v * inv + 3 * c) % n  # 9 u^3 / v^3 + 3 C
-    A, B = (81 - 27 * c * c) % n, (54 * c * c - 243) * c % n
-    X, Z = _ladder(k, w, A, B, n)[:2]
-    if (g := gcd(Z, n)) > 1:
+    a24 = (v - u) ** 3 * (3 * u + v) * pow(den, -1, n) % n
+    q = _mladder(k, u**3 % n, v**3 % n, a24, n)[:2]
+    if (g := gcd(q[1], n)) > 1:
         return g if g < n else None
     budget.charge(muls2, n)
-    xq = X * pow(Z, -1, n) % n
     # baby steps: x(j Q) for the odd j < _D / 2, from (j - 2) Q + 2 Q
-    q = (xq, 1)
-    two = _ladder(1, xq, A, B, n)[2:]
-    odd = [q, _xadd(two, q, q, A, B, n)]
+    two = _mladder(1, *q, a24, n)[2:]
+    odd = [q, _mxadd(two, q, q, n)]
     for j in range(5, _D // 2, 2):
-        odd.append(_xadd(odd[-1], two, odd[-2], A, B, n))
+        odd.append(_mxadd(odd[-1], two, odd[-2], n))
     xs = []
     for j in _BABY:
         X, Z = odd[j // 2]
@@ -438,19 +460,17 @@ def _ecm_curve(n: int, sigma: int, bounds: tuple, budget: _Budget) -> int | None
             return g if g < n else None
         xs.append(X * pow(Z, -1, n) % n)
     # giant steps: m R for R = _D Q and m from m0, from (m - 1) R + R
-    X, Z = _ladder(_D, xq, A, B, n)[:2]
-    if (g := gcd(Z, n)) > 1:
+    r = _mladder(_D, *q, a24, n)[:2]
+    if (g := gcd(r[1], n)) > 1:
         return g if g < n else None
-    xr = X * pow(Z, -1, n) % n
-    r = (xr, 1)
-    Xm, Zm, X1, Z1 = _ladder(m0, xr, A, B, n)
+    Xm, Zm, X1, Z1 = _mladder(m0, *r, a24, n)
     prev, cur = (Xm, Zm), (X1, Z1)
     acc = 1
     for js in pairs:
         Xm, Zm = prev
         for i in js:
             acc = acc * (Xm - xs[i] * Zm) % n
-        prev, cur = cur, _xadd(cur, r, prev, A, B, n)
+        prev, cur = cur, _mxadd(cur, r, prev, n)
     g = gcd(acc, n)
     return g if 1 < g < n else None
 
@@ -472,8 +492,8 @@ def factorize(n: int, *, rho_budget: int = 1 << 22) -> dict[int, int]:
     raises FactorBudgetExceeded instead; callers that must not fail should
     catch it and report.  With the default, the |Delta| of the first 40
     draws of random.Random(5) at H = 10^3, with primes of up to 57 bits,
-    factor in 1.5 to 1.8 s together, and the 1059-bit cofactor of the Delta
-    of y^2 = x^3 + x + 10^160 + 7 raises after 1.4 to 1.9 s (2 cores,
+    factor in 1.5 to 1.9 s together, and the 1059-bit cofactor of the Delta
+    of y^2 = x^3 + x + 10^160 + 7 raises after 1.8 to 2.2 s (2 cores,
     Python 3.11).
     """
     n = abs(n)

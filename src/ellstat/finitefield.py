@@ -11,11 +11,11 @@ predicate, _p_divides_order.  For a prime p >= 7 Hasse's bound
 #E = p, and that holds exactly when p P = O for one point P != O (such a P
 has order p).  So above a measured crossover the predicate runs one x-only
 Montgomery ladder for p P on the short model y^2 = x^3 + A x + B, about
-log2(p) steps; below it, it counts.  The ladder is arith._ladder, which
-ECM in arith.factorize shares.  In front of the ladder, one power
-decides whether the discriminant of x^3 + A x + B is a square mod p; when
-it is not, the cubic has one root (Stickelberger), #E is even, and the
-answer is no without a ladder.  That is about half of all curves.
+log2(p) steps; below it, it counts.  The ladder is arith._ladder.  In
+front of the ladder, one power decides whether the discriminant of
+x^3 + A x + B is a square mod p; when it is not, the cubic has one root
+(Stickelberger), #E is even, and the answer is no without a ladder.  That
+is about half of all curves.
 
 The census and d(p) read one list of F_p-isomorphism classes, _classes(p),
 which lists the about 2p classes directly for p >= 5 and walks 27 curves
@@ -139,8 +139,8 @@ def _order_is_p(p: int, b2: int, b4: int, b6: int) -> bool:
     whose x^3 + A x + B is a nonzero square: x != 0 keeps the differential
     addition defined and y != 0 keeps P off the 2-torsion.  If there is
     none, every affine point has x = 0 or y = 0, so #E <= 6 < p.
-    Otherwise arith._ladder, the x-only Montgomery ladder on (X:Z) that
-    ECM in factorize also runs, gives p P, which is O exactly when Z = 0.
+    Otherwise arith._ladder, the x-only Montgomery ladder on (X:Z) of the
+    short model, gives p P, which is O exactly when Z = 0.
     """
     A = -27 * (b2 * b2 - 24 * b4) % p
     B = 54 * (b2 * (b2 * b2 - 36 * b4) + 216 * b6) % p  # -54 c6

@@ -8,9 +8,10 @@ the reduction inequalities, heights are compared by cross-powering, local
 p-torsion ranks come from Hensel-lifting roots of the p-division
 polynomial to precision ell^40, height-box draws from one randrange
 call per coefficient, and multiples of a point from the affine chord and
-tangent law.  Discriminants and good reduction come from the
-b-invariant formulas written out here and from searching every u = ell
-change of variables for an integral model.  The torsion oracle is one-sided
+tangent law, on a short Weierstrass or a Montgomery curve.  Discriminants
+and good reduction come from the b-invariant formulas written out here and
+from searching every u = ell change of variables for an integral model.
+The torsion oracle is one-sided
 by construction: it can only declare "no torsion" when no root survives at
 full precision.
 
@@ -59,6 +60,29 @@ def affine_multiple(k: int, point, A: int, B: int, p: int):
         else:
             lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
         x3 = (lam * lam - x1 - x2) % p
+        return x3, (lam * (x1 - x3) - y1) % p
+
+    Q = point
+    for _ in range(k - 1):
+        Q = add(Q, point)
+    return Q
+
+
+def montgomery_multiple(k: int, point, C: int, b: int, p: int):
+    """k P on b y^2 = x^3 + C x^2 + x over F_p by k - 1 affine
+    chord-and-tangent additions, as (x, y), or None for O."""
+
+    def add(P, Q):
+        if P is None or Q is None:
+            return Q if P is None else P
+        (x1, y1), (x2, y2) = P, Q
+        if x1 == x2 and (y1 + y2) % p == 0:
+            return None
+        if P == Q:
+            lam = (3 * x1 * x1 + 2 * C * x1 + 1) * pow(2 * b * y1, -1, p) % p
+        else:
+            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (b * lam * lam - C - x1 - x2) % p
         return x3, (lam * (x1 - x3) - y1) % p
 
     Q = point

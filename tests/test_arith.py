@@ -11,6 +11,8 @@ from ellstat.arith import (
     _Budget,
     _ladder,
     _may_be_kth_power,
+    _mladder,
+    _mxadd,
     _perfect_power,
     _pollard_brent,
     _power_residue_tables,
@@ -26,7 +28,7 @@ from ellstat.arith import (
 from ellstat.curves import compute_invariants
 from ellstat.harness import sample_tuple
 
-from oracles import affine_multiple
+from oracles import affine_multiple, montgomery_multiple
 
 
 def test_sieve_matches_trial_division():
@@ -299,7 +301,7 @@ def test_factorize_finds_a_prime_beyond_rho_by_ecm(monkeypatch):
 
 def test_ladder_matches_affine_multiples():
     # y^2 = x^3 + 3x + 5 over F_10007, from a point with y != 0: k P and
-    # (k+1) P from the ladder, and a sum with a difference whose Z is not 1
+    # (k+1) P from the ladder
     p, A, B = 10007, 3, 5
     x = next(x for x in range(1, p) if legendre(x**3 + A * x + B, p) == 1)
     y = next(y for y in range(p) if (y * y - x**3 - A * x - B) % p == 0)
@@ -308,11 +310,28 @@ def test_ladder_matches_affine_multiples():
         x0, z0, x1, z1 = _ladder(k, x, A, B, p)
         for (X, Z), w in zip(((x0, z0), (x1, z1)), want):
             assert Z % p and X * pow(Z, -1, p) % p == w[0], k
-    xq, zq, _, _ = _ladder(7, x, A, B, p)
-    xr, zr, _, _ = _ladder(3, x, A, B, p)
-    xd, zd, _, _ = _ladder(4, x, A, B, p)
-    X, Z = arith._xadd((xq, zq), (xr, zr), (xd, zd), A, B, p)
-    assert X * pow(Z, -1, p) % p == affine_multiple(10, (x, y), A, B, p)[0]
+
+
+def test_montgomery_ladder_matches_affine_multiples():
+    # 5 y^2 = x^3 + 7 x^2 + x over F_10007, from a point with y != 0 given
+    # in (X:Z) with Z != 1: k P and (k+1) P from _mladder, and a sum from
+    # _mxadd with a difference whose Z is not 1
+    p, C, b = 10007, 7, 5
+    a24 = (C + 2) * pow(4, -1, p) % p
+    x = next(x for x in range(1, p) if legendre((x**3 + C * x * x + x) * b, p) == 1)
+    y = next(y for y in range(p) if (b * y * y - x**3 - C * x * x - x) % p == 0)
+    z = 1234
+    for k in (1, 2, 3, 4, 5, 12, 97, 210, 1000):
+        want = [montgomery_multiple(j, (x, y), C, b, p) for j in (k, k + 1)]
+        x0, z0, x1, z1 = _mladder(k, x * z % p, z, a24, p)
+        for (X, Z), w in zip(((x0, z0), (x1, z1)), want):
+            assert Z % p and X * pow(Z, -1, p) % p == w[0], k
+    q = _mladder(7, x, 1, a24, p)[:2]
+    r = _mladder(3, x, 1, a24, p)[:2]
+    d = _mladder(4, x, 1, a24, p)[:2]
+    assert d[1] % p != 1
+    X, Z = _mxadd(q, r, d, p)
+    assert X * pow(Z, -1, p) % p == montgomery_multiple(10, (x, y), C, b, p)[0]
 
 
 def test_seeded_height_1000_discriminants_factor():
@@ -359,16 +378,16 @@ def test_factorize_hands_a_failed_walk_to_ecm(monkeypatch):
 
 
 def test_pollard_brent_keeps_the_factor_of_its_last_round():
-    # 12314000140217 = 1536893 * 8012269 was found by replaying the walk on
+    # 137411434549 = 208993 * 657493 was found by replaying the walk on
     # the cofactors that factorize gives it from the |Delta| of perfbench's
-    # `exact` seeds 1 and 2: it is the smallest of the 250 that the walk
+    # `exact` seeds 1 and 2: it is the smallest of the 446 that the walk
     # splits with its first nontrivial batched gcd in the last round,
-    # r = 2048.  Rounds 1 to 1024 charge 3 * 2047 multiplications, so more
+    # r = 512.  Rounds 1 to 256 charge 3 * 511 multiplications, so more
     # than that is spent
-    n = 12314000140217
+    n = 137411434549
     budget = _Budget(1 << 22)
-    assert _pollard_brent(n, budget) in (1536893, 8012269)
-    assert budget.spent > 3 * 2047
+    assert _pollard_brent(n, budget) in (208993, 657493)
+    assert budget.spent > 3 * 511
 
 
 def test_ecm_curve_splits_on_its_parameter_gcd():
