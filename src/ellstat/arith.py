@@ -248,9 +248,9 @@ class _Budget:
 # squarings, before factorize moves on to ECM.  On the 1713 cofactors of
 # the 6031 `local` discriminants of perfbench's `exact` seed 1 it splits
 # 1069 of the 1126 whose least prime is below 2^20, 99 of the 405 below
-# 2^25 and 2 of the 182 above.  Factoring all 6031 counts 8.61M
+# 2^25 and 2 of the 182 above.  Factoring all 6031 counts 8.70M
 # multiplications; caps of 1000 and 4000 (rounds to 256 and 1024) count
-# 8.79M and 8.88M, and 500 and 8000 count 9.57M and 9.74M
+# 8.89M and 8.95M, and 500 and 8000 count 9.68M and 9.79M
 _RHO_SQUARINGS = 2000
 
 
@@ -379,9 +379,9 @@ _D = 210
 _BABY = tuple(j for j in range(1, _D // 2, 2) if gcd(j, _D) == 1)
 # (B1, B2, last): the curves numbered below last (from 0) that no earlier
 # row takes use these bounds, so B1 rises as curves fail.  On the 6031
-# discriminants of the _RHO_SQUARINGS comment it counts 8.61M
+# discriminants of the _RHO_SQUARINGS comment it counts 8.70M
 # multiplications, and first rows of (200, 12_000, 8), (600, 40_000, 24)
-# count 9.68M
+# count 9.75M
 _ECM_PLAN = ((150, 8_000, 12), (500, 30_000, 24), (2000, 100_000, inf))
 
 
@@ -405,12 +405,13 @@ def _ecm_bounds(b1: int, b2: int) -> tuple[int, int, int, tuple[tuple[int, ...],
     m0 = min(by_m)
     pairs = tuple(tuple(sorted(by_m.get(m, ()))) for m in range(m0, max(by_m) + 1))
     # stage 1: the curve and the ladder, 11 multiplications per bit; stage
-    # 2: the sums 3Q to 103Q, 6 each, their x, the ladders to _D Q and
-    # m0 _D Q, one sum per giant step and two multiplications per pair,
-    # with 60 for the rest
+    # 2: the sums 3Q to 103Q, 6 each, the batched inversion of their Z, 3
+    # per j after the first, the ladders to _D Q and m0 _D Q, one sum per
+    # giant step and two multiplications per pair, with 60 for the rest
     muls1 = 30 + (k.bit_length() - 1) * 11
     muls2 = ((_D.bit_length() + m0.bit_length() - 2) * 11
-             + (_D // 4 + len(pairs)) * 6 + 2 * sum(map(len, pairs)) + 60)
+             + (_D // 4 + len(pairs)) * 6 + 3 * (len(_BABY) - 1)
+             + 2 * sum(map(len, pairs)) + 60)
     return k, muls1, m0, pairs, muls2
 
 
@@ -453,12 +454,22 @@ def _ecm_curve(n: int, sigma: int, bounds: tuple, budget: _Budget) -> int | None
     odd = [q, _mxadd(two, q, q, n)]
     for j in range(5, _D // 2, 2):
         odd.append(_mxadd(odd[-1], two, odd[-2], n))
-    xs = []
-    for j in _BABY:
-        X, Z = odd[j // 2]
-        if (g := gcd(Z, n)) > 1:
-            return g if g < n else None
-        xs.append(X * pow(Z, -1, n) % n)
+    # and their x = X / Z by one inversion (Montgomery's trick): prods[i] is
+    # Z_0 ... Z_i, and a Z with no inverse mod n shows in the gcd of the last
+    pts = [odd[j // 2] for j in _BABY]
+    prods = [pts[0][1]]
+    for _, Z in pts[1:]:
+        prods.append(prods[-1] * Z % n)
+    if (g := gcd(prods[-1], n)) > 1:
+        return g if g < n else None
+    inv = pow(prods[-1], -1, n)
+    xs = [0] * len(pts)
+    for i in range(len(pts) - 1, 0, -1):
+        # inv is 1 / prods[i]
+        X, Z = pts[i]
+        xs[i] = X * prods[i - 1] % n * inv % n
+        inv = inv * Z % n
+    xs[0] = pts[0][0] * inv % n
     # giant steps: m R for R = _D Q and m from m0, from (m - 1) R + R
     r = _mladder(_D, *q, a24, n)[:2]
     if (g := gcd(r[1], n)) > 1:

@@ -5,12 +5,12 @@ walks the whole box.  A draw calls rng.getrandbits with the rejection loop
 of random.Random.randrange, so a seed gives the stream of five randrange
 calls per sample, while the bounds are worked out once per chunk.  Work is
 split into fixed-size chunks whose RNG streams are derived from (master
-seed, chunk index), so reports are bit-identical for a given (seed, chunk
-size) no matter how many worker processes run the chunks.  Workers are
-forked (os.fork), so call with more than one worker only from a
-single-threaded process.  A call forks only the workers its estimated work
-pays for, at a measured cost per fork, so a short call runs in one process
-whatever the worker count.
+seed, chunk index) and whose results are folded in chunk order, so reports,
+key order included, are bit-identical for a given (seed, chunk size)
+whatever the worker count.  Workers are forked (os.fork), so call with more
+than one worker only from a single-threaded process.  A call forks only the
+workers its estimated work pays for, at a measured cost per fork, so a
+short call runs in one process however many workers it asks for.
 
 Classification at p decides S_p by one rule: p | c_ell needs either
 ell | gcd(Delta, c4), where Tate decides, or ell^3 | Delta with ell prime to
@@ -423,9 +423,10 @@ _FORK_US = 5000
 
 
 def _run_chunks(spec: SampleSpec, chunk_fn, threads: int, sample_us: int) -> dict[str, int]:
-    """Sum the per-chunk counts chunk_fn(index) over every chunk of spec;
-    threads >= 1, and sample_us is the estimated cost of one sample of
-    chunk_fn in microseconds.
+    """Sum the per-chunk counts chunk_fn(index) over every chunk of spec, in
+    chunk order: the one fold of _fork_join's results, so the sum, key order
+    included, is the same for every worker count.  threads >= 1, and
+    sample_us is the estimated cost of one sample of chunk_fn in us.
 
     The worker plan is decided here and nowhere else.  The CPUs this
     process may run on are its affinity set, or os.cpu_count() where that
@@ -440,9 +441,6 @@ def _run_chunks(spec: SampleSpec, chunk_fn, threads: int, sample_us: int) -> dic
     set's size: every CPU is then busy anyway.  A larger set (several runs
     at once, or a CPU quota on a large host) would put every run on the
     same lowest CPUs, where the scheduler could have spread them out.
-
-    Sums do not depend on which process ran which chunk, so the result is
-    the same for every worker count.
     """
     n_chunks = -(-spec.total // spec.chunk_size)
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
@@ -451,24 +449,27 @@ def _run_chunks(spec: SampleSpec, chunk_fn, threads: int, sample_us: int) -> dic
     return _sum_counts(_fork_join(chunk_fn, n_chunks, k, cpus if 1 < k == len(cpus) else []))
 
 
-def _fork_join(chunk_fn, n_chunks: int, k: int, cpus: list[int]) -> list[dict[str, int]]:
-    """Worker w of k sums chunks w, w + k, w + 2k, ...  Worker 0 is this
-    process, so the caches its chunks fill stay here; workers 1 to k - 1 are
-    forked children.
+def _fork_join(chunk_fn, n_chunks: int, k: int, cpus: list[int]) -> list:
+    """[chunk_fn(i) for i in range(n_chunks)] on k workers: worker w runs
+    chunks w, w + k, w + 2k, ... into those slots.  Worker 0 is this process,
+    so the caches its chunks fill stay here; 1 to k - 1 are forked children.
 
     cpus is empty, or holds one CPU per worker: then worker w runs on
     cpus[w] (see _pin).  Left to itself the scheduler may keep a forked
     child on its parent's CPU, and two workers then run no faster than one.
     This process gets the affinity set cpus back before it reaps.
 
-    Each child sends its sum, pickled, through its own pipe.  Every child
-    is reaped before this returns or raises; children still running when
-    this process fails (its own chunk raising, an interrupt, a failed fork)
-    are killed first.  A child's exception is re-raised here, and a child
-    that ends without a result raises RuntimeError.
+    Each child pickles the list of its n_chunks / k results into its own
+    pipe; one --kodaira-at chunk (31 labels: ell = 2, H = 10^3, 65536 draws)
+    is 312 bytes and 11 us to pickle and unpickle, a classify one 104 and 3.
+    Every child is reaped before this returns or raises; children still
+    running when this process fails (its own chunk raising, an interrupt, a
+    failed fork) are killed first.  A child's exception is re-raised here,
+    and a child that ends without a result raises RuntimeError.
     """
     children = []  # (pid, read end of its pipe)
     replies: list[bytes] = []
+    results: list = [None] * n_chunks
     try:
         for w in range(1, k):
             r, wr = os.pipe()
@@ -484,7 +485,7 @@ def _fork_join(chunk_fn, n_chunks: int, k: int, cpus: list[int]) -> list[dict[st
             os.close(wr)
             children.append((pid, open(r, "rb")))
         _pin(cpus[:1])
-        own = _sum_counts(map(chunk_fn, range(0, n_chunks, k)))
+        results[::k] = map(chunk_fn, range(0, n_chunks, k))
         for _, pipe in children:
             replies.append(pipe.read())
     finally:
@@ -495,8 +496,7 @@ def _fork_join(chunk_fn, n_chunks: int, k: int, cpus: list[int]) -> list[dict[st
             if len(replies) < len(children):
                 os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitpid(pid, 0)[1])
-    parts = [own]
-    for (pid, _), data, status in zip(children, replies, statuses):
+    for w, (pid, _), data, status in zip(range(1, k), children, replies, statuses):
         code = os.waitstatus_to_exitcode(status)
         if code != 0:
             how = f"by signal {-code}" if code < 0 else f"with exit code {code}"
@@ -504,8 +504,8 @@ def _fork_join(chunk_fn, n_chunks: int, k: int, cpus: list[int]) -> list[dict[st
         ok, value = pickle.loads(data)
         if not ok:
             raise value
-        parts.append(value)
-    return parts
+        results[w::k] = value
+    return results
 
 
 def _pin(cpus: list[int]) -> None:
@@ -520,15 +520,15 @@ def _pin(cpus: list[int]) -> None:
 
 
 def _child(wr: int, chunk_fn, indices, cpus: list[int]) -> NoReturn:
-    """Body of a forked worker: pin itself to cpus (see _pin), sum its
-    chunks, write (ok, sum or exception) to wr and leave by os._exit, so
-    that the parent's stdio buffers and exit hooks never run here.  It exits
-    0 only once the reply is written."""
+    """Body of a forked worker: pin itself to cpus (see _pin), run its
+    chunks, write (ok, their results in order, or exception) to wr and leave
+    by os._exit, so that the parent's stdio buffers and exit hooks never run
+    here.  It exits 0 only once the reply is written."""
     code = 1
     try:
         _pin(cpus)
         try:
-            reply = (True, _sum_counts(map(chunk_fn, indices)))
+            reply = (True, list(map(chunk_fn, indices)))
         except Exception as exc:
             reply = (False, exc)
         with open(wr, "wb") as f:

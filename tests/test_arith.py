@@ -397,6 +397,45 @@ def test_ecm_curve_splits_on_its_parameter_gcd():
     assert arith._ecm_curve(n, 102, arith._ecm_bounds(200, 12_000), _Budget(1 << 22)) == 10399
 
 
+# for sigma = 6 and each baby step j of _BABY, the least prime p above 5000
+# where stage 1 at B1 = 150 leaves Q = k P of a prime order l = m 210 +- j
+# of (150, 8000] and no other pair of stage 2 meets l
+STAGE_TWO_PRIMES = {1: 5147, 11: 20089, 13: 38113, 17: 12269, 19: 30559, 23: 10321,
+                    29: 9623, 31: 24247, 37: 7109, 41: 15383, 43: 13043, 47: 17029,
+                    53: 9413, 59: 6949, 61: 28729, 67: 21817, 71: 24329, 73: 24077,
+                    79: 28661, 83: 11621, 89: 14081, 97: 11519, 101: 12373, 103: 16547}
+
+
+def test_ecm_stage_two_finds_a_prime_at_every_baby_step():
+    # the order N of the group that holds x(P) mod p is counted by squares:
+    # b y^2 = f(x) is y^2 = f(x) if f(x(P)) is a square, else its twist.
+    # With N / gcd(N, k) = l, only stage 2 can find p, and only at the j of
+    # l: for every other prime r = m 210 +- j' of (150, 8000], l divides
+    # neither r nor the other value 420 m - r of its pair
+    sigma, q = 6, 2**61 - 1  # q is prime, and no step of the curve meets it
+    bounds = arith._ecm_bounds(150, 8000)
+    k = bounds[0]
+    u, v = sigma * sigma - 5, 4 * sigma
+    assert set(STAGE_TWO_PRIMES) == set(arith._BABY)
+    stage_two = [r for r in primes_up_to(8000) if r > 150]
+    for j, p in STAGE_TWO_PRIMES.items():
+        squares = {t * t % p for t in range(1, p)}
+
+        def chi(t):
+            f = (t**3 + C * t * t + t) % p
+            return 0 if f == 0 else 1 if f in squares else -1
+
+        a24 = (v - u) ** 3 * (3 * u + v) * pow(16 * u**3 * v, -1, p) % p
+        C = 4 * a24 - 2
+        x = u**3 * pow(v**3, -1, p) % p
+        N = p + 1 + chi(x) * sum(map(chi, range(p)))
+        l = N // math.gcd(N, k)
+        assert is_prime(l) and 150 < l <= 8000 and j in (l % 210, 210 - l % 210)
+        assert [r for r in stage_two if r % l == 0 or (420 * ((r + 105) // 210) - r) % l == 0] == [l]
+        assert _mladder(k, u**3, v**3, a24, p)[1] % p  # Q is not O
+        assert arith._ecm_curve(p * q, sigma, bounds, _Budget(1 << 22)) == p, j
+
+
 def test_primes_up_to_cached():
     assert primes_up_to(100) is primes_up_to(100)
     assert primes_up_to(10)[-1] == 7

@@ -23,6 +23,7 @@ from ellstat.harness import (
     _classify_chunk,
     _c_ell_divisible,
     _chunk_rng,
+    _fork_join,
     _iter_chunk,
     _kodaira_chunk,
     _run_chunks,
@@ -898,6 +899,33 @@ def test_run_chunks_shares_chunks_with_children(monkeypatch):
                          3, _FORK_US)
     assert counts == {"index": sum(range(8)), "in_child": 5}
     assert len(forks) == 2
+    _assert_no_children()
+
+
+@needs_fork
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n_chunks", [1, 7, 8, 13])
+def test_fork_join_returns_results_in_chunk_order(monkeypatch, n_chunks, k):
+    # worker w runs chunks w, w + k, ...; worker 0 is this process
+    _fake_cpus(monkeypatch, k)
+    parent = os.getpid()
+    results = _fork_join(lambda i: (i, os.getpid() == parent), n_chunks, k,
+                         list(range(k)) if k > 1 else [])
+    assert results == [(i, i % k == 0) for i in range(n_chunks)]
+    _assert_no_children()
+
+
+@needs_fork
+def test_kodaira_counts_keep_their_key_order_across_workers(monkeypatch):
+    # summed per worker, the labels of the two workers' chunks would come
+    # home in another order than on one worker
+    forks = _count_forks(monkeypatch, cpus=2)
+    spec = SampleSpec(height=1000, p=3, count=40000, seed=1, chunk_size=5000)
+    one = list(kodaira_frequency(spec, 2, threads=1).counts.items())
+    assert forks == []
+    two = list(kodaira_frequency(spec, 2, threads=2).counts.items())
+    assert len(forks) == 1
+    assert one == two
     _assert_no_children()
 
 
