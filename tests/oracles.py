@@ -15,6 +15,10 @@ The torsion oracle is one-sided
 by construction: it can only declare "no torsion" when no root survives at
 full precision.
 
+The density oracles add plain Fractions one operation at a time: zeta
+tails floor by floor, interval products from all their endpoint products,
+and the Delaunay product factor by factor.
+
 The one exception is prime_scan_rows_by_prime, the earlier per-prime loop
 of prime_scan kept as it was.  It shares the library's per-prime rules and
 checks only that the work lifted out of the loop changes no row.
@@ -24,6 +28,7 @@ but not its twist rule: it tries every twist the rule chooses among.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from math import prod
 
@@ -181,6 +186,57 @@ def prime_scan_rows_by_prime(model: WeierstrassModel, p_max: int) -> list[PrimeS
         )
         rows.append(PrimeScanRow(p, good is not None, anomalous, tam, torsion))
     return rows
+
+
+def zeta_minus_one_term_by_term(s: int, tol, max_terms: int):
+    """(lo, hi) of zeta(s) - 1 from N - 1 floors of 2^k / n^s, one at a time,
+    and the integral tail N/((s - 1) N^s), added as Fractions; N and k are
+    chosen as zeta_minus_one documents.  None when N would pass max_terms."""
+    tol = Fraction(tol)
+    N = 2
+    while Fraction(N, (s - 1) * N**s) >= tol / 2:
+        N = max(N + 1, int(1.3 * N))
+        if N > max_terms:
+            return None
+    x = 2 * (N + 1) / tol
+    k = max(1, (-(-x.numerator // x.denominator) - 1).bit_length())
+    scale = 1 << k
+    lo_sum = 0
+    terms = 0
+    for n in range(2, N + 1):
+        lo_sum += scale // n**s
+        terms += 1
+    tail_hi = Fraction(N, (s - 1) * N**s)
+    return Fraction(lo_sum, scale), Fraction(lo_sum + terms, scale) + tail_hi
+
+
+def main_bound_by_fractions(p: int, d_lo: Fraction, d_hi: Fraction,
+                            d_prime: Fraction) -> tuple[Fraction, Fraction]:
+    """(p^-1 + p^-3 - p^-4) * [1 - 1/p - d_hi - d', 1 - 1/p - d_lo - d'] as an
+    interval product: the least and the greatest of the endpoint products."""
+    front = Fraction(1, p) + Fraction(1, p**3) - Fraction(1, p**4)
+    x = 1 - Fraction(1, p) - d_hi - d_prime
+    y = 1 - Fraction(1, p) - d_lo - d_prime
+    prods = [front * x, front * y]
+    return min(prods), max(prods)
+
+
+def delaunay_mass_by_fractions(p: int, tol) -> tuple[Fraction, Fraction]:
+    """(1 - P, 1 - P (1 - t)) for P = prod_{i<=K} (1 - p^-(2i-1)), multiplied
+    factor by factor, and t = p^-(2K+1) / (1 - p^-2), the sum of the dropped
+    p^-(2i-1); K is the least with t < tol/2."""
+    tol = Fraction(tol)
+
+    def tail(K):
+        return Fraction(1, p ** (2 * K + 1)) / (1 - Fraction(1, p * p))
+
+    K = 1
+    while tail(K) >= tol / 2:
+        K += 1
+    P = Fraction(1)
+    for i in range(1, K + 1):
+        P *= 1 - Fraction(1, p ** (2 * i - 1))
+    return 1 - P, 1 - P * (1 - tail(K))
 
 
 def class_count_boxed(disc: int, bound: int | None = None) -> int:

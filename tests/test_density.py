@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from ellstat.arith import InputError, iroot
+from ellstat.arith import InputError, iroot, primes_up_to
 
 from ellstat.kodaira import KodairaType
 from ellstat.density import (
+    DEFAULT_TOL,
     AmbiguousIntervalComparison,
     CertifiedValue,
     corollary_gap_check,
@@ -26,7 +27,9 @@ from ellstat.density import (
     sp_doubleprime_density,
     zeta_minus_one,
 )
-from ellstat.density import _ZETA_MAX_TERMS, _floor_power_sum
+from ellstat.density import _MAX_REPORT_P, _ZETA_MAX_TERMS, _floor_power_sum
+from oracles import (delaunay_mass_by_fractions, main_bound_by_fractions,
+                     zeta_minus_one_term_by_term)
 
 ZETA3_REF = Fraction("0.202056903159594285")  # well below default width
 ZETA7_REF = Fraction("0.008349277381922827")
@@ -134,37 +137,31 @@ def test_floor_power_sum_matches_direct_sum():
             assert _floor_power_sum(S, s, N, M) == want, (S, s, N, M)
 
 
-def _zeta_minus_one_term_by_term(s, tol):
-    """zeta_minus_one as it summed before the quotient blocks: N - 1 floors."""
-    tol = Fraction(tol)
-    N = 2
-    while Fraction(N, (s - 1) * N**s) >= tol / 2:
-        N = max(N + 1, int(1.3 * N))
-        if N > _ZETA_MAX_TERMS:
-            return None
-    x = 2 * (N + 1) / tol
-    k = max(1, (-(-x.numerator // x.denominator) - 1).bit_length())
-    scale = 1 << k
-    lo_sum = 0
-    terms = 0
-    for n in range(2, N + 1):
-        lo_sum += scale // n**s
-        terms += 1
-    tail_hi = Fraction(N, (s - 1) * N**s)
-    return Fraction(lo_sum, scale), Fraction(lo_sum + terms, scale) + tail_hi
-
-
 @pytest.mark.parametrize("s", [2, 3, 4, 5, 7, 11])
 def test_zeta_minus_one_matches_term_by_term_sum(s):
     for e in (3, 6, 9, 12):
         tol = Fraction(1, 10**e)
-        want = _zeta_minus_one_term_by_term(s, tol)
+        want = zeta_minus_one_term_by_term(s, tol, _ZETA_MAX_TERMS)
         if want is None:
             with pytest.raises(ValueError):
                 zeta_minus_one(s, tol)
         else:
             z = zeta_minus_one(s, tol)
             assert (z.lo, z.hi) == want
+
+
+def test_zeta_minus_one_matches_term_by_term_sum_to_largest_reported_prime():
+    # s = p is what `theory` asks for at every p >= 5 up to _MAX_REPORT_P;
+    # past s = 11 the sum has N = 2 terms and the tail carries the big
+    # denominator (s - 1) 2^(s-1)
+    for s in range(2, _MAX_REPORT_P + 1):
+        want = zeta_minus_one_term_by_term(s, DEFAULT_TOL, _ZETA_MAX_TERMS)
+        if want is None:
+            with pytest.raises(ValueError):
+                zeta_minus_one(s)
+        else:
+            z = zeta_minus_one(s)
+            assert (z.lo, z.hi) == want, s
 
 
 def test_frak_d_p_values():
@@ -277,6 +274,18 @@ def test_delaunay_mass_nested_as_tol_shrinks():
             assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
 
 
+def test_delaunay_mass_and_main_bound_match_fraction_arithmetic_across_tol():
+    for p in (3, 5, 7, 97, 10007):
+        for tol in (Fraction(1, 10**3), Fraction(1, 10**12), Fraction(1, 10**100)):
+            m = delaunay_mass(p, tol)
+            assert (m.lo, m.hi) == delaunay_mass_by_fractions(p, tol), (p, tol)
+    for p in (3, 5, 7, 97):
+        for tol in (Fraction(1, 10**3), Fraction(1, 10**12)):
+            d = frak_d_p(p, tol)
+            b = main_bound(p, tol)
+            assert (b.lo, b.hi) == main_bound_by_fractions(p, d.lo, d.hi, frak_d_p_prime(p))
+
+
 def test_delaunay_mass_refuses_tol_below_floor():
     assert delaunay_mass(10007, Fraction(1, 10**100)).width < Fraction(1, 10**100)
     with pytest.raises(ValueError):
@@ -324,6 +333,19 @@ def test_density_report_json():
         1 - Fraction(1, 3) - rep.d_p - rep.d_p_prime
     )
     assert (rebuilt.lo, rebuilt.hi) == (rep.bound.lo, rep.bound.hi)
+
+
+def test_density_report_matches_fraction_arithmetic_at_every_reported_prime():
+    # the bound is the report's own d_p and d_p' put through the generic
+    # interval operators and through the plain-Fraction oracle
+    for p in primes_up_to(_MAX_REPORT_P)[1:]:
+        rep = density_report(p)
+        front = Fraction(1, p) + Fraction(1, p**3) - Fraction(1, p**4)
+        rebuilt = front * (1 - Fraction(1, p) - rep.d_p - rep.d_p_prime)
+        want = main_bound_by_fractions(p, rep.d_p.lo, rep.d_p.hi, rep.d_p_prime)
+        assert (rep.bound.lo, rep.bound.hi) == (rebuilt.lo, rebuilt.hi) == want, p
+        mass = rep.conjecture_mass
+        assert (mass.lo, mass.hi) == delaunay_mass_by_fractions(p, DEFAULT_TOL), p
 
 
 @pytest.mark.parametrize("p", [9, 15])

@@ -15,6 +15,7 @@ import os
 import pytest
 
 from ellstat import harness
+from ellstat.arith import primes_up_to
 from ellstat.cli import main
 
 E1 = "--curve=1,0,1,-141,624"
@@ -181,3 +182,17 @@ def test_golden_stdout_replayed_in_reverse():
     # an option or value left over from one call would change a later pin
     names = sorted(CASES, reverse=True)
     assert [(name, _run(CASES[name])) for name in names] == [(name, GOLDEN[name]) for name in names]
+
+
+# sha256 of the concatenated stdout of `theory --p q --format json` over every
+# odd prime q up to 14177, the largest p whose report `theory` prints
+THEORY_SWEEP_SHA256 = "6335381ef5cfaa3965c449badca68e07c1a1dbf95f68640da3d5754d838e50aa"
+
+
+def test_theory_json_sweep_to_largest_reported_prime():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes = {main(["theory", "--p", str(q), "--format", "json"])
+                 for q in primes_up_to(14177)[1:]}
+    assert codes == {0}
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == THEORY_SWEEP_SHA256
