@@ -164,6 +164,8 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
         raise ValueError("iroot requires n >= 0, k >= 1")
     if n in (0, 1) or k == 1:
         return n, True
+    if k >= n.bit_length():
+        return 1, False  # 2 <= n < 2^k, so 1 <= n^(1/k) < 2
     if k == 2:
         r = isqrt(n)
     else:

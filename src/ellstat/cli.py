@@ -63,13 +63,14 @@ def _curve_report(model: WeierstrassModel) -> tuple[str, int, list[LocalData]]:
     return format_rational(j_invariant(model)), N, locs
 
 
-def _emit(args, payload: Callable[[], dict], text_lines: list[str]) -> None:
-    """Print payload() as JSON under --format json, else the text lines; the
-    payload, which spells out every exact rational, is built only for JSON."""
+def _emit(args, payload: Callable[[], dict], text_lines: Callable[[], list[str]]) -> None:
+    """Print payload() as JSON under --format json, else text_lines(); each
+    is built only for its own format, so JSON spells out no text line and
+    text builds no payload, which spells out every exact rational."""
     if args.format == "json":
         print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -77,27 +78,18 @@ def cmd_local(args) -> int:
     model = _parse_curve(args.curve)
     if args.prime is not None:
         data = tate(model, args.prime)
-        payload = {"curve": str(model), "local": [data.to_json_dict()]}
-        lines = [
+        _emit(args, lambda: {"curve": str(model), "local": [data.to_json_dict()]}, lambda: [
             f"curve {model}  at {args.prime}: {data.kodaira.label}  "
             f"c={data.tamagawa} f={data.conductor_exponent} "
             f"v(delta_min)={data.v_min_delta} {data.reduction}"
-        ]
-    else:
-        j, N, locs = _curve_report(model)
-        payload = {
-            "curve": str(model),
-            "j": j,
-            "conductor": N,
-            "local": [d.to_json_dict() for d in locs],
-        }
-        lines = [f"curve {model}", f"j = {j}", f"conductor = {N}"]
-        for d in locs:
-            lines.append(
-                f"  ell={d.prime}: {d.kodaira.label}  c={d.tamagawa} "
-                f"f={d.conductor_exponent} {d.reduction}"
-            )
-    _emit(args, lambda: payload, lines)
+        ])
+        return 0
+    j, N, locs = _curve_report(model)
+    _emit(args, lambda: {"curve": str(model), "j": j, "conductor": N,
+                         "local": [d.to_json_dict() for d in locs]},
+          lambda: [f"curve {model}", f"j = {j}", f"conductor = {N}"] + [
+              f"  ell={d.prime}: {d.kodaira.label}  c={d.tamagawa} "
+              f"f={d.conductor_exponent} {d.reduction}" for d in locs])
     return 0
 
 
@@ -107,33 +99,31 @@ def cmd_theory(args) -> int:
     except (ValueError, ZeroDivisionError):  # not a number, or a zero denominator
         raise InputError(f"bad tolerance {args.tol!r}")
     rep = density_report(args.p, tol)
-    lines = [
+    _emit(args, rep.to_json_dict, lambda: [
         f"p = {rep.p}",
         f"frak_d_p        in {rep.d_p}",
         f"frak_d_p'       = {format_rational(rep.d_p_prime)} = {float(rep.d_p_prime):.7g}",
         f"d(S_p'')        = {format_rational(rep.sp2_density)} = {float(rep.sp2_density):.7g}",
         f"main bound      in {rep.bound}",
         f"conjecture mass in {rep.conjecture_mass}",
-    ]
-    _emit(args, rep.to_json_dict, lines)
+    ])
     return 0
 
 
 def cmd_census(args) -> int:
     classes = census_torsion_classes(args.p).classes
     res = CensusResult(args.p, classes, d_count(args.p).d if args.with_d else None)
-    lines = [f"p = {args.p}", f"classes with p | #E = {res.classes}"]
-    if res.d is not None:
-        lines.append(f"d(p) = {res.d}  (d/p^5 = {format_rational(res.d_over_p5)})")
-    _emit(args, res.to_json_dict, lines)
+    _emit(args, res.to_json_dict, lambda: [
+        f"p = {args.p}", f"classes with p | #E = {res.classes}",
+        *([] if res.d is None else [f"d(p) = {res.d}  (d/p^5 = {format_rational(res.d_over_p5)})"]),
+    ])
     return 0
 
 
 def cmd_hurwitz(args) -> int:
     cls = hurwitz_class_number(args.disc)
-    lines = [f"H({args.disc}) = {cls.h}"]
-    lines += [f"  ({f.a},{f.b},{f.c})" for f in cls.representatives]
-    _emit(args, cls.to_json_dict, lines)
+    _emit(args, cls.to_json_dict, lambda: [f"H({args.disc}) = {cls.h}"] + [
+        f"  ({f.a},{f.b},{f.c})" for f in cls.representatives])
     return 0
 
 
@@ -218,17 +208,16 @@ def cmd_families(args) -> int:
                 continue
             E = curve_from_j(zywina_j2(Fraction(t)), minimize_conductor=args.minimal_twist)
             rows.append((str(t), E))
-    payload = []
-    lines = []
+    reports = []
     for t, E in rows:
         try:
-            jstr, N, locs = _curve_report(E)
-            locs = [d.to_json_dict() for d in locs]
+            reports.append((t, E, *_curve_report(E)))
         except SingularCurveError:
-            N, locs, jstr = None, [], None
-        payload.append({"t": t, "curve": str(E), "j": jstr, "conductor": N, "local": locs})
-        lines.append(f"t={t}  curve={E}  j={jstr}  conductor={N}")
-    _emit(args, lambda: {"family": args.family, "curves": payload}, lines)
+            reports.append((t, E, None, None, []))
+    _emit(args, lambda: {"family": args.family, "curves": [
+        {"t": t, "curve": str(E), "j": j, "conductor": N, "local": [d.to_json_dict() for d in locs]}
+        for t, E, j, N, locs in reports]},
+        lambda: [f"t={t}  curve={E}  j={j}  conductor={N}" for t, E, j, N, _ in reports])
     return 0
 
 

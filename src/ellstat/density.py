@@ -5,6 +5,11 @@ and infinite products become intervals (CertifiedValue), bracketed by a
 partial sum plus an integral or geometric tail.  That keeps identities like
 the Kodaira-type partition sum exactly assertable while every analytic
 quantity still carries a rigorous enclosure.
+
+Each endpoint `theory` prints is built as one integer numerator over one
+integer denominator and normalised once, by Fraction(num, den): through the
+zeta(p) tail its denominator reaches 4300 digits, and the generic interval
+operators would take a gcd of that size after every + and *.
 """
 
 from __future__ import annotations
@@ -12,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from math import prod
 
 from .arith import InputError, iroot, primes_up_to, require_odd_prime
 from .curves import format_rational
 from .kodaira import KodairaType
-from .quadforms import hurwitz_class_number
+from .quadforms import _reduced_forms
 
 __all__ = [
     "CertifiedValue",
@@ -205,6 +211,8 @@ def _floor_power_sum(scale: int, s: int, N: int, M: int) -> int:
     values, so the whole sum costs about M + scale / M^s steps instead of N
     (Deleglise-Rivat, Experiment. Math. 5 (1996)).
     """
+    if not scale >> s:
+        return 0  # 2^s > scale: every term is 0
     M = min(M, N)
     total = sum(map(scale.__floordiv__, map(pow, range(2, M + 1), repeat(s))))
     n = M + 1
@@ -232,18 +240,18 @@ def zeta_minus_one(s: int, tol=DEFAULT_TOL) -> CertifiedValue:
     0 <= sum_{n>N} n^-s <= N^(1-s)/(s-1).  Each floor is exact, so the
     enclosure depends only on N and k, however the sum is grouped.  Raises
     InputError when the tail needs N > _ZETA_MAX_TERMS (about tol < 10^-13
-    at s = 3).
+    at s = 3).  hi is one fraction over 2^k (s - 1) N^(s-1), normalised once.
     """
     if s < 2:
         raise ValueError("s must be an integer >= 2")
     tol = Fraction(tol)
     if tol <= 0:
         raise InputError("tol must be positive")
-    # choose N so the integral tail 1/((s-1) N^(s-1)) is below tol/2, then
-    # the least scale 2^k >= 2 (N + 1) / tol, so that the N-1 rounding errors
-    # stay below tol/2
+    # choose N so the integral tail 1/tail_den = 1/((s-1) N^(s-1)) is below
+    # tol/2, then the least scale 2^k >= 2 (N + 1) / tol, so that the N-1
+    # rounding errors stay below tol/2
     N = 2
-    while 2 * tol.denominator >= tol.numerator * (s - 1) * N ** (s - 1):
+    while 2 * tol.denominator >= tol.numerator * (tail_den := (s - 1) * N ** (s - 1)):
         N = max(N + 1, N * 13 // 10)
         if N > _ZETA_MAX_TERMS:
             raise InputError(f"tol too small: zeta({s}) needs more than {_ZETA_MAX_TERMS} terms")
@@ -251,10 +259,8 @@ def zeta_minus_one(s: int, tol=DEFAULT_TOL) -> CertifiedValue:
     k = max(1, (-(-x.numerator // x.denominator) - 1).bit_length())
     scale = 1 << k
     lo_sum = _floor_power_sum(scale, s, N, _ZETA_DIRECT * iroot(scale, s + 1)[0])
-    tail_hi = Fraction(N, (s - 1) * N**s)  # = N^(1-s)/(s-1)
-    lo = Fraction(lo_sum, scale)
-    hi = Fraction(lo_sum + N - 1, scale) + tail_hi
-    return CertifiedValue(lo, hi)
+    hi = Fraction((lo_sum + N - 1) * tail_den + scale, scale * tail_den)
+    return CertifiedValue(Fraction(lo_sum, scale), hi)
 
 
 def frak_d_p(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
@@ -269,10 +275,10 @@ def frak_d_p(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
 def frak_d_p_prime(p: int) -> Fraction:
     """The S_p' density bound ((p-1)/2p^2) * (class-number sum), exactly."""
     require_odd_prime(p)
-    h = hurwitz_class_number(1 - 4 * p).h
+    h = sum(1 for _ in _reduced_forms(1 - 4 * p))
     if p <= 5:
-        h += hurwitz_class_number(p * p + 1 - 6 * p).h
-    return Fraction(p - 1, 2 * p * p) * h
+        h += sum(1 for _ in _reduced_forms(p * p + 1 - 6 * p))
+    return Fraction((p - 1) * h, 2 * p * p)
 
 
 def product_density(s_values: dict[int, Fraction], tail_majorant) -> CertifiedValue:
@@ -309,8 +315,17 @@ def main_bound(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
 
 
 def _main_bound(p: int, d_p: CertifiedValue, d_p_prime: Fraction) -> CertifiedValue:
-    front = Fraction(1, p) + Fraction(1, p**3) - Fraction(1, p**4)
-    return front * (1 - Fraction(1, p) - d_p - d_p_prime)
+    """front [x, y] for front = (p^3 + p - 1)/p^4 and x, y = 1 - 1/p - d'_p
+    minus d_p.hi, d_p.lo.  As front > 0 this is [front x, front y]: two
+    products, where the generic interval product takes four and their min
+    and max.  Each is one integer fraction over p^5 b d, normalised once."""
+    f, c, d = p**3 + p - 1, d_p_prime.numerator, d_p_prime.denominator
+
+    def endpoint(dp: Fraction) -> Fraction:  # front * (1 - 1/p - a/b - c/d)
+        a, b = dp.numerator, dp.denominator
+        return Fraction(f * ((p - 1) * b * d - p * (a * d + b * c)), p**5 * b * d)
+
+    return CertifiedValue(endpoint(d_p.hi), endpoint(d_p.lo))
 
 
 def delaunay_mass(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
@@ -318,7 +333,9 @@ def delaunay_mass(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
 
     Truncates at the smallest K whose geometric tail sum is below tol/2;
     the dropped factors multiply the finite product by something in
-    [1 - tail, 1].  Raises InputError for tol below 10^-100.
+    [1 - tail, 1].  With the product P/p^(K^2) and the tail 1/T in integers,
+    each endpoint is one fraction, normalised once.  Raises InputError for
+    tol below 10^-100.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -326,17 +343,15 @@ def delaunay_mass(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
     if tol < _MIN_TOL:
         raise InputError("tol must be at least 10^-100")
 
-    def tail_sum(k: int) -> Fraction:
-        # sum_{i>k} p^-(2i-1), a geometric series
-        return Fraction(p * p, (p * p - 1) * p ** (2 * k + 1))
+    def tail_den(k: int) -> int:
+        # sum_{i>k} p^-(2i-1), a geometric series, is 1/tail_den(k)
+        return (p * p - 1) * p ** (2 * k - 1)
 
     K = 1
-    while tail_sum(K) >= tol / 2:
+    while 2 * tol.denominator >= tol.numerator * tail_den(K):
         K += 1
-    prod = Fraction(1)
-    for i in range(1, K + 1):
-        prod *= 1 - Fraction(1, p ** (2 * i - 1))
-    return CertifiedValue(1 - prod, 1 - prod * (1 - tail_sum(K)))
+    P, q, T = prod(p ** (2 * i - 1) - 1 for i in range(1, K + 1)), p ** (K * K), tail_den(K)
+    return CertifiedValue(Fraction(q - P, q), Fraction(q * T - P * (T - 1), q * T))
 
 
 def corollary_gap_check(p_max: int, eps: float, tol=DEFAULT_TOL) -> dict[int, float]:

@@ -5,10 +5,15 @@ D < 0 is taken literally: imprimitive forms belong to it, and every class
 counts with weight 1.  In particular H(-3) = H(-4) = 1 here, unlike the
 classical weighted Hurwitz numbers (which assign 1/3 and 1/2); every
 downstream density formula in this package consumes this convention.
+
+One enumeration, `_reduced_forms`, has two consumers: hurwitz_class_number
+sorts its forms into a FormClassSet, and density.frak_d_p_prime, which
+needs only H(D), counts them without building a form.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import filterfalse
 from math import isqrt
@@ -23,7 +28,7 @@ __all__ = [
     "hurwitz_class_number",
 ]
 
-# hurwitz_class_number tries about 0.07 |D| candidate divisors a; at this
+# _reduced_forms tries about 0.07 |D| candidate divisors a; at this
 # bound `hurwitz --disc` takes 8 to 9 s (Python 3.11, one core)
 _MAX_DISC = 10**9
 
@@ -103,14 +108,13 @@ def reduce_form(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
     return BinaryQuadraticForm(a, b, c)
 
 
-def hurwitz_class_number(disc: int) -> FormClassSet:
-    """H(D): the number of SL2(Z)-classes of forms of discriminant D < 0.
-
-    Enumerates reduced forms b first (Cohen, GTM 138, Alg. 5.3.5): for
-    0 <= b <= sqrt(|D|/3) with b = D mod 2, every divisor a of
-    m = (b^2 - D)/4 with max(b, 1) <= a <= sqrt(m) gives (a, b, m/a), and
-    (a, -b, m/a) too off the boundary 0 < b < a < c.  The forms come out
-    sorted by (a, b).  Raises InputError for |D| > _MAX_DISC.
+def _reduced_forms(disc: int) -> Iterator[tuple[int, int, int]]:
+    """The reduced forms (a, b, c) of discriminant D < 0, b first (Cohen,
+    GTM 138, Alg. 5.3.5): for 0 <= b <= sqrt(|D|/3) with b = D mod 2, every
+    divisor a of m = (b^2 - D)/4 with max(b, 1) <= a <= sqrt(m) gives
+    (a, b, m/a), and (a, -b, m/a) too off the boundary 0 < b < a < c.
+    Raises InputError on the first step if D is not a negative discriminant
+    or |D| > _MAX_DISC.
     """
     if disc >= 0:
         raise InputError("discriminant must be negative")
@@ -118,13 +122,17 @@ def hurwitz_class_number(disc: int) -> FormClassSet:
         raise InputError("discriminant must be 0 or 1 mod 4")
     if -disc > _MAX_DISC:
         raise InputError(f"|discriminant| must be at most {_MAX_DISC}")
-    reps = []
     for b in range(disc % 2, isqrt(-disc // 3) + 1, 2):
         m = (b * b - disc) // 4
         for a in filterfalse(m.__mod__, range(max(b, 1), isqrt(m) + 1)):
             c = m // a
-            reps.append((a, b, c))
+            yield a, b, c
             if 0 < b < a < c:
-                reps.append((a, -b, c))
-    reps.sort()
+                yield a, -b, c
+
+
+def hurwitz_class_number(disc: int) -> FormClassSet:
+    """H(D): the number of SL2(Z)-classes of forms of discriminant D < 0,
+    with their reduced representatives sorted by (a, b)."""
+    reps = sorted(_reduced_forms(disc))
     return FormClassSet(disc, tuple(BinaryQuadraticForm(a, b, c) for a, b, c in reps))

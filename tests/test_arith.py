@@ -144,6 +144,23 @@ def test_valuation_and_iroot():
         assert iroot((10**57 + 7) ** k, k) == (10**57 + 7, True)
 
 
+def _iroot_by_search(n, k):
+    r = 0
+    while (r + 1) ** k <= n:
+        r += 1
+    return r, r**k == n
+
+
+def test_iroot_at_the_bit_length_edge():
+    # for 2 <= n < 2^k, that is k >= n.bit_length(), the root is 1 and not
+    # exact; 2^k is the first n past that edge, with root exactly 2
+    for k in range(2, 71):
+        cases = [(2**k, k), (2**k - 1, k), (2 ** (k - 1), k), (2**k + 1, k), (2**k, k + 1)]
+        cases += [(n, n.bit_length()) for n in (2 ** (k - 1), 2 ** (k - 1) + 1, 3 << (k - 2), 2**k - 1)]
+        for n, kk in cases:
+            assert iroot(n, kk) == _iroot_by_search(n, kk), (n, kk)
+
+
 def test_power_residue_tables_hold_every_power():
     for k in (2, 3, 5, 7):
         tables = _power_residue_tables(k)

@@ -75,6 +75,17 @@ def test_theory_text_builds_no_json_payload(capsys, monkeypatch):
     assert code == 0 and out.startswith("p = 3")
 
 
+def test_theory_json_builds_no_text_line(capsys, monkeypatch):
+    _, want, _ = run_cli(capsys, "theory", "--p", "3", "--format", "json")
+
+    def refuse(self):
+        raise AssertionError("text line built for JSON output")
+
+    monkeypatch.setattr("ellstat.density.CertifiedValue.__str__", refuse)
+    code, out, _ = run_cli(capsys, "theory", "--p", "3", "--format", "json")
+    assert code == 0 and out == want
+
+
 def _run_python(*args):
     """A fresh interpreter with this checkout's src first on its path."""
     src = str(Path(__file__).resolve().parents[1] / "src")

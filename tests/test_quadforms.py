@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from ellstat.arith import InputError
+from ellstat.arith import InputError, primes_up_to
+from ellstat.density import frak_d_p_prime
 from ellstat.quadforms import (
     BinaryQuadraticForm,
+    _reduced_forms,
     apply_sl2,
     hurwitz_class_number,
     reduce_form,
@@ -124,6 +127,28 @@ def test_hurwitz_matches_boxed_oracle_small():
     for disc in range(-60, 0):
         if disc % 4 in (0, 1):
             assert hurwitz_class_number(disc).h == class_count_boxed(disc)
+
+
+def test_counted_forms_match_built_forms_and_the_box():
+    # c = (b^2 - D)/(4a) <= (|D| + 1)/4 for a reduced form, so a box of
+    # half-width |D|/4 + 1 holds every one of them
+    for disc in range(-400, -2):
+        if disc % 4 in (0, 1):
+            count = sum(1 for _ in _reduced_forms(disc))
+            assert count == hurwitz_class_number(disc).h == class_count_boxed(disc, -disc // 4 + 1)
+    # frak_d_p' = (p - 1)/(2 p^2) H(1 - 4p), plus H(p^2 + 1 - 6p) at p <= 5,
+    # counted without building a form
+    for p in primes_up_to(3000)[1:]:
+        h = hurwitz_class_number(1 - 4 * p).h
+        if p <= 5:
+            h += hurwitz_class_number(p * p + 1 - 6 * p).h
+        assert frak_d_p_prime(p) == Fraction((p - 1) * h, 2 * p * p), p
+
+
+@pytest.mark.parametrize("disc", [0, 4, -5, -1000000003])
+def test_reduced_forms_check_the_discriminant_on_the_first_step(disc):
+    with pytest.raises(InputError):
+        next(_reduced_forms(disc))
 
 
 def test_representatives_match_box_of_reduced_forms():
