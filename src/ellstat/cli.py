@@ -214,10 +214,12 @@ def cmd_families(args) -> int:
             reports.append((t, E, *_curve_report(E)))
         except SingularCurveError:
             reports.append((t, E, None, None, []))
-    _emit(args, lambda: {"family": args.family, "curves": [
-        {"t": t, "curve": str(E), "j": j, "conductor": N, "local": [d.to_json_dict() for d in locs]}
-        for t, E, j, N, locs in reports]},
-        lambda: [f"t={t}  curve={E}  j={j}  conductor={N}" for t, E, j, N, _ in reports])
+    _emit(args,
+          lambda: {"family": args.family, "curves": [
+              {"t": t, "curve": str(E), "j": j, "conductor": N,
+               "local": [d.to_json_dict() for d in locs]}
+              for t, E, j, N, locs in reports]},
+          lambda: [f"t={t}  curve={E}  j={j}  conductor={N}" for t, E, j, N, _ in reports])
     return 0
 
 

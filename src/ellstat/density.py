@@ -315,10 +315,10 @@ def main_bound(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
 
 
 def _main_bound(p: int, d_p: CertifiedValue, d_p_prime: Fraction) -> CertifiedValue:
-    """front [x, y] for front = (p^3 + p - 1)/p^4 and x, y = 1 - 1/p - d'_p
-    minus d_p.hi, d_p.lo.  As front > 0 this is [front x, front y]: two
-    products, where the generic interval product takes four and their min
-    and max.  Each is one integer fraction over p^5 b d, normalised once."""
+    """front * [x, y], front = (p^3 + p - 1)/p^4, x = 1 - 1/p - d_p.hi - d'_p
+    and y = 1 - 1/p - d_p.lo - d'_p.  As front > 0 this is [front x, front y],
+    two products where the generic interval product takes four and a min and
+    a max; each is one integer fraction, normalised once."""
     f, c, d = p**3 + p - 1, d_p_prime.numerator, d_p_prime.denominator
 
     def endpoint(dp: Fraction) -> Fraction:  # front * (1 - 1/p - a/b - c/d)
@@ -333,8 +333,8 @@ def delaunay_mass(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
 
     Truncates at the smallest K whose geometric tail sum is below tol/2;
     the dropped factors multiply the finite product by something in
-    [1 - tail, 1].  With the product P/p^(K^2) and the tail 1/T in integers,
-    each endpoint is one fraction, normalised once.  Raises InputError for
+    [1 - tail, 1].  With the product as P/p^(K^2) and the tail as 1/T, P and
+    T integers, each endpoint is one fraction, normalised once.  Raises InputError for
     tol below 10^-100.
     """
     tol = Fraction(tol)
