@@ -13,8 +13,11 @@ as they fail.  Every modular multiplication of the walk and of ECM is
 charged to one budget, so a cofactor with no small enough prime costs a
 bounded amount of work before FactorBudgetExceeded.  ECM runs on
 Suyama's Montgomery curves, by their own x-only ladder _mladder at 11
-multiplications per bit; _ladder, the ladder on a short Weierstrass model
-at 20, serves finitefield's test of whether p P = O.
+multiplications per bit, each reduced mod n; _ladder, the ladder on a
+short Weierstrass model at 20 multiplications and 4 reductions per bit,
+serves finitefield's test of whether p P = O.  Its products grow to about
+n^6 between reductions: that is 1.07 to 1.14 times as fast as a reduction
+after each product for n from 3000 to 2^61, and 0.75 times at 256 bits.
 """
 
 from __future__ import annotations
@@ -312,28 +315,31 @@ def _ladder(k: int, x: int, A: int, B: int, n: int) -> tuple[int, int, int, int]
     The ladder holds (jP, (j+1)P), whose difference is P.  Modulo a prime q
     of n, a multiple that is O is (X:0) with X != 0 as long as P is not
     2-torsion and x != 0 mod q, so Z = 0 mod q exactly when it is O.
+
+    A step leaves its products unreduced and takes only its four outputs
+    mod n: four reductions where one after every product would take ten.
+    The sum is symmetric in its two points, so the pair is held swapped
+    whenever the last bit was 1, and the point to double is always the
+    first.
     """
     B4, B8 = 4 * B, 8 * B
     xx = x * x
     t = xx - A
     x0, z0, x1, z1 = x, 1, (t * t - B8 * x) % n, 4 * ((xx + A) * x + B) % n  # P, 2P
+    swapped = False
     for bit in bin(k)[3:]:
-        # the sum of the two, with difference P
-        u, v, zz = x0 * z1, x1 * z0, z0 * z1 % n
-        t = (x0 * x1 - A * zz) % n
-        s = (u - v) % n
-        xs, zs = (t * t - B4 * zz * (u + v)) % n, x * s * s % n
-        # the double of the one this bit keeps
-        xd, zd = (x1, z1) if bit == "1" else (x0, z0)
-        xx, zz, xz = xd * xd % n, zd * zd % n, xd * zd % n
-        azz = A * zz
+        if (bit == "1") != swapped:
+            x0, z0, x1, z1 = x1, z1, x0, z0
+            swapped = not swapped
+        # the sum of the two, with difference P, and the double of the first
+        u, v, zz = x0 * z1, x1 * z0, z0 * z1
+        t, s = x0 * x1 - A * zz, u - v
+        xx, zd, xz = x0 * x0, z0 * z0, x0 * z0
+        x1, z1 = (t * t - B4 * zz * (u + v)) % n, x * s * s % n
+        azz = A * zd
         t = xx - azz
-        xn, zn = (t * t - B8 * xz * zz) % n, 4 * (xz * (xx + azz) + B * zz * zz) % n
-        if bit == "1":
-            x0, z0, x1, z1 = xs, zs, xn, zn
-        else:
-            x0, z0, x1, z1 = xn, zn, xs, zs
-    return x0, z0, x1, z1
+        x0, z0 = (t * t - B8 * xz * zd) % n, 4 * (xz * (xx + azz) + B * zd * zd) % n
+    return (x1, z1, x0, z0) if swapped else (x0, z0, x1, z1)
 
 
 def _mxadd(q: tuple[int, int], r: tuple[int, int], d: tuple[int, int],
@@ -492,10 +498,11 @@ def factorize(n: int, *, rho_budget: int = 1 << 22) -> dict[int, int]:
     """Full factorisation {prime: exponent} of |n|, n != 0.
 
     The primes below 10^4 come out of g = gcd(n, their product), divided
-    out in ascending order until g is used up.  Above them each cofactor is
-    pushed once with its multiplicity e: a prime is recorded, a perfect
-    power r^k is pushed as r with e*k, and any other cofactor is split,
-    both factors pushed with e.  A split is tried first by one
+    out in ascending order until p^2 > g, when what is left of g is 1 or
+    its largest prime.  Above them each cofactor is pushed once with its
+    multiplicity e: a prime is recorded, a perfect power r^k is pushed as
+    r with e*k, and any other cofactor is split, both factors pushed with
+    e.  A split is tried first by one
     Pollard-Brent walk of about _RHO_SQUARINGS squarings, then, if the
     walk gives none, by ECM (_ecm) until a curve splits it.
 
@@ -518,13 +525,19 @@ def factorize(n: int, *, rho_budget: int = 1 << 22) -> dict[int, int]:
     # own g, since reducing the 14277-bit primorial costs about 4 us
     g = n if n < _SMALL_BOUND else gcd(n, _primorial())
     for p in _small_primes():
-        if g == 1 or p * p > n:
+        if p * p > g:
             break
         if g % p == 0:
-            g //= p
+            while g % p == 0:  # more than once only where g is n itself
+                g //= p
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
+    # g has no prime below the last p tried, and p^2 > g: it is 1 or a prime
+    if g > 1:
+        while n % g == 0:
+            out[g] = out.get(g, 0) + 1
+            n //= g
     # (cofactor m > 1, multiplicity e): m^e is still to be factored
     stack = [(n, 1)] if n > 1 else []
     while stack:

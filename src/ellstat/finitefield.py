@@ -10,12 +10,14 @@ predicate, _p_divides_order.  For a prime p >= 7 Hasse's bound
 |#E - p - 1| <= 2 sqrt(p) gives 0 < #E < 2p, so p | #E exactly when
 #E = p, and that holds exactly when p P = O for one point P != O (such a P
 has order p).  So above a measured crossover the predicate runs one x-only
-Montgomery ladder for p P on the short model y^2 = x^3 + A x + B, about
-log2(p) steps; below it, it counts.  The ladder is arith._ladder.  In
-front of the ladder, one power decides whether the discriminant of
-x^3 + A x + B is a square mod p; when it is not, the cubic has one root
-(Stickelberger), #E is even, and the answer is no without a ladder.  That
-is about half of all curves.
+Montgomery ladder on the short model y^2 = x^3 + A x + B, about log2(p)
+steps; below it, it counts.  The ladder is arith._ladder.  It stops at
+k = (p - 1) / 2 and compares the x of k P and (k + 1) P: with 2k + 1 = p
+they are equal exactly when p P = O (see _order_is_p), which saves the
+last step.  In front of the ladder, one power decides whether the
+discriminant of x^3 + A x + B is a square mod p; when it is not, the cubic
+has one root (Stickelberger), #E is even, and the answer is no without a
+ladder.  That is about half of all curves.
 
 The census and d(p) read one list of F_p-isomorphism classes, _classes(p),
 which lists the about 2p classes directly for p >= 5 and walks 27 curves
@@ -110,10 +112,10 @@ def count_points_b(p: int, b2: int, b4: int, b6: int) -> int:
 # From this prime on _p_divides_order runs the ladder instead of counting.
 # Per call on 400 random nonsingular (b2, b4, b6) at each p, with the
 # discriminant test in front of the ladder (median of 9, 2 cores,
-# Python 3.11): the scan is faster at p = 7 and 11 (2.2 against 2.5 us and
-# 2.9 against 3.2 us), the two tie at p = 13 (3.3 against 3.0 us), and the
-# ladder is faster from p = 17, with 5.5 against 7.7 us at p = 31 and 13 us
-# against 0.71 ms at p = 2999.
+# Python 3.11): the scan is faster at p = 7 (1.1 against 1.2 us), the two
+# tie at p = 11 (1.6 against 1.6 us), and the ladder is faster from p = 13,
+# with 1.5 against 1.8 us at p = 13, 2.4 against 4.1 us at p = 31 and
+# 6.5 us against 0.50 ms at p = 2999.  So p = 11 may take either.
 # It must stay >= 7, where Hasse's bound makes p | #E the same as #E = p.
 _LADDER_FROM = 13
 
@@ -140,7 +142,13 @@ def _order_is_p(p: int, b2: int, b4: int, b6: int) -> bool:
     addition defined and y != 0 keeps P off the 2-torsion.  If there is
     none, every affine point has x = 0 or y = 0, so #E <= 6 < p.
     Otherwise arith._ladder, the x-only Montgomery ladder on (X:Z) of the
-    short model, gives p P, which is O exactly when Z = 0.
+    short model, gives k P and (k + 1) P for k = (p - 1) / 2, one step short
+    of p P, and p P = O exactly when X0 Z1 = X1 Z0 mod p.  That cross
+    product vanishes exactly when the two points have the same x, or are
+    both O.  Since 2k + 1 = p, (k + 1) P = -k P exactly when p P = O, and
+    then neither is O, as P has order p; (k + 1) P = k P, or both O, would
+    need P = O; and if only one of them is O, (X:0) with X != 0, the cross
+    product is X times the other's Z, both nonzero.
     """
     A = -27 * (b2 * b2 - 24 * b4) % p
     B = 54 * (b2 * (b2 * b2 - 36 * b4) + 216 * b6) % p  # -54 c6
@@ -154,7 +162,8 @@ def _order_is_p(p: int, b2: int, b4: int, b6: int) -> bool:
             break
     else:
         return False
-    return _ladder(p, x, A, B, p)[1] == 0
+    x0, z0, x1, z1 = _ladder(half, x, A, B, p)
+    return (x0 * z1 - x1 * z0) % p == 0
 
 
 def group_order(curve: ReducedCurve) -> int:
@@ -194,7 +203,7 @@ def is_anomalous(model: WeierstrassModel, p: int) -> bool:
 
 
 # Odd primes below this bound are the point-count range of sampling, the
-# census and d(p); the census at 65521 takes 2.3 to 2.9 s (Python 3.11, 2 cores).
+# census and d(p); the census at 65521 takes 1.4 to 1.5 s (Python 3.11, 2 cores).
 _P_BOUND = 1 << 16
 
 

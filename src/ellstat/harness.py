@@ -21,7 +21,20 @@ multiplicative rest matters only through a prime of multiplicity >= 3, which
 a perfect-power test finds (residue sieves reject almost every non-power
 before a root is taken).  Ogg's formula skips the Tate runs that cannot give
 p | c_ell.  The one unverified case is a rest q^3 * r that is not a perfect
-power; that has probability < 2^-30 per sample and is treated as absent.
+power, treated as absent.  Its share of a height box is bounded: fix
+a1..a4; then 1728 Delta = c4^3 - c6^2 with c6 = kappa - 864 a6, so for a
+prime q prime to 6 c4 (a q | c4 is in gcd(Delta, c4), which is factored),
+q^3 | Delta holds on at most 2 classes of a6 mod q^3, that is for at
+most 2 ceil(N / q^3) of the N = 2 H^6 - 1 values of a6.  A union over the
+primes 10^4 < q <= Delta_max^(1/3), with Delta_max <= 1714 H^12 (Delta
+has weight 12 in a1..a6, and its coefficients' absolute values sum to
+1714) and pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld, 1962), bounds the share
+of the box where some such q^3 divides Delta by
+  eps(H) = sum_{q > 10^4} 2 / q^3 + 2 pi(Delta_max^(1/3)) / N,
+which is at most 7.2e-5 at H = 10^2, 5.0e-7 at 10^3, 5.0e-9 at 10^4 and
+1.2e-9 at 10^6.  For H <= 10 the share is 0: Delta_max < 10^16, and r > 1
+would have a prime above 10^4, so the rest is the cube q^3, which the
+perfect-power test finds.
 Samples that genuinely need a factorisation that exceeds its budget land in
 an explicit "unclassified" bucket; a run is valid while that bucket stays
 under 0.1%.
@@ -435,7 +448,8 @@ def _run_chunks(spec: SampleSpec, chunk_fn, threads: int, sample_us: int) -> dic
     one and k - 1 forked children.  W = spec.total * sample_us is the
     estimated work of the call, so each worker is given at least _FORK_US
     of it, about what forking one costs.  k is 1 where os.fork is missing,
-    and with k = 1 every chunk runs here and nothing is started.
+    and with k = 1 every chunk runs here, nothing is started, and each
+    chunk's counts are folded as the chunk ends, so no list of them is held.
 
     The workers are pinned one per CPU of the set exactly when k > 1 is the
     set's size: every CPU is then busy anyway.  A larger set (several runs
@@ -446,7 +460,9 @@ def _run_chunks(spec: SampleSpec, chunk_fn, threads: int, sample_us: int) -> dic
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     k = min(threads, n_chunks, len(cpus) or os.cpu_count() or 1,
             max(1, spec.total * sample_us // _FORK_US)) if hasattr(os, "fork") else 1
-    return _sum_counts(_fork_join(chunk_fn, n_chunks, k, cpus if 1 < k == len(cpus) else []))
+    if k == 1:
+        return _sum_counts(map(chunk_fn, range(n_chunks)))
+    return _sum_counts(_fork_join(chunk_fn, n_chunks, k, cpus if k == len(cpus) else []))
 
 
 def _fork_join(chunk_fn, n_chunks: int, k: int, cpus: list[int]) -> list:

@@ -31,7 +31,9 @@ a plain tuple of the same values.  Sampling at a fixed ell runs Tate once
 per draw, and the records were most of that cost: on a sampled H = 10^3
 chunk at ell = 2 (2 cores, Python 3.11), a frozen-dataclass LocalData and a
 new KodairaType took 3.8 us of a 6.6 us run; the NamedTuple and a shared
-type take 0.7 us of 3.0 us.
+type take 0.7 us of 3.0 us.  prime_scan's PrimeScanRow is a NamedTuple for
+the same reason: it builds one row per odd prime, in 0.32 us against
+0.80 us for a frozen dataclass (timeit, Python 3.11).
 
 The per-curve queries (conductor, tamagawa_p_divisible, compute_I_p,
 prime_scan) factor Delta once and run Tate once per bad prime; prime_scan
@@ -515,8 +517,7 @@ def compute_I_p(model: WeierstrassModel, p: int) -> set[int]:
     return out
 
 
-@dataclass(frozen=True)
-class PrimeScanRow:
+class PrimeScanRow(NamedTuple):
     p: int
     good_reduction: bool
     anomalous: bool

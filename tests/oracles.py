@@ -19,10 +19,12 @@ The density oracles add plain Fractions one operation at a time: zeta
 tails floor by floor, interval products from all their endpoint products,
 and the Delaunay product factor by factor.
 
-The one exception is prime_scan_rows_by_prime, the earlier per-prime loop
-of prime_scan kept as it was.  It shares the library's per-prime rules and
+Two earlier versions are kept as they were.  prime_scan_rows_by_prime, the
+per-prime loop of prime_scan, shares the library's per-prime rules and
 checks only that the work lifted out of the loop changes no row.
-least_conductor_twist shares the library's Tate runs and factorisation,
+ladder_reducing_each_product, arith._ladder with a reduction after each
+product, shares its formulas and checks only that the reductions it no
+longer makes change no residue.  least_conductor_twist shares the library's Tate runs and factorisation,
 but not its twist rule: it tries every twist the rule chooses among.
 """
 
@@ -94,6 +96,33 @@ def montgomery_multiple(k: int, point, C: int, b: int, p: int):
     for _ in range(k - 1):
         Q = add(Q, point)
     return Q
+
+
+def ladder_reducing_each_product(k: int, x: int, A: int, B: int, n: int):
+    """arith._ladder as it was before it left its products unreduced: the
+    same Brier-Joye steps, with a reduction mod n after every product but
+    the small ones.  It gives the same (X0, Z0, X1, Z1)."""
+    B4, B8 = 4 * B, 8 * B
+    xx = x * x
+    t = xx - A
+    x0, z0, x1, z1 = x, 1, (t * t - B8 * x) % n, 4 * ((xx + A) * x + B) % n  # P, 2P
+    for bit in bin(k)[3:]:
+        # the sum of the two, with difference P
+        u, v, zz = x0 * z1, x1 * z0, z0 * z1 % n
+        t = (x0 * x1 - A * zz) % n
+        s = (u - v) % n
+        xs, zs = (t * t - B4 * zz * (u + v)) % n, x * s * s % n
+        # the double of the one this bit keeps
+        xd, zd = (x1, z1) if bit == "1" else (x0, z0)
+        xx, zz, xz = xd * xd % n, zd * zd % n, xd * zd % n
+        azz = A * zz
+        t = xx - azz
+        xn, zn = (t * t - B8 * xz * zz) % n, 4 * (xz * (xx + azz) + B * zz * zz) % n
+        if bit == "1":
+            x0, z0, x1, z1 = xs, zs, xn, zn
+        else:
+            x0, z0, x1, z1 = xn, zn, xs, zs
+    return x0, z0, x1, z1
 
 
 def d_count_literal(p: int) -> int:

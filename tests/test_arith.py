@@ -28,7 +28,7 @@ from ellstat.arith import (
 from ellstat.curves import compute_invariants
 from ellstat.harness import sample_tuple
 
-from oracles import affine_multiple, montgomery_multiple
+from oracles import affine_multiple, ladder_reducing_each_product, montgomery_multiple
 
 
 def test_sieve_matches_trial_division():
@@ -266,6 +266,22 @@ def test_factorize_small_primes_with_large_cofactor():
         assert math.prod(q**e for q, e in fac.items()) == n
 
 
+@pytest.mark.parametrize("small, items", [
+    (9967, [(9967, 1)]),
+    (9973**2, [(9973, 2)]),
+    (9973**3, [(9973, 3)]),
+    (9967 * 9973**3, [(9967, 1), (9973, 3)]),
+    (2**3 * 9967**2 * 9973, [(2, 3), (9967, 2), (9973, 1)]),
+])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_factorize_stops_the_small_primes_at_the_root_of_their_part(small, items, sign):
+    # the walk over the primes below 10^4 stops at the first p with p^2 > g;
+    # the one prime left of g, 9967 or 9973, still gets its full exponent
+    # and its place in the key order, before the cofactor's prime
+    big = 1000003  # the least prime above 10^6
+    assert list(factorize(sign * small * big).items()) == items + [(big, 1)]
+
+
 def test_factor_budget_raises():
     p = 2**127 - 1  # prime: fine
     assert factorize(p) == {p: 1}
@@ -327,6 +343,31 @@ def test_ladder_matches_affine_multiples():
         x0, z0, x1, z1 = _ladder(k, x, A, B, p)
         for (X, Z), w in zip(((x0, z0), (x1, z1)), want):
             assert Z % p and X * pow(Z, -1, p) % p == w[0], k
+
+
+def _primes_after(n: int, count: int) -> list[int]:
+    out = []
+    while len(out) < count:
+        n += 1
+        if is_prime(n):
+            out.append(n)
+    return out
+
+
+# every odd prime below 2^16, ten primes above 10^7, 2^61 - 1 and a 256-bit prime
+_LADDER_MODULI = (primes_up_to(1 << 16)[1:] + _primes_after(10**7, 10) + [2**61 - 1]
+                  + _primes_after(2**255, 1))
+
+
+def test_ladder_matches_reference_with_each_product_reduced():
+    # the products that _ladder leaves unreduced change no residue: the same
+    # (X0, Z0, X1, Z1) as a reduction after each product, on seeded k, x, A,
+    # B below n, and at k = (n - 1) / 2 and n, where finitefield runs it
+    rng = random.Random(71)
+    for n in _LADDER_MODULI:
+        for k in (rng.randrange(1, 2 * n), n >> 1, n):
+            args = (k, rng.randrange(n), rng.randrange(n), rng.randrange(n), n)
+            assert _ladder(*args) == ladder_reducing_each_product(*args), args
 
 
 def test_montgomery_ladder_matches_affine_multiples():

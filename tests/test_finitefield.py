@@ -114,7 +114,7 @@ def test_ladder_crossover_is_above_hasse_range():
     assert _LADDER_FROM >= 7
 
 
-@pytest.mark.parametrize("p", [7, 11, 13])
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 19])
 def test_ladder_exhaustive_small_p(p):
     for a2 in range(p):
         for a4 in range(p):

@@ -1,4 +1,5 @@
-"""Golden stdout of every CLI command at small sizes.
+"""Golden stdout of every CLI command at small sizes, and the JSON of
+prime_scan to 10^5 on the three reference curves.
 
 Each case pins the exit code and the sha256 of the exact stdout bytes, so a
 refactor of the counting, reporting or per-curve code that changes a single
@@ -10,6 +11,7 @@ say so in the change log.
 import contextlib
 import hashlib
 import io
+import json
 import os
 
 import pytest
@@ -17,6 +19,8 @@ import pytest
 from ellstat import harness
 from ellstat.arith import primes_up_to
 from ellstat.cli import main
+from ellstat.curves import WeierstrassModel
+from ellstat.localdata import prime_scan
 
 E1 = "--curve=1,0,1,-141,624"
 E2 = "--curve=0,0,0,-83667346875,-10711930420406250"
@@ -196,3 +200,21 @@ def test_theory_json_sweep_to_largest_reported_prime():
                  for q in primes_up_to(14177)[1:]}
     assert codes == {0}
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == THEORY_SWEEP_SHA256
+
+
+# sha256 of json.dumps(prime_scan(E, 10**5).to_json_dict(), sort_keys=True),
+# as the benchmark serialises a scan: one row per odd prime to 10^5, so a
+# change in the point-count kernel that flips one anomalous flag fails here
+PRIME_SCAN_SHA256 = {
+    (1, 0, 1, -141, 624): "75e3874d67c248a7c98214c7f2d55802e0a780ca40667df621b9f2894749cd02",
+    (0, 0, 0, -83667346875, -10711930420406250):
+        "885d1e79e9ab6b063a425f039414160fd4c05bc0ff4fb1f73606e6900f698125",
+    (0, 1, 0, -2, -8): "32068f3b5bc35d4f2d2038c8cc2563b7cc1bf067aaa43e9d53e9d0631eea5e6d",
+}
+
+
+@pytest.mark.parametrize("curve", PRIME_SCAN_SHA256, ids=["E1", "E2", "E3"])
+def test_prime_scan_json_to_1e5(curve):
+    report = prime_scan(WeierstrassModel(*curve), 10**5)
+    text = json.dumps(report.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PRIME_SCAN_SHA256[curve]

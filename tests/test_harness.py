@@ -6,6 +6,7 @@ import os
 import random
 import signal
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -264,6 +265,29 @@ def test_cube_times_rest_is_in_s3():
     assert compute_invariants(_CUBE_TIMES_REST).delta == -(10007**3) * (1 + 432 * 10007**3)
     assert tate(_CUBE_TIMES_REST, 10007).tamagawa == 3
     assert tamagawa_p_divisible(_CUBE_TIMES_REST, 3) == [10007]
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 17])
+def test_cube_divides_delta_on_at_most_two_classes_of_a6(q):
+    # the count behind the bound on classify's assumed-absent case: with
+    # a1..a4 fixed and q prime to 6 c4, 1728 Delta = c4^3 - c6^2 and
+    # c6 = kappa - 864 a6, so q^3 | Delta holds on 0 or 2 classes of a6 mod
+    # q^3, and a window of L consecutive a6 holds at most 2 ceil(L / q^3)
+    rng = random.Random(q)
+    cube = q**3
+    hits = 0
+    for _ in range(12):
+        a = [rng.randrange(-10**i, 10**i + 1) for i in (1, 2, 3, 4)]
+        if c4_and_discriminant(a + [0])[0] % q == 0:
+            continue
+        start, length = rng.randrange(-10**6, 10**6), rng.randrange(1, 2 * cube + 50)
+        window = [c4_and_discriminant(a + [a6])[1] % cube == 0
+                  for a6 in range(start, start + length)]
+        assert sum(window) <= 2 * -(-length // cube)
+        period = [c4_and_discriminant(a + [a6])[1] % cube == 0 for a6 in range(cube)]
+        assert sum(period) in (0, 2)
+        hits += sum(period)
+    assert hits > 0
 
 
 @pytest.mark.xfail(strict=True, reason="classify assumes that no rest q^3 * r above 10^4 "
@@ -944,6 +968,23 @@ def test_run_chunks_one_worker_runs_in_process(monkeypatch):
     parent = os.getpid()
     counts = _run_chunks(EIGHT_CHUNKS, lambda i: {"here": os.getpid() == parent}, 8, _FORK_US)
     assert counts == {"here": 8} and forks == []
+
+
+def test_one_worker_folds_each_chunk_as_it_ends():
+    # one worker keeps no list of chunk results: held as a list until one
+    # fold, the counts of 20000 chunks of one draw peak at about 4 MB of
+    # traced memory; folded as each chunk ends, under 0.1 MB.  The first
+    # call builds what a run at ell = 2 caches, so it is not traced
+    spec = SampleSpec(height=1000, p=3, count=20000, seed=1, chunk_size=1)
+    kodaira_frequency(SampleSpec(height=1000, p=3, count=16, seed=1), 2, threads=1)
+    tracemalloc.start()
+    try:
+        counts = kodaira_frequency(spec, 2, threads=1).counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == 20000
+    assert peak < 1_000_000
 
 
 @needs_fork

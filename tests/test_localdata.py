@@ -10,6 +10,7 @@ from ellstat.kodaira import KodairaType, parse_kodaira
 from ellstat.localdata import (
     LocalData,
     LocalTorsionRank,
+    PrimeScanRow,
     _I_n,
     _I_n_star,
     _tate_run,
@@ -602,6 +603,25 @@ def test_local_data_contract():
             assert pickle.loads(pickle.dumps(d)) == d
             assert set(d.to_json_dict()) == {"prime", "kodaira", "tamagawa", "f", "v_delta",
                                              "reduction"}
+
+
+def test_prime_scan_row_contract():
+    # a row with these fields in this order, immutable, equal to the plain
+    # tuple of its values and unchanged by a pickle round trip
+    assert PrimeScanRow._fields == ("p", "good_reduction", "anomalous", "tamagawa_divisible",
+                                    "bad_local_torsion")
+    rows = prime_scan(E1, 100).rows
+    assert rows[0] == PrimeScanRow(3, True, True, False, True)
+    for row in rows:
+        with pytest.raises(AttributeError):
+            row.anomalous = True
+        with pytest.raises(AttributeError):
+            row.extra = 0
+        plain = (row.p, row.good_reduction, row.anomalous, row.tamagawa_divisible,
+                 row.bad_local_torsion)
+        assert row == plain and hash(row) == hash(plain)
+        assert pickle.loads(pickle.dumps(row)) == row
+        assert type(pickle.loads(pickle.dumps(row))) is PrimeScanRow
 
 
 def test_nroots_cubic_matches_brute_force():
