@@ -3,8 +3,9 @@
 Everything here is exact big-integer arithmetic: primality by Miller-Rabin
 (deterministic below 3.3 * 10^24 with a proven witness set, and a strong
 probable-prime test to the same 13 bases above it), factorisation, prime
-sieves, quadratic residue tests, integer roots and a power-residue sieve
-that rejects almost every non-power before a root is taken.
+sieves, quadratic residue tests, integer roots and a perfect-power test
+that takes a k-th root only for the k in (2, 3, 5, 7) that one masked
+sieve of residues modulo 8 primes q = 1 (mod 210) leaves.
 
 factorize finds the primes below 10^4 by one gcd with their product, then
 splits each composite cofactor that is not a perfect power by one short
@@ -183,43 +184,50 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
     return r, r**k == n
 
 
-# the primes q = 1 (mod k) whose k-th power residues _may_be_kth_power tests;
-# only about 1/k of the residues mod such a q are k-th powers, so a random
-# non-power passes all of them with probability near k^-_SIEVE_PRIMES
+# only about 1/k of the residues mod a prime q = 1 (mod k) are k-th powers,
+# so a random non-power keeps the bit of k through _SIEVE_PRIMES of them
+# with probability near k^-_SIEVE_PRIMES
 _SIEVE_PRIMES = 8
 
 
 @cache
-def _power_residue_tables(k: int) -> tuple[tuple[int, bytes], ...]:
-    """(q, table) for the first _SIEVE_PRIMES primes q = 1 (mod k): table[r]
-    is 1 exactly when r is x^k mod q for some x, 0 included."""
+def _power_sieve() -> tuple[tuple[int, bytes], ...]:
+    """(q, table) for the first _SIEVE_PRIMES primes q = 1 (mod 210): bit i
+    of table[r] is set exactly when r is x^k mod q for some x, 0 included,
+    with k = (2, 3, 5, 7)[i].  For a primitive root g, g^e is a k-th power
+    exactly when k | e, so one walk through the powers of g sets every bit,
+    by a mask that depends only on e mod 210."""
+    masks = bytes(sum(1 << i for i, k in enumerate((2, 3, 5, 7)) if e % k == 0)
+                  for e in range(210))
     out = []
     for q in _small_primes():
-        if q % k == 1:
-            table = bytearray(q)
-            for x in range(q):
-                table[pow(x, k, q)] = 1
+        if q % 210 == 1:
+            ells = [ell for ell in _small_primes() if ell < q and (q - 1) % ell == 0]
+            g = next(g for g in count(2) if all(pow(g, (q - 1) // ell, q) != 1 for ell in ells))
+            # residue 0 keeps every bit; the walk through g^e sets the others
+            table, x = bytearray([masks[0]]) * q, 1
+            for mask in masks * ((q - 1) // 210):
+                table[x] = mask
+                x = x * g % q
             out.append((q, bytes(table)))
             if len(out) == _SIEVE_PRIMES:
                 break
     return tuple(out)
 
 
-def _may_be_kth_power(n: int, k: int) -> bool:
-    """False only if n >= 0 is certainly not a k-th power (k >= 2): a k-th
-    power is a k-th power residue modulo every prime (Bernstein, "Detecting
-    perfect powers in essentially linear time", Math. Comp. 67, 1998)."""
-    for q, table in _power_residue_tables(k):
-        if not table[n % q]:
-            return False
-    return True
-
-
 def _perfect_power(n: int) -> tuple[int, int] | None:
     """(r, k) with r^k = n for the first k in (2, 3, 5, 7) that has one, or
-    None; n >= 0.  Sieved before any root is taken."""
-    for k in (2, 3, 5, 7):
-        if _may_be_kth_power(n, k):
+    None; n >= 0.  A k-th power is a k-th power residue modulo every prime
+    (Bernstein, "Detecting perfect powers in essentially linear time", Math.
+    Comp. 67, 1998): the sieve clears the bit of each k that n is not, and
+    only the k left get a root."""
+    mask = 15
+    for q, table in _power_sieve():
+        mask &= table[n % q]
+        if not mask:
+            return None
+    for i, k in enumerate((2, 3, 5, 7)):
+        if mask >> i & 1:
             r, exact = iroot(n, k)
             if exact:
                 return r, k

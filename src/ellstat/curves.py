@@ -91,16 +91,17 @@ class Invariants(NamedTuple):
 
 
 def compute_invariants(model: WeierstrassModel) -> Invariants:
-    """The b-, c- and discriminant invariants of a long Weierstrass tuple."""
+    """The b-, c- and discriminant invariants of a long Weierstrass tuple;
+    b8 and Delta come from 4 b8 = b2 b6 - b4^2 and 1728 Delta = c4^3 - c6^2
+    (Silverman, AEC III.1)."""
     a1, a2, a3, a4, a6 = model
     b2 = a1 * a1 + 4 * a2
     b4 = a1 * a3 + 2 * a4
     b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
     c4 = b2 * b2 - 24 * b4
     c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
-    delta = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    return Invariants(b2, b4, b6, b8, c4, c6, delta)
+    return tuple.__new__(Invariants, (b2, b4, b6, (b2 * b6 - b4 * b4) // 4, c4, c6,
+                                      (c4 * c4 * c4 - c6 * c6) // 1728))
 
 
 def j_invariant(model: WeierstrassModel) -> Fraction:

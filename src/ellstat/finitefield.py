@@ -11,13 +11,14 @@ predicate, _p_divides_order.  For a prime p >= 7 Hasse's bound
 #E = p, and that holds exactly when p P = O for one point P != O (such a P
 has order p).  So above a measured crossover the predicate runs one x-only
 Montgomery ladder on the short model y^2 = x^3 + A x + B, about log2(p)
-steps; below it, it counts.  The ladder is arith._ladder.  It stops at
-k = (p - 1) / 2 and compares the x of k P and (k + 1) P: with 2k + 1 = p
-they are equal exactly when p P = O (see _order_is_p), which saves the
-last step.  In front of the ladder, one power decides whether the
-discriminant of x^3 + A x + B is a square mod p; when it is not, the cubic
-has one root (Stickelberger), #E is even, and the answer is no without a
-ladder.  That is about half of all curves.
+steps; below it, it counts, or for p <= 7 reads a table counted once per
+process.  The ladder is arith._ladder.  It stops at k = (p - 1) / 2 and
+compares the x of k P and (k + 1) P: with 2k + 1 = p they are equal
+exactly when p P = O (see _order_is_p), which saves the last step.  In
+front of the ladder, one power decides whether the discriminant of
+x^3 + A x + B is a square mod p; when it is not, the cubic has one root
+(Stickelberger), #E is even, and the answer is no without a ladder.  That
+is about half of all curves.
 
 The census and d(p) read one list of F_p-isomorphism classes, _classes(p),
 which lists the about 2p classes directly for p >= 5 and walks 27 curves
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 from math import gcd
 
@@ -109,22 +110,35 @@ def count_points_b(p: int, b2: int, b4: int, b6: int) -> int:
     return total
 
 
-# From this prime on _p_divides_order runs the ladder instead of counting.
-# Per call on 400 random nonsingular (b2, b4, b6) at each p, with the
-# discriminant test in front of the ladder (median of 9, 2 cores,
-# Python 3.11): the scan is faster at p = 7 (1.1 against 1.2 us), the two
-# tie at p = 11 (1.6 against 1.6 us), and the ladder is faster from p = 13,
-# with 1.5 against 1.8 us at p = 13, 2.4 against 4.1 us at p = 31 and
-# 6.5 us against 0.50 ms at p = 2999.  So p = 11 may take either.
-# It must stay >= 7, where Hasse's bound makes p | #E the same as #E = p.
+# _p_divides_order reads _order_table up to p = 7, counts at p = 11 and runs
+# the ladder from _LADDER_FROM on.  Per call on 400 random nonsingular
+# (b2, b4, b6) at each p, with the discriminant test in front of the ladder
+# (median of 9, 2 cores, Python 3.11): the scan is faster at p = 7 (1.1
+# against 1.2 us), the two tie at p = 11 (1.6 against 1.6 us), and the
+# ladder is faster from p = 13, with 1.5 against 1.8 us at p = 13, 2.4
+# against 4.1 us at p = 31 and 6.5 us against 0.50 ms at p = 2999.  The
+# tables for 3, 5 and 7 take under 1 ms to build, the one for 11 2.2 ms.
+# _LADDER_FROM must stay >= 7, where Hasse's bound makes p | #E the same as
+# #E = p.
 _LADDER_FROM = 13
+
+
+@cache
+def _order_table(p: int) -> bytes:
+    """Byte (b2 p + b4) p + b6 is 1 if p | #E(F_p) for the residues b2, b4,
+    b6 mod the odd prime p, else 0.  Kept for the life of the process, as
+    prime_scan asks once per p per scan."""
+    return bytes(count_points_b(p, b2, b4, b6) % p == 0
+                 for b2, b4, b6 in product(range(p), repeat=3))
 
 
 def _p_divides_order(p: int, b2: int, b4: int, b6: int) -> bool:
     """p | #E(F_p), for an odd prime p and good reduction at p."""
-    if p < _LADDER_FROM:
-        return count_points_b(p, b2, b4, b6) % p == 0
-    return _order_is_p(p, b2, b4, b6)
+    if p >= _LADDER_FROM:
+        return _order_is_p(p, b2, b4, b6)
+    if p <= 7:
+        return _order_table(p)[(b2 % p * p + b4 % p) * p + b6 % p] == 1
+    return count_points_b(p, b2, b4, b6) % p == 0
 
 
 def _order_is_p(p: int, b2: int, b4: int, b6: int) -> bool:

@@ -12,24 +12,25 @@ than one worker only from a single-threaded process.  A call forks only the
 workers its estimated work pays for, at a measured cost per fork, so a
 short call runs in one process however many workers it asks for.
 
-Classification at p decides S_p by one rule: p | c_ell needs either
-ell | gcd(Delta, c4), where Tate decides, or ell^3 | Delta with ell prime to
-c4, a split I_v prime with p | v.  Primes below 10^4 come out of a gcd with
-their product, the primorial, reduced once modulo the product of 8
-discriminants at a time; above it only gcd(Delta, c4) is factored, and the
-multiplicative rest matters only through a prime of multiplicity >= 3, which
-a perfect-power test finds (residue sieves reject almost every non-power
-before a root is taken).  Ogg's formula skips the Tate runs that cannot give
-p | c_ell.  The one unverified case is a rest q^3 * r that is not a perfect
-power, treated as absent.  Its share of a height box is bounded: fix
-a1..a4; then 1728 Delta = c4^3 - c6^2 with c6 = kappa - 864 a6, so for a
-prime q prime to 6 c4 (a q | c4 is in gcd(Delta, c4), which is factored),
-q^3 | Delta holds on at most 2 classes of a6 mod q^3, that is for at
-most 2 ceil(N / q^3) of the N = 2 H^6 - 1 values of a6.  A union over the
-primes 10^4 < q <= Delta_max^(1/3), with Delta_max <= 1714 H^12 (Delta
-has weight 12 in a1..a6, and its coefficients' absolute values sum to
-1714) and pi(x) < 1.25506 x / ln x (Rosser and Schoenfeld, 1962), bounds the share
-of the box where some such q^3 divides Delta by
+Classification at p decides S_p by one rule: p | c_ell needs ell^3 | Delta
+(at ell | c4 Ogg's formula gives c_ell < v_ell(Delta), and Tate runs only
+where v_ell(Delta) > p; elsewhere ell is split I_v with p | v).  Primes
+below 10^4 come out of a gcd with their product, the primorial, reduced
+once modulo the product of 8 discriminants at a time, and those dividing
+Delta three times are split off; above it only gcd(Delta, c4) is factored,
+and the multiplicative rest matters only through a prime of multiplicity
+>= 3, which a perfect-power test finds (one residue sieve rejects almost
+every non-power before a root is taken).  The one unverified case is a
+rest q^3 * r that is not a perfect power, treated as absent.  Its share of
+a height box is bounded: fix a1..a4; then 1728 Delta = c4^3 - c6^2 with
+c6 = kappa - 864 a6, so for a prime q prime to 6 c4 (a q | c4 is in
+gcd(Delta, c4), which is factored), q^3 | Delta holds on at most 2 classes
+of a6 mod q^3, that is for at most 2 ceil(N / q^3) of the N = 2 H^6 - 1
+values of a6.  A union over the primes 10^4 < q <= Delta_max^(1/3), with
+Delta_max <= 1714 H^12 (Delta has weight 12 in a1..a6, and its
+coefficients' absolute values sum to 1714) and pi(x) < 1.25506 x / ln x
+(Rosser and Schoenfeld, 1962), bounds the share of the box where some such
+q^3 divides Delta by
   eps(H) = sum_{q > 10^4} 2 / q^3 + 2 pi(Delta_max^(1/3)) / N,
 which is at most 7.2e-5 at H = 10^2, 5.0e-7 at 10^3, 5.0e-9 at 10^4 and
 1.2e-9 at 10^6.  For H <= 10 the share is 0: Delta_max < 10^16, and r > 1
@@ -62,8 +63,8 @@ from math import gcd, inf, prod, sqrt
 from typing import NoReturn
 
 from . import __version__
-from .arith import (FactorBudgetExceeded, InputError, _perfect_power, _primorial, factorize,
-                    is_prime, require_odd_prime, valuation)
+from .arith import (FactorBudgetExceeded, InputError, _perfect_power, _primorial, _small_primes,
+                    factorize, is_prime, require_odd_prime, valuation)
 from .curves import Invariants, SingularCurveError, WeierstrassModel, _box, compute_invariants
 from .density import CertifiedValue, rho, rho_Instar_ge1
 from .finitefield import _p_divides_order, _require_point_count_prime
@@ -194,26 +195,38 @@ def _tamagawa_divisible(model: WeierstrassModel, C: int, s: int, inv: Invariants
     s = gcd(C, primorial), the product of its primes below the trial bound,
     and inv are the invariants of model.
 
-    Only ell | gcd(Delta, c4) and ell^3 | Delta can qualify (c_ell <= 2 at
-    a multiplicative ell with v_ell(Delta) <= 2); _c_ell_divisible tests
-    each.  Budget-free tests run first, so FactorBudgetExceeded means none
-    of them found a divisible c_ell.
+    p | c_ell needs ell^3 | Delta.  Where ell | c4, Ogg's formula gives
+    c_ell <= v(Delta_min) - 1, and a non-minimal model has v_ell(Delta) >=
+    v(Delta_min) + 12, so _c_ell_divisible is False for v_ell(Delta) <= p,
+    as for any v_ell(Delta) <= 2.  Where ell is prime to c4, c_ell =
+    v_ell(Delta) at a split ell and c_ell <= 2 otherwise.  So of the primes
+    below the trial bound only those of cubed are tested.  The rest above it
+    is tested only if it is a perfect power, which misses a rest q^3 * r
+    that is not one: its share of the box is at most eps(H) =
+    sum_{q > 10^4} 2 / q^3 + 2 pi(1714^(1/3) H^4) / (2 H^6 - 1), and 0 for
+    H <= 10 (the module docstring gives the argument and the figures).
+    Budget-free tests run first, so FactorBudgetExceeded means none of them
+    found a divisible c_ell.
     """
     # primes below the trial bound: cubed holds those dividing C at least
-    # three times
+    # three times.  Three factors of each are stripped at once, then the
+    # rest of each, split off cubed by trial division, giving its v
     s2 = gcd(C // s, s)
     cubed = gcd(C // s // s2, s2)
-    candidates = gcd(s, inv.c4) * cubed
-    if candidates > 1:
-        for ell in factorize(candidates):
-            if _c_ell_divisible(model, ell, valuation(C, ell), inv, p):
-                return True
-    # strip the small primes: up to three factors of each at once, then
-    # the higher powers, which only the primes of cubed have
     C //= s * s2 * cubed
+    primes = iter(_small_primes())
     while cubed > 1:
-        cubed = gcd(C, cubed)
-        C //= cubed
+        ell = next(primes)
+        if ell * ell > cubed:
+            ell = cubed  # what is left of the squarefree cubed is a prime
+        if cubed % ell == 0:
+            cubed //= ell
+            v = 3
+            while C % ell == 0:
+                C //= ell
+                v += 1
+            if _c_ell_divisible(model, ell, v, inv, p):
+                return True
 
     # primes above the trial bound: the additive (or non-minimal) ones
     # divide c4, and gcd(C, 0) = C
@@ -226,7 +239,7 @@ def _tamagawa_divisible(model: WeierstrassModel, C: int, s: int, inv: Invariants
                 return True
     # the only way left for some multiplicity to reach 3 (short of the
     # assumed-absent q^3 * r event) is C itself being a perfect power
-    if _perfect_power(C) is None:
+    if C <= 1 or _perfect_power(C) is None:
         return False
     for q, n in factorize(C, rho_budget=_RHO_BUDGET).items():
         if _c_ell_divisible(model, q, n, inv, p):
@@ -343,9 +356,9 @@ def _iter_chunk(spec: SampleSpec, index: int):
 _FLAG_ORDER = ("singular", "bad_at_p", "tamagawa_divisible", "anomalous_good", "unclassified")
 # the estimated cost of one sample of _count_chunk, for the worker plan of
 # _run_chunks.  Median of 5 chunks of 3000 draws (2 vCPUs, Python 3.11):
-# 20 to 24 us at H = 10^3, 30 at 5 * 10^4 and 32 to 34 at 10^6, for p = 3
+# 11 to 12 us at H = 10^3, 14 at 5 * 10^4 and 16 to 17 at 10^6, for p = 3
 # and 7.  The low end is taken.
-_CLASSIFY_US = 20
+_CLASSIFY_US = 11
 
 
 def _count_chunk(spec: SampleSpec, index: int) -> dict[str, int]:

@@ -19,9 +19,12 @@ The density oracles add plain Fractions one operation at a time: zeta
 tails floor by floor, interval products from all their endpoint products,
 and the Delaunay product factor by factor.
 
-Two earlier versions are kept as they were.  prime_scan_rows_by_prime, the
+Three earlier versions are kept as they were.  prime_scan_rows_by_prime, the
 per-prime loop of prime_scan, shares the library's per-prime rules and
 checks only that the work lifted out of the loop changes no row.
+invariants_by_textbook_formulas, compute_invariants with b8 and Delta from
+their formulas in a1..a6 and b2..b8, checks the identities that
+compute_invariants now derives them from.
 ladder_reducing_each_product, arith._ladder with a reduction after each
 product, shares its formulas and checks only that the reductions it no
 longer makes change no residue.  least_conductor_twist shares the library's Tate runs and factorisation,
@@ -32,10 +35,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import isqrt, log, prod
 
 from ellstat.arith import factorize, legendre, primes_up_to
-from ellstat.curves import WeierstrassModel, compute_invariants
+from ellstat.curves import Invariants, WeierstrassModel, compute_invariants
 from ellstat.finitefield import _p_divides_order
 from ellstat.localdata import PrimeScanRow, _good_invariants, _local_table, _mult_rank, tate
 from ellstat.quadforms import BinaryQuadraticForm, reduce_form
@@ -330,6 +333,43 @@ def c4_and_discriminant(a) -> tuple[int, int]:
     b6 = a3 * a3 + 4 * a6
     b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
     return b2 * b2 - 24 * b4, -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+
+def invariants_by_textbook_formulas(model: WeierstrassModel) -> Invariants:
+    """The b-, c- and discriminant invariants of a long Weierstrass tuple."""
+    a1, a2, a3, a4, a6 = model
+    b2 = a1 * a1 + 4 * a2
+    b4 = a1 * a3 + 2 * a4
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
+    delta = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return Invariants(b2, b4, b6, b8, c4, c6, delta)
+
+
+def cube_share_bound(height: int) -> float:
+    """An upper bound on the share of the box |a_i| < H^i where a prime
+    q > 10^4 prime to 6 c4 has q^3 | Delta while the rest above 10^4 is no
+    perfect power:
+      sum_{q > 10^4} 2 / q^3 + 2 pi(Delta_max^(1/3)) / N,
+    Delta_max = 1714 H^12, N = 2 H^6 - 1, pi(x) < 1.25506 x / ln x
+    (Rosser and Schoenfeld, 1962).  The sum runs over the primes up to
+    2 10^6 by a sieve written here; the rest of it, over all n > 2 10^6, is
+    at most 2 / (2 10^6)^2.  The bound is 0 while Delta_max < (10^4)^4: a
+    rest with every prime above 10^4 then has at most three, so a prime
+    cubed in it is all of it, a perfect cube."""
+    delta_max, n = 1714 * height**12, 2 * height**6 - 1
+    if delta_max < 10**16:
+        return 0.0
+    limit = 2 * 10**6
+    flags = bytearray([1]) * (limit + 1)
+    for d in range(2, isqrt(limit) + 1):
+        if flags[d]:
+            flags[d * d :: d] = bytes(len(range(d * d, limit + 1, d)))
+    tail = sum(2 / q**3 for q in range(10**4 + 1, limit + 1) if flags[q]) + 2 / limit**2
+    x = delta_max ** (1 / 3)
+    return tail + 2 * 1.25506 * x / log(x) / n
 
 
 def scaled_down(a, ell: int) -> tuple[int, ...] | None:

@@ -10,12 +10,11 @@ from ellstat.arith import (
     InputError,
     _Budget,
     _ladder,
-    _may_be_kth_power,
     _mladder,
     _mxadd,
     _perfect_power,
     _pollard_brent,
-    _power_residue_tables,
+    _power_sieve,
     factorize,
     iroot,
     is_prime,
@@ -161,32 +160,43 @@ def test_iroot_at_the_bit_length_edge():
             assert iroot(n, kk) == _iroot_by_search(n, kk), (n, kk)
 
 
-def test_power_residue_tables_hold_every_power():
-    for k in (2, 3, 5, 7):
-        tables = _power_residue_tables(k)
-        assert tables
-        for q, table in tables:
-            assert q < 1000 and q % k == 1 and is_prime(q)
+def test_power_sieve_bits_mark_exactly_the_kth_powers():
+    sieve = _power_sieve()
+    assert [q for q, _ in sieve] == [211, 421, 631, 1051, 1471, 2311, 2521, 2731]
+    for q, table in sieve:
+        assert is_prime(q) and q % 210 == 1 and len(table) == q
+        for bit, k in enumerate((2, 3, 5, 7)):
             powers = {pow(x, k, q) for x in range(q)}
             assert 0 in powers
-            # exactly the k-th powers: every power passes, and (q - 1)/k
-            # nonzero residues plus 0 is all that does
-            assert {r for r in range(q) if table[r]} == powers
+            # exactly the k-th powers: every power keeps the bit, and
+            # (q - 1)/k nonzero residues plus 0 is all that does
+            assert {r for r in range(q) if table[r] >> bit & 1} == powers
             assert len(powers) == (q - 1) // k + 1
+        assert all(m < 16 for m in table)
 
 
-def test_may_be_kth_power_accepts_powers():
+def _sieve_mask(n: int) -> int:
+    """The bits of the k in (2, 3, 5, 7) that n keeps through the sieve."""
+    mask = 15
+    for q, table in _power_sieve():
+        mask &= table[n % q]
+    return mask
+
+
+def test_power_sieve_keeps_every_power():
     rng = random.Random(21)
-    for k in (2, 3, 5, 7):
-        sieve = math.prod(q for q, _ in _power_residue_tables(k))
-        xs = [0, 1, 2, sieve, 10**40 + 1] + [rng.randrange(10**30) for _ in range(200)]
-        # multiples of the table primes land on residue 0
-        xs += [q * rng.randrange(1, 10**20) for q, _ in _power_residue_tables(k)]
+    sieve = math.prod(q for q, _ in _power_sieve())
+    xs = [0, 1, 2, sieve, 10**40 + 1] + [rng.randrange(10**30) for _ in range(200)]
+    # multiples of the table primes land on residue 0
+    xs += [q * rng.randrange(1, 10**20) for q, _ in _power_sieve()]
+    randoms = [rng.randrange(10**30) for _ in range(2000)]
+    for bit, k in enumerate((2, 3, 5, 7)):
         for x in xs:
-            assert _may_be_kth_power(x**k, k), (x, k)
-        # and non-powers are mostly rejected
-        kept = sum(_may_be_kth_power(rng.randrange(10**30), k) for _ in range(2000))
-        assert kept < 100
+            assert _sieve_mask(x**k) >> bit & 1, (x, k)
+        # and non-powers mostly lose the bit: each k keeps fewer than 100 of
+        # 2000, as a sieve of its own over 8 primes did
+        kept = sum(_sieve_mask(n) >> bit & 1 for n in randoms)
+        assert kept < 100, (k, kept)
 
 
 def test_perfect_power_matches_brute_force():

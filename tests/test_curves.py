@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ellstat.curves import (
+    Invariants,
     NonIntegralTransformError,
     SingularCurveError,
     WeierstrassModel,
@@ -22,7 +23,8 @@ from ellstat.curves import (
     zywina_j2,
 )
 
-from oracles import height_less_by_crosspower, least_conductor_twist
+from oracles import (height_less_by_crosspower, invariants_by_textbook_formulas,
+                     least_conductor_twist, sample_tuple_by_randrange)
 
 E1 = WeierstrassModel(1, 0, 1, -141, 624)
 E2 = WeierstrassModel(0, 0, 0, -83667346875, -10711930420406250)
@@ -47,6 +49,20 @@ def test_classical_identities_hold_on_random_models():
         inv = compute_invariants(random_model(rng, 10**4))
         assert 4 * inv.b8 == inv.b2 * inv.b6 - inv.b4**2
         assert inv.c4**3 - inv.c6**2 == 1728 * inv.delta
+
+
+def test_invariants_match_the_textbook_formulas():
+    # b8 and Delta come from 4 b8 = b2 b6 - b4^2 and 1728 Delta = c4^3 - c6^2;
+    # the oracle writes both out in the a_i and b_i
+    rng = random.Random(38)
+    models = [WeierstrassModel(0, 0, 0, 0, 0), WeierstrassModel(0, 0, 0, 1, 10**160 + 7),
+              E1, E2, E3]
+    for height in (1, 10, 10**3, 10**6):
+        models += [sample_tuple_by_randrange(rng, height) for _ in range(500)]
+    for m in models:
+        inv = compute_invariants(m)
+        assert type(inv) is Invariants
+        assert inv == invariants_by_textbook_formulas(m), m
 
 
 def test_j_invariant_paper_curves():

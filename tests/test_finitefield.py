@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ellstat import finitefield
 from ellstat.arith import InputError, primes_up_to
 from ellstat.curves import WeierstrassModel, compute_invariants
 from ellstat.finitefield import (
@@ -13,6 +14,7 @@ from ellstat.finitefield import (
     _chi_table,
     _classes,
     _order_is_p,
+    _order_table,
     _p_divides_order,
     census_torsion_classes,
     count_points_b,
@@ -22,6 +24,7 @@ from ellstat.finitefield import (
     reduce_model,
 )
 from ellstat.density import frak_d_p_prime
+from ellstat.localdata import prime_scan
 from ellstat.quadforms import hurwitz_class_number
 
 from oracles import census_by_pair_walk, d_count_by_triples, d_count_literal, naive_group_order
@@ -183,6 +186,52 @@ def test_predicate_matches_count_up_to_2_16():
         p = rng.choice(primes)
         b = _random_good_b(rng, p)
         assert _p_divides_order(p, *b) == (count_points_b(p, *b) % p == 0)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_order_table_matches_count_on_every_residue_triple(p):
+    # the table range: every nonsingular triple of residues, then seeded
+    # unreduced and negative triples
+    triples = []
+    for a2 in range(p):
+        for a4 in range(p):
+            for a6 in range(p):
+                b = _b_invariants(p, a2, a4, a6)
+                if b is not None:
+                    triples.append(b)
+    # (a2, a4, a6) -> (b2, b4, b6) is a bijection of F_p^3
+    assert len({tuple(x % p for x in b) for b in triples}) == len(triples)
+    rng = random.Random(p)
+    for _ in range(300):
+        b = _b_invariants(p, *(rng.randrange(-10**12, 10**12) for _ in range(3)))
+        if b is not None:
+            triples.append(b)
+    assert any(min(b) < 0 for b in triples) and any(max(b) >= p for b in triples)
+    for b in triples:
+        assert _p_divides_order(p, *b) == (count_points_b(p, *b) % p == 0), b
+
+
+def test_a_second_prime_scan_builds_no_order_table(monkeypatch):
+    # the tables are kept for the life of the process: a cache of one p, or
+    # of one call, would rebuild them in every scan
+    calls = []
+    count = finitefield.count_points_b
+
+    def counting(p, b2, b4, b6):
+        calls.append(p)
+        return count(p, b2, b4, b6)
+
+    monkeypatch.setattr(finitefield, "count_points_b", counting)
+    _order_table.cache_clear()
+    E1 = WeierstrassModel(1, 0, 1, -141, 624)
+    first = prime_scan(E1, 100)
+    # E1 has good reduction at 3, 5 and 7, so the first scan builds all three
+    assert sorted(set(calls)) == [3, 5, 7, 11]
+    assert len(calls) == 27 + 125 + 343 + 1
+    calls.clear()
+    assert prime_scan(E1, 100) == first
+    # and the second only counts at 11, between the tables and the ladder
+    assert calls == [11]
 
 
 def test_hasse_bound():

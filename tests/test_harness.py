@@ -4,10 +4,12 @@ import itertools
 import math
 import os
 import random
+import re
 import signal
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +38,8 @@ from ellstat.harness import (
 )
 from ellstat.localdata import _TYPE_TABLE_MAX_ELL, _type_table, tamagawa_p_divisible, tate
 
-from oracles import c4_and_discriminant, good_after_minimising, sample_tuple_by_randrange
+from oracles import (c4_and_discriminant, cube_share_bound, good_after_minimising,
+                     sample_tuple_by_randrange)
 
 
 def test_sample_height_one_is_origin():
@@ -288,6 +291,26 @@ def test_cube_divides_delta_on_at_most_two_classes_of_a6(q):
         assert sum(period) in (0, 2)
         hits += sum(period)
     assert hits > 0
+
+
+# the bound on the share of the box where the assumed-absent q^3 * r can
+# occur, as the harness module docstring and README quote it: e -> the
+# figure at H = 10^e
+_CUBE_SHARE_FIGURES = {2: "7.2e-5", 3: "5.0e-7", 4: "5.0e-9", 6: "1.2e-9"}
+
+
+def test_quoted_cube_share_figures_bound_the_oracle():
+    import ellstat.harness as harness
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    texts = [" ".join(harness.__doc__.split()), " ".join(readme.split())]
+    for e, figure in _CUBE_SHARE_FIGURES.items():
+        bound = cube_share_bound(10**e)
+        assert 0 < bound <= float(figure), (e, bound)
+        for text in texts:
+            assert re.search(rf"{re.escape(figure)} at `?(H = )?10\^{e}\b", text), (e, figure)
+    # no room for q^3 * r below 10^16: the share is 0 up to H = 10
+    assert [cube_share_bound(h) for h in range(1, 11)] == [0.0] * 10
 
 
 @pytest.mark.xfail(strict=True, reason="classify assumes that no rest q^3 * r above 10^4 "
