@@ -335,8 +335,10 @@ def delaunay_mass(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
     the dropped factors multiply the finite product by something in
     [1 - tail, 1].  With the product as P/p^(K^2) and the tail as 1/T, P and
     T integers, each endpoint is one fraction, normalised once.  Raises InputError for
-    tol below 10^-100.
+    tol below 10^-100 and for a p that is not an odd prime (for p <= 1 the
+    tail bound is not positive, and no K would reach tol).
     """
+    require_odd_prime(p)
     tol = Fraction(tol)
     if tol <= 0:
         raise InputError("tol must be positive")

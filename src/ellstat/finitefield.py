@@ -3,19 +3,20 @@
 All point counting at odd p goes through one kernel, count_points_b: a
 quadratic-character scan over x of the completed square
 4x^3 + b2 x^2 + 2 b4 x + b6, p steps.  group_order is the only caller that
-needs the count itself.
+needs the count itself; the order tables for p <= 7 are its only other
+caller.
 
 Every other caller only asks whether p | #E(F_p), and that is one
 predicate, _p_divides_order.  For a prime p >= 7 Hasse's bound
 |#E - p - 1| <= 2 sqrt(p) gives 0 < #E < 2p, so p | #E exactly when
 #E = p, and that holds exactly when p P = O for one point P != O (such a P
-has order p).  So above a measured crossover the predicate runs one x-only
-Montgomery ladder on the short model y^2 = x^3 + A x + B, about log2(p)
-steps; below it, it counts, or for p <= 7 reads a table counted once per
-process.  The ladder is arith._ladder.  It stops at k = (p - 1) / 2 and
-compares the x of k P and (k + 1) P: with 2k + 1 = p they are equal
-exactly when p P = O (see _order_is_p), which saves the last step.  In
-front of the ladder, one power decides whether the discriminant of
+has order p).  So from p = 11 on the predicate runs one x-only Montgomery
+ladder on the short model y^2 = x^3 + A x + B, about log2(p) steps; for
+p <= 7 it reads a table of the answer for every residue triple, counted by
+count_points_b once per process.  The ladder is arith._ladder.  It stops at
+k = (p - 1) / 2 and compares the x of k P and (k + 1) P: with 2k + 1 = p
+they are equal exactly when p P = O (see _order_is_p), which saves the last
+step.  In front of the ladder, one power decides whether the discriminant of
 x^3 + A x + B is a square mod p; when it is not, the cubic has one root
 (Stickelberger), #E is even, and the answer is no without a ladder.  That
 is about half of all curves.
@@ -110,17 +111,17 @@ def count_points_b(p: int, b2: int, b4: int, b6: int) -> int:
     return total
 
 
-# _p_divides_order reads _order_table up to p = 7, counts at p = 11 and runs
-# the ladder from _LADDER_FROM on.  Per call on 400 random nonsingular
-# (b2, b4, b6) at each p, with the discriminant test in front of the ladder
-# (median of 9, 2 cores, Python 3.11): the scan is faster at p = 7 (1.1
-# against 1.2 us), the two tie at p = 11 (1.6 against 1.6 us), and the
-# ladder is faster from p = 13, with 1.5 against 1.8 us at p = 13, 2.4
-# against 4.1 us at p = 31 and 6.5 us against 0.50 ms at p = 2999.  The
-# tables for 3, 5 and 7 take under 1 ms to build, the one for 11 2.2 ms.
-# _LADDER_FROM must stay >= 7, where Hasse's bound makes p | #E the same as
-# #E = p.
-_LADDER_FROM = 13
+# _p_divides_order reads _order_table below _LADDER_FROM and runs the ladder
+# from it on.  Per call on 400 random nonsingular (b2, b4, b6) at each p
+# (best of 9 rounds of 20 passes, 2 vCPUs, Python 3.11), a table lookup takes
+# 0.33 us at every p, and the ladder, with the discriminant test in front,
+# 1.2 to 1.3 us at p = 7, 1.7 to 1.8 at 11 and 13 and 2.2 to 2.4 at 31 (the
+# count_points_b scan: 1.6 us at 11, 4.0 at 31).  A table is built once per
+# process from p^3 counts of p steps: 0.02, 0.11 and 0.37 ms at 3, 5 and 7,
+# but 2.1 ms at 11 and 4.0 ms at 13, paid in each process that asks at p,
+# forked workers included.  _LADDER_FROM must stay >= 7, where Hasse's bound
+# makes p | #E the same as #E = p.
+_LADDER_FROM = 11
 
 
 @cache
@@ -136,9 +137,7 @@ def _p_divides_order(p: int, b2: int, b4: int, b6: int) -> bool:
     """p | #E(F_p), for an odd prime p and good reduction at p."""
     if p >= _LADDER_FROM:
         return _order_is_p(p, b2, b4, b6)
-    if p <= 7:
-        return _order_table(p)[(b2 % p * p + b4 % p) * p + b6 % p] == 1
-    return count_points_b(p, b2, b4, b6) % p == 0
+    return _order_table(p)[(b2 % p * p + b4 % p) * p + b6 % p] == 1
 
 
 def _order_is_p(p: int, b2: int, b4: int, b6: int) -> bool:

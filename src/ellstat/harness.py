@@ -435,16 +435,20 @@ def _require_threads(threads: int) -> None:
 # call: k workers run only if the call's work is at least k * _FORK_US.  A
 # forked worker costs the fork, the copy-on-write faults on both sides, a
 # pipe, a pickle and a waitpid: a _fork_join of 4 empty chunks takes 2.4 ms
-# on two workers (2.9 pinned) against 0.02 ms on one.  Medians of 25
-# interleaved in-process cli.main calls in 4 chunks (2 vCPUs, Python 3.11)
-# break even at 8 to 10 ms on one worker, about 1 ms of it the call's own
-# fixed cost, for every chunk function:
-#   --kodaira-at 2, H = 5 * 10^4, 1000 / 2000 / 4000 draws:
-#     5.9 / 10.6 / 18.5 ms on one worker, 7.2 / 10.0 / 13.5 ms on two
-#   --kodaira-at 7, H = 10^3, 500 / 1000 / 2000 draws:
-#     4.2 / 8.0 / 15.4 ms on one worker, 5.4 / 7.6 / 11.5 ms on two
-#   classify, H = 10^3, 128 / 256 / 512 samples:
-#     3.7 / 6.4 / 12.9 ms on one worker, 6.1 / 7.3 / 10.5 ms on two
+# on two workers (2.9 pinned) against 0.02 ms on one.  Medians of 61
+# interleaved in-process cli.main calls in 4 chunks (2 vCPUs, Python 3.11,
+# _FORK_US forced to 1 for two workers) break even at 9 to 11 ms on one
+# worker, about 1 ms of it the call's own fixed cost, for every chunk
+# function:
+#   classify, H = 10^3, 512 / 768 / 1024 / 2048 samples:
+#     6.2 / 9.1 / 11.9 / 23.5 ms on one worker, 7.6 / 8.9 / 11.2 / 18.2 ms on two
+#   --kodaira-at 2, H = 5 * 10^4, 2000 / 3000 / 4000 draws:
+#     5.5 / 7.9 / 10.1 ms on one worker, 7.1 / 9.1 / 10.8 ms on two
+#   --kodaira-at 7, H = 10^3, 1000 / 2000 / 3000 draws:
+#     3.7 / 6.9 / 9.9 ms on one worker, 5.4 / 8.2 / 10.4 ms on two
+# For classify that is 770 to 900 samples (the plan forks from 910); the
+# Kodaira plans fork from 2500 and 1429 draws, below the 4000 and 3000 where
+# two workers pay, as _KODAIRA_TABLE_US and _KODAIRA_TATE_US are set high.
 _FORK_US = 5000
 
 

@@ -361,6 +361,10 @@ def test_rho_M_In_ge_rejects_m_below_1():
     (lambda: delaunay_mass(10007, Fraction(1, 10**101)), "tol must be at least 10"),
     (lambda: density_report(14197), "p must be at most 14177"),
     (lambda: density_report(9), "p must be an odd prime"),
+    (lambda: delaunay_mass(1), "odd prime, got 1"),
+    (lambda: delaunay_mass(0), "odd prime, got 0"),
+    (lambda: delaunay_mass(-3), "odd prime, got -3"),
+    (lambda: delaunay_mass(9), "odd prime, got 9"),
 ])
 def test_argument_checks_raise_input_error(call, message):
     with pytest.raises(InputError, match=message):

@@ -226,12 +226,12 @@ def test_a_second_prime_scan_builds_no_order_table(monkeypatch):
     E1 = WeierstrassModel(1, 0, 1, -141, 624)
     first = prime_scan(E1, 100)
     # E1 has good reduction at 3, 5 and 7, so the first scan builds all three
-    assert sorted(set(calls)) == [3, 5, 7, 11]
-    assert len(calls) == 27 + 125 + 343 + 1
+    assert sorted(set(calls)) == [3, 5, 7]
+    assert len(calls) == 27 + 125 + 343
     calls.clear()
     assert prime_scan(E1, 100) == first
-    # and the second only counts at 11, between the tables and the ladder
-    assert calls == [11]
+    # and the second counts nowhere: the ladder takes every p from 11 on
+    assert calls == []
 
 
 def test_hasse_bound():
