@@ -266,6 +266,11 @@ def zeta_minus_one(s: int, tol=DEFAULT_TOL) -> CertifiedValue:
 def frak_d_p(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
     """The S_p density bound: zeta(p)-1 for p >= 5, the 3-4-7 sum at p = 3."""
     require_odd_prime(p)
+    return _frak_d_p(p, tol)
+
+
+def _frak_d_p(p: int, tol) -> CertifiedValue:
+    """frak_d_p for an odd prime p, unchecked."""
     tol = Fraction(tol)
     if p == 3:
         return sum(zeta_minus_one(s, tol / 3) for s in (3, 4, 7))
@@ -275,6 +280,11 @@ def frak_d_p(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
 def frak_d_p_prime(p: int) -> Fraction:
     """The S_p' density bound ((p-1)/2p^2) * (class-number sum), exactly."""
     require_odd_prime(p)
+    return _frak_d_p_prime(p)
+
+
+def _frak_d_p_prime(p: int) -> Fraction:
+    """frak_d_p_prime for an odd prime p, unchecked."""
     h = sum(1 for _ in _reduced_forms(1 - 4 * p))
     if p <= 5:
         h += sum(1 for _ in _reduced_forms(p * p + 1 - 6 * p))
@@ -311,7 +321,7 @@ def sp_doubleprime_density(p: int) -> Fraction:
 def main_bound(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
     """(p^-1 + p^-3 - p^-4) * (1 - p^-1 - frak_d_p - frak_d_p')."""
     require_odd_prime(p)
-    return _main_bound(p, frak_d_p(p, tol), frak_d_p_prime(p))
+    return _main_bound(p, _frak_d_p(p, tol), _frak_d_p_prime(p))
 
 
 def _main_bound(p: int, d_p: CertifiedValue, d_p_prime: Fraction) -> CertifiedValue:
@@ -339,6 +349,11 @@ def delaunay_mass(p: int, tol=DEFAULT_TOL) -> CertifiedValue:
     tail bound is not positive, and no K would reach tol).
     """
     require_odd_prime(p)
+    return _delaunay_mass(p, tol)
+
+
+def _delaunay_mass(p: int, tol) -> CertifiedValue:
+    """delaunay_mass for an odd prime p, unchecked."""
     tol = Fraction(tol)
     if tol <= 0:
         raise InputError("tol must be positive")
@@ -406,16 +421,18 @@ class DensityBoundReport:
 
 
 def density_report(p: int, tol=DEFAULT_TOL) -> DensityBoundReport:
-    """Every quantity `theory` prints at p; InputError for p > _MAX_REPORT_P."""
+    """Every quantity `theory` prints at p; InputError for p > _MAX_REPORT_P
+    and for a p that is not an odd prime, which is checked once here."""
     if p > _MAX_REPORT_P:
         raise InputError(f"p must be at most {_MAX_REPORT_P}: the exact bounds at larger p "
                          f"have more than 4300 digits")
-    d_p, d_p_prime = frak_d_p(p, tol), frak_d_p_prime(p)
+    require_odd_prime(p)
+    d_p, d_p_prime = _frak_d_p(p, tol), _frak_d_p_prime(p)
     return DensityBoundReport(
         p=p,
         d_p=d_p,
         d_p_prime=d_p_prime,
         sp2_density=sp_doubleprime_density(p),
         bound=_main_bound(p, d_p, d_p_prime),
-        conjecture_mass=delaunay_mass(p, tol),
+        conjecture_mass=_delaunay_mass(p, tol),
     )

@@ -57,7 +57,7 @@ import pickle
 import random
 import signal
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, lru_cache, partial
 from itertools import islice, product
 from math import gcd, inf, prod, sqrt
 from typing import NoReturn
@@ -385,23 +385,37 @@ _KODAIRA_TABLE_US = 4
 _KODAIRA_TATE_US = 7
 
 
+@cache
+def _type_ids(ell: int) -> tuple[int, tuple[int | None, ...], tuple[str, ...]] | None:
+    """_type_table(ell) by label id, (m, ids, labels), or None where there
+    is no table: labels holds each label of the table once, in order of
+    first residue index, and ids, at each residue index, the position of its
+    label in labels, or None where a Tate run must decide."""
+    table = _type_table(ell)
+    if table is None:
+        return None
+    m, names = table
+    labels = tuple(dict.fromkeys(filter(None, names)))
+    return m, tuple(map({label: i for i, label in enumerate(labels)}.get, names)), labels
+
+
 def _kodaira_chunk(spec: SampleSpec, ell: int, index: int) -> dict[str, int]:
     """Kodaira label -> count over the models of one chunk, "singular" for
     a singular model; ell is prime.
 
-    For ell <= 5 one lookup in _type_table(ell) types most draws without
+    For ell <= 5 one lookup in _type_ids(ell) types most draws without
     computing an invariant; localdata._residue_type says why its labels
     hold for every lift and never for a singular model.  Every other model
     gets a Tate run, which raises on a singular one.
     """
-    m, table = _type_table(ell) or (1, ())
-    # draws per table entry, added to their labels once per chunk
-    tally = [0] * len(table)
+    m, ids, labels = _type_ids(ell) or (1, (), ())
+    # draws per table label, added to the counts once per chunk
+    tally = [0] * len(labels)
     out: dict[str, int] = {}
     for model in _iter_chunk(spec, index):
-        if table:
-            i = _residue_index(model, m)
-            if table[i] is not None:
+        if ids:
+            i = ids[_residue_index(model, m)]
+            if i is not None:
                 tally[i] += 1
                 continue
         # a Tate run computes the invariants once and raises on a singular
@@ -412,7 +426,7 @@ def _kodaira_chunk(spec: SampleSpec, ell: int, index: int) -> dict[str, int]:
         except SingularCurveError:
             key = "singular"
         out[key] = out.get(key, 0) + 1
-    for label, n in zip(table, tally):
+    for label, n in zip(labels, tally):
         if n:
             out[label] = out.get(label, 0) + n
     return out
@@ -750,6 +764,19 @@ class KodairaFrequencyReport(_Report):
         }
 
 
+@lru_cache(maxsize=256)
+def _kodaira_theory(label: str, ell: int) -> CertifiedValue | None:
+    """The exact density at ell on the kodaira_frequency row of label: rho
+    of its type, the aggregate rho_Instar_ge1 on "I*n:>=1", and None on
+    "singular" and on each I_n* row, which has no table value of its own.
+    Bounded, as labels I_n and I_n* have no bound on n."""
+    if label == "I*n:>=1":
+        return CertifiedValue.exact(rho_Instar_ge1(ell))
+    if label == "singular" or label.startswith("I*n:"):
+        return None
+    return CertifiedValue.exact(rho(parse_kodaira(label), ell))
+
+
 def kodaira_frequency(spec: SampleSpec, ell: int, threads: int = 1) -> KodairaFrequencyReport:
     """Empirical Kodaira-type distribution at ell, against the local table.
 
@@ -761,14 +788,10 @@ def kodaira_frequency(spec: SampleSpec, ell: int, threads: int = 1) -> KodairaFr
     if not is_prime(ell):
         raise InputError(f"{ell} is not prime")
     # built here, so that forked workers inherit it
-    sample_us = _KODAIRA_TABLE_US if _type_table(ell) else _KODAIRA_TATE_US
+    sample_us = _KODAIRA_TABLE_US if _type_ids(ell) else _KODAIRA_TATE_US
     counts = _run_chunks(spec, partial(_kodaira_chunk, spec, ell), threads, sample_us)
-    entries = []
-    for label in sorted(counts):
-        table = label != "singular" and not label.startswith("I*n:")
-        theory = CertifiedValue.exact(rho(parse_kodaira(label), ell)) if table else None
-        entries.append((label, counts[label], theory))
+    entries = [(label, counts[label], _kodaira_theory(label, ell)) for label in sorted(counts)]
     instar_total = sum(c for label, c in counts.items() if label.startswith("I*n:"))
     if instar_total:
-        entries.append(("I*n:>=1", instar_total, CertifiedValue.exact(rho_Instar_ge1(ell))))
+        entries.append(("I*n:>=1", instar_total, _kodaira_theory("I*n:>=1", ell)))
     return KodairaFrequencyReport(spec, counts, _build_rows(spec, entries), ell=ell)

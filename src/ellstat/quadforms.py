@@ -8,13 +8,19 @@ downstream density formula in this package consumes this convention.
 
 One enumeration, `_reduced_forms`, has two consumers: hurwitz_class_number
 sorts its forms into a FormClassSet, and density.frak_d_p_prime, which
-needs only H(D), counts them without building a form.
+needs only H(D), counts them without building a form.  It finds the forms
+in two ranges of a.  Below _TABLE_A it goes by a, and reads the b in [0, a]
+with b^2 = D (mod 4a) from a table of square roots mod 4a, built once per
+a; that range holds every form of every D that `theory` counts.  From
+_TABLE_A up, reached only at |D| >= 3 _TABLE_A^2, it goes by b and tries
+each a in [max(b, _TABLE_A), sqrt(m)] as a divisor of m = (b^2 - D)/4.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
 from itertools import filterfalse
 from math import isqrt
 
@@ -28,8 +34,9 @@ __all__ = [
     "hurwitz_class_number",
 ]
 
-# _reduced_forms tries about 0.07 |D| candidate divisors a; at this
-# bound `hurwitz --disc` takes 8 to 9 s (Python 3.11, one core)
+# from _TABLE_A up _reduced_forms tries about 0.07 |D| candidate divisors
+# a; at this bound `hurwitz --disc` takes 5 to 7 s in a fresh process
+# (Python 3.11, 2 vCPUs)
 _MAX_DISC = 10**9
 
 
@@ -108,11 +115,34 @@ def reduce_form(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
     return BinaryQuadraticForm(a, b, c)
 
 
+# the a below this are read from _roots_mod_4a.  A reduced form has
+# 3 a^2 <= |D|, and `theory` counts forms of D = 1 - 4p for p up to
+# density._MAX_REPORT_P = 14177, so its a stay at or below
+# isqrt((4 * 14177 - 1) / 3) = 137
+_TABLE_A = 138
+
+
+@cache
+def _roots_mod_4a(a: int) -> tuple[tuple[int, ...], ...]:
+    """At each residue r mod 4a, the b in [0, a] with b^2 = r (mod 4a),
+    ascending.  Called only for a < _TABLE_A, so the cache holds at most
+    137 tables."""
+    n = 4 * a
+    roots: list[list[int]] = [[] for _ in range(n)]
+    for b in range(a + 1):
+        roots[b * b % n].append(b)
+    return tuple(map(tuple, roots))
+
+
 def _reduced_forms(disc: int) -> Iterator[tuple[int, int, int]]:
-    """The reduced forms (a, b, c) of discriminant D < 0, b first (Cohen,
-    GTM 138, Alg. 5.3.5): for 0 <= b <= sqrt(|D|/3) with b = D mod 2, every
-    divisor a of m = (b^2 - D)/4 with max(b, 1) <= a <= sqrt(m) gives
-    (a, b, m/a), and (a, -b, m/a) too off the boundary 0 < b < a < c.
+    """The reduced forms (a, b, c) of discriminant D < 0 (Cohen, GTM 138,
+    Alg. 5.3.5): each 0 <= b <= a <= c with b^2 - 4ac = D gives (a, b, c),
+    and (a, -b, c) too off the boundary 0 < b < a < c.
+
+    For a < _TABLE_A the b are the square roots of D mod 4a in [0, a], and
+    c = (b^2 - D)/4a must reach a.  The larger a are found b first: for
+    0 <= b <= sqrt(|D|/3) with b = D mod 2, every divisor a of
+    m = (b^2 - D)/4 with max(b, _TABLE_A) <= a <= sqrt(m) gives (a, b, m/a).
     Raises InputError on the first step if D is not a negative discriminant
     or |D| > _MAX_DISC.
     """
@@ -122,9 +152,19 @@ def _reduced_forms(disc: int) -> Iterator[tuple[int, int, int]]:
         raise InputError("discriminant must be 0 or 1 mod 4")
     if -disc > _MAX_DISC:
         raise InputError(f"|discriminant| must be at most {_MAX_DISC}")
+    for a in range(1, min(isqrt(-disc // 3), _TABLE_A - 1) + 1):
+        n = 4 * a
+        for b in _roots_mod_4a(a)[disc % n]:
+            c = (b * b - disc) // n
+            if c >= a:
+                yield a, b, c
+                if 0 < b < a < c:
+                    yield a, -b, c
+    if 3 * _TABLE_A * _TABLE_A > -disc:
+        return  # every a is below _TABLE_A
     for b in range(disc % 2, isqrt(-disc // 3) + 1, 2):
         m = (b * b - disc) // 4
-        for a in filterfalse(m.__mod__, range(max(b, 1), isqrt(m) + 1)):
+        for a in filterfalse(m.__mod__, range(max(b, _TABLE_A), isqrt(m) + 1)):
             c = m // a
             yield a, b, c
             if 0 < b < a < c:

@@ -19,7 +19,7 @@ The density oracles add plain Fractions one operation at a time: zeta
 tails floor by floor, interval products from all their endpoint products,
 and the Delaunay product factor by factor.
 
-Three earlier versions are kept as they were.  prime_scan_rows_by_prime, the
+Five earlier versions are kept as they were.  prime_scan_rows_by_prime, the
 per-prime loop of prime_scan, shares the library's per-prime rules and
 checks only that the work lifted out of the loop changes no row.
 invariants_by_textbook_formulas, compute_invariants with b8 and Delta from
@@ -29,19 +29,23 @@ ladder_reducing_each_product, arith._ladder with a reduction after each
 product, shares its formulas and checks only that the reductions it no
 longer makes change no residue.  least_conductor_twist shares the library's Tate runs and factorisation,
 but not its twist rule: it tries every twist the rule chooses among.
+reduced_forms_by_divisor_walk, quadforms._reduced_forms before its table of
+square roots mod 4a, finds every a as a divisor of (b^2 - D)/4, and checks
+that the table range changes no form.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, filterfalse
 from math import isqrt, log, prod
 
-from ellstat.arith import factorize, legendre, primes_up_to
+from ellstat.arith import InputError, factorize, legendre, primes_up_to
 from ellstat.curves import Invariants, WeierstrassModel, compute_invariants
 from ellstat.finitefield import _p_divides_order
 from ellstat.localdata import PrimeScanRow, _good_invariants, _local_table, _mult_rank, tate
-from ellstat.quadforms import BinaryQuadraticForm, reduce_form
+from ellstat.quadforms import _MAX_DISC, BinaryQuadraticForm, reduce_form
 
 
 def naive_group_order(p: int, a1: int, a2: int, a3: int, a4: int, a6: int) -> int:
@@ -308,6 +312,29 @@ def reduced_forms_by_disc(bound: int) -> dict[int, list[tuple[int, int, int]]]:
                 out.setdefault(disc, []).append((a, b, c))
         a += 1
     return {disc: sorted(forms) for disc, forms in out.items()}
+
+
+def reduced_forms_by_divisor_walk(disc: int) -> Iterator[tuple[int, int, int]]:
+    """The reduced forms (a, b, c) of discriminant D < 0, b first (Cohen,
+    GTM 138, Alg. 5.3.5): for 0 <= b <= sqrt(|D|/3) with b = D mod 2, every
+    divisor a of m = (b^2 - D)/4 with max(b, 1) <= a <= sqrt(m) gives
+    (a, b, m/a), and (a, -b, m/a) too off the boundary 0 < b < a < c.
+    Raises InputError on the first step if D is not a negative discriminant
+    or |D| > _MAX_DISC.
+    """
+    if disc >= 0:
+        raise InputError("discriminant must be negative")
+    if disc % 4 not in (0, 1):
+        raise InputError("discriminant must be 0 or 1 mod 4")
+    if -disc > _MAX_DISC:
+        raise InputError(f"|discriminant| must be at most {_MAX_DISC}")
+    for b in range(disc % 2, isqrt(-disc // 3) + 1, 2):
+        m = (b * b - disc) // 4
+        for a in filterfalse(m.__mod__, range(max(b, 1), isqrt(m) + 1)):
+            c = m // a
+            yield a, b, c
+            if 0 < b < a < c:
+                yield a, -b, c
 
 
 def sample_tuple_by_randrange(rng, height: int) -> WeierstrassModel:

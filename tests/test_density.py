@@ -348,6 +348,20 @@ def test_odd_composites_rejected(p):
             fn(p)
 
 
+def test_density_report_checks_p_once(monkeypatch):
+    # frak_d_p, frak_d_p_prime and delaunay_mass keep their own checks, but
+    # a report checks p once and calls what they wrap
+    import ellstat.density as density
+
+    seen = []
+    monkeypatch.setattr(density, "require_odd_prime", seen.append)
+    rep = density_report(101)
+    assert seen == [101]
+    assert (rep.d_p, rep.d_p_prime, rep.conjecture_mass) == (
+        frak_d_p(101), frak_d_p_prime(101), delaunay_mass(101))
+    assert seen == [101] * 4
+
+
 def test_rho_M_In_ge_rejects_m_below_1():
     with pytest.raises(ValueError):
         rho_M_In_ge(0, 2)

@@ -30,6 +30,7 @@ from ellstat.harness import (
     _iter_chunk,
     _kodaira_chunk,
     _run_chunks,
+    _type_ids,
     classify,
     estimate,
     exhaustive_box_size,
@@ -744,6 +745,18 @@ def test_type_table_labels_pinned(ell, size, digest):
     assert hashlib.sha256(repr(labels).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_type_ids_name_the_table_labels(ell):
+    # the label ids _kodaira_chunk tallies by read back as the residue table
+    if _type_table(ell) is None:
+        assert _type_ids(ell) is None
+        return
+    m, table = _type_table(ell)
+    m_ids, ids, labels = _type_ids(ell)
+    assert m_ids == m and len(labels) == len(set(labels))
+    assert [None if i is None else labels[i] for i in ids] == list(table)
+
+
 @pytest.mark.parametrize("ell", [2, 3, 5])
 def test_good_table_flags_ell_prime_to_discriminant(ell):
     # the I0 entries are exactly the classes with ell prime to Delta
@@ -862,7 +875,9 @@ def test_kodaira_frequency_at_large_ell_builds_no_table(monkeypatch):
     residue_type = localdata._residue_type
     monkeypatch.setattr(localdata, "_residue_type",
                         lambda a, ell: typed.append(ell) or residue_type(a, ell))
+    # kodaira_frequency reads the table through its label ids
     _type_table.cache_clear()
+    _type_ids.cache_clear()
     rep = kodaira_frequency(SampleSpec(height=1000, p=3, count=10, seed=0), 1000003)
     assert sum(rep.counts.values()) == 10
     assert typed == []

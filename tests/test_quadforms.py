@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from ellstat.arith import InputError, primes_up_to
-from ellstat.density import frak_d_p_prime
+from ellstat.density import _MAX_REPORT_P, frak_d_p_prime
 from ellstat.quadforms import (
+    _TABLE_A,
     BinaryQuadraticForm,
     _reduced_forms,
     apply_sl2,
@@ -13,7 +15,7 @@ from ellstat.quadforms import (
     reduce_form,
 )
 
-from oracles import class_count_boxed, reduced_forms_by_disc
+from oracles import class_count_boxed, reduced_forms_by_disc, reduced_forms_by_divisor_walk
 
 
 def random_form(rng, amax=40):
@@ -161,6 +163,51 @@ def test_representatives_match_box_of_reduced_forms():
         assert [f.as_tuple() for f in forms] == box[disc], disc
         checked += 1
     assert checked == 2500
+
+
+def test_table_bound_covers_every_theory_discriminant():
+    # a reduced form of D has 3 a^2 <= |D|, and `theory` counts the forms
+    # of D = 1 - 4p up to p = _MAX_REPORT_P, so no theory call walks divisors
+    assert _TABLE_A > isqrt((4 * _MAX_REPORT_P - 1) // 3)
+
+
+@pytest.fixture(scope="module")
+def box_60000():
+    return reduced_forms_by_disc(60000)
+
+
+def test_forms_match_the_box_across_the_table_bound(box_60000):
+    # a runs up to 141 here: from |D| = 3 * 137^2 = 56307 the table's last a
+    # has forms, and from 3 * _TABLE_A^2 = 57132 the divisor walk has some
+    checked, top_a = 0, set()
+    for disc in range(-56000, -60001, -1):
+        if disc % 4 in (0, 1):
+            assert sorted(_reduced_forms(disc)) == box_60000[disc], disc
+            checked += 1
+            top_a.update(a for a, _, _ in box_60000[disc] if a >= _TABLE_A - 1)
+    assert checked == 2001
+    assert top_a == set(range(_TABLE_A - 1, 142))
+
+
+def test_theory_discriminants_match_the_box(box_60000):
+    # every D = 1 - 4p that `theory` counts, and H(D) as hurwitz reports it
+    for p in primes_up_to(_MAX_REPORT_P)[1:]:
+        disc = 1 - 4 * p
+        assert sorted(_reduced_forms(disc)) == box_60000[disc], p
+    forms = hurwitz_class_number(1 - 4 * _MAX_REPORT_P).representatives
+    assert [f.as_tuple() for f in forms] == box_60000[1 - 4 * _MAX_REPORT_P]
+
+
+def test_forms_match_the_divisor_walk_on_large_discriminants():
+    # 20 seeded D with 10^5 < |D| <= 10^7, where most forms have a past the
+    # table bound
+    rng = random.Random(40)
+    for _ in range(20):
+        disc = -rng.randrange(10**5 + 1, 10**7 + 1)
+        if disc % 4 > 1:
+            disc -= 2  # to 0 or 1 mod 4
+        assert -disc > 10**5
+        assert sorted(_reduced_forms(disc)) == sorted(reduced_forms_by_divisor_walk(disc)), disc
 
 
 def test_json_shape():
