@@ -21,8 +21,8 @@ from math import prod
 
 from .arith import InputError, iroot, primes_up_to, require_odd_prime
 from .curves import format_rational
+from .finitefield import _anomalous_forms
 from .kodaira import KodairaType
-from .quadforms import _reduced_forms
 
 __all__ = [
     "CertifiedValue",
@@ -278,16 +278,23 @@ def _frak_d_p(p: int, tol) -> CertifiedValue:
 
 
 def frak_d_p_prime(p: int) -> Fraction:
-    """The S_p' density bound ((p-1)/2p^2) * (class-number sum), exactly."""
+    """The S_p' density bound ((p-1)/2p^2) * N, exactly, where N is the
+    number of F_p-isomorphism classes with p | #E(F_p), each counted with
+    weight 1 (finitefield._anomalous_forms).
+
+    The density of S_p' itself is d(p)/p^5, which weights a class by
+    2/#Aut (finitefield.d_count).  The two agree except where a class has
+    more than two automorphisms: at p = 5 (j = 1728, trace -4) and at the
+    primes with 4p - 1 = 3f^2 (j = 0, the form (f, f, f)).  There this
+    bound is larger, by 4/3 at p = 5 and 3/2 at p = 7.
+    """
     require_odd_prime(p)
     return _frak_d_p_prime(p)
 
 
 def _frak_d_p_prime(p: int) -> Fraction:
     """frak_d_p_prime for an odd prime p, unchecked."""
-    h = sum(1 for _ in _reduced_forms(1 - 4 * p))
-    if p <= 5:
-        h += sum(1 for _ in _reduced_forms(p * p + 1 - 6 * p))
+    h = sum(1 for _ in _anomalous_forms(p))
     return Fraction((p - 1) * h, 2 * p * p)
 
 

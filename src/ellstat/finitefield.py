@@ -21,21 +21,23 @@ x^3 + A x + B is a square mod p; when it is not, the cubic has one root
 (Stickelberger), #E is even, and the answer is no without a ladder.  That
 is about half of all curves.
 
-The census and d(p) read one list of F_p-isomorphism classes, _classes(p),
-which lists the about 2p classes directly for p >= 5 and walks 27 curves
-for p = 3, so each costs one predicate call per class.
+The census and d(p) count no points: by Deuring, the F_p-isomorphism
+classes with p | #E(F_p) match the reduced forms of discriminant t^2 - 4p
+for the traces t = 1 (mod p) in Hasse's range, which _anomalous_forms
+lists, and d(p) weights each class by its automorphisms.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import product
-from math import gcd
 
-from .arith import InputError, _ladder, factorize, is_prime, require_odd_prime
+from .arith import InputError, _ladder, is_prime, require_odd_prime
 from .curves import WeierstrassModel, compute_invariants, format_rational
+from .quadforms import _reduced_forms
 
 __all__ = [
     "ReducedCurve",
@@ -216,7 +218,8 @@ def is_anomalous(model: WeierstrassModel, p: int) -> bool:
 
 
 # Odd primes below this bound are the point-count range of sampling, the
-# census and d(p); the census at 65521 takes 1.4 to 1.5 s (Python 3.11, 2 cores).
+# census and d(p).  The census and d(p) count forms and take milliseconds at
+# 65521; the bound only keeps the primes they accept unchanged.
 _P_BOUND = 1 << 16
 
 
@@ -248,64 +251,47 @@ class CensusResult:
         return out
 
 
-def _classes(p: int):
-    """(b2, b4, b6, n) for each F_p-isomorphism class of curves: one curve of
-    the class, and n, the number of triples in F_p^3 whose curve lies in it.
+def _anomalous_forms(p: int) -> Iterator[tuple[int, int, int]]:
+    """One reduced form (a, b, c) for each F_p-isomorphism class of curves
+    with p | #E(F_p), for an odd prime p: the forms of discriminant t^2 - 4p
+    for each trace t = 1 (mod p) with t^2 < 4p, which are t = 1, and
+    t = 1 - p at p = 3 and 5.
 
-    p >= 5: a class is an orbit of short forms y^2 = x^3 + A x + B, whose
-    (b2, b4, b6) is (0, 2A, 4B), under (s^4 A, s^6 B), and n is p times its
-    size, since b2 is free.  For a primitive root g, an orbit with A B != 0
-    has (p-1)/2 members and holds (k, k) or its twist (k g^2, k g^3),
-    k = A^3/B^2, as B/A is a square or not.  For A = 0, B is taken up to 6th
-    powers, whose cosets are g^i for i < gcd(6, p-1); for B = 0, A is taken
-    up to 4th powers.
-
-    p = 3: a class is an orbit of y^2 = x^3 + a2 x^2 + a4 x + a6 under
-    x -> x + r, and (a2, a4, a6) -> (b2, b4, b6) is a bijection of F_3^3.
+    #E = p + 1 - t, so p | #E exactly when t = 1 (mod p); such a t is prime
+    to p, so the curve is ordinary.  By Deuring, the classes of ordinary
+    curves with trace t match the classes of forms of discriminant t^2 - 4p,
+    imprimitive forms included (Schoof, J. Combin. Theory A 46 (1987),
+    Thm. 4.6), and the automorphisms over F_p of a class are the units of
+    its endomorphism ring, the order of its form: 6 for a form (a, a, a)
+    (j = 0), 4 for (a, 0, a) (j = 1728) and 2 for every other form.
     """
-    if p == 3:
-        for a2, a4, a6 in product(range(3), repeat=3):
-            orbit = {(a2, (2 * a2 * r + a4) % 3, (r**3 + a2 * r * r + a4 * r + a6) % 3)
-                     for r in range(3)}
-            inv = compute_invariants(WeierstrassModel(0, a2, 0, a4, a6))
-            if (a2, a4, a6) == min(orbit) and inv.delta % 3:
-                yield inv.b2, inv.b4, inv.b6, len(orbit)
-        return
-    qs = factorize(p - 1)
-    g = next(x for x in range(2, p) if all(pow(x, (p - 1) // q, p) != 1 for q in qs))
-    for k in range(1, p):
-        if (4 * k + 27) % p:
-            yield 0, 2 * k % p, 4 * k % p, p * (p - 1) // 2
-            yield 0, 2 * k * g * g % p, 4 * k * g**3 % p, p * (p - 1) // 2
-    m6, m4 = gcd(6, p - 1), gcd(4, p - 1)
-    for i in range(m6):
-        yield 0, 0, 4 * pow(g, i, p) % p, p * (p - 1) // m6
-    for i in range(m4):
-        yield 0, 2 * pow(g, i, p) % p, 0, p * (p - 1) // m4
-
-
-@lru_cache(maxsize=1)
-def _census(p: int) -> tuple[int, int]:
-    """(classes, d) by one pass over _classes(p); the last p is kept, so that
-    census --with-d lists the classes once."""
-    _require_point_count_prime(p)
-    classes = hits = 0
-    for b2, b4, b6, n in _classes(p):
-        if _p_divides_order(p, b2, b4, b6):
-            classes += 1
-            hits += n
-    return classes, p * p * hits
+    for t in (1, 1 - p):  # 1 + p and 1 - 2p lie outside t^2 < 4p at every p
+        if t * t < 4 * p:
+            yield from _reduced_forms(t * t - 4 * p)
 
 
 def census_torsion_classes(p: int) -> CensusResult:
-    """Number of F_p-isomorphism classes of curves with p | #E(F_p), for odd primes p < 2^16."""
-    return CensusResult(p, classes=_census(p)[0])
+    """Number of F_p-isomorphism classes of curves with p | #E(F_p), for odd
+    primes p < 2^16: the forms of _anomalous_forms(p)."""
+    _require_point_count_prime(p)
+    return CensusResult(p, classes=sum(1 for _ in _anomalous_forms(p)))
 
 
 def d_count(p: int) -> CensusResult:
     """d(p): nonsingular tuples a in W(F_p) with p | #E_a(F_p), for an odd
-    prime p < 2^16.  For each of the p^2 choices of (a1, a3), (a2, a4, a6) ->
-    (b2, b4, b6) is a bijection of F_p^3, so d(p) is p^2 times the
-    nonsingular triples with p | #E.  The tests re-derive small cases by the
-    quintuple loop."""
-    return CensusResult(p, d=_census(p)[1])
+    prime p < 2^16.
+
+    The changes of variables (u, r, s, t) form a group of (p - 1) p^3
+    elements acting on W(F_p), and a tuple's stabiliser is the automorphism
+    group of its curve over F_p, so a class with #Aut automorphisms holds
+    (p - 1) p^3 / #Aut tuples.  Summed over the classes of
+    _anomalous_forms(p), with W the sum of 12 / #Aut, that is 2 for each
+    form (a, a, a), 3 for each (a, 0, a) and 6 for every other form,
+    d(p) = (p - 1) p^3 W / 12: Deuring's count with Lenstra's weights
+    (Ann. of Math. 126 (1987), Prop. 1.9; Schoof, J. Combin. Theory A 46
+    (1987), Thm. 4.6).  The tests re-derive it by exhaustive loops.
+    """
+    _require_point_count_prime(p)
+    w = sum(2 if a == b == c else 3 if b == 0 and a == c else 6
+            for a, b, c in _anomalous_forms(p))
+    return CensusResult(p, d=(p - 1) * p**3 * w // 12)

@@ -7,8 +7,9 @@ classical weighted Hurwitz numbers (which assign 1/3 and 1/2); every
 downstream density formula in this package consumes this convention.
 
 One enumeration, `_reduced_forms`, has two consumers: hurwitz_class_number
-sorts its forms into a FormClassSet, and density.frak_d_p_prime, which
-needs only H(D), counts them without building a form.  It finds the forms
+sorts its forms into a FormClassSet, and finitefield._anomalous_forms,
+through which the census, d(p) and density.frak_d_p_prime count the forms
+without building one.  It finds the forms
 in two ranges of a.  Below _TABLE_A it goes by a, and reads the b in [0, a]
 with b^2 = D (mod 4a) from a table of square roots mod 4a, built once per
 a; that range holds every form of every D that `theory` counts.  From

@@ -19,7 +19,7 @@ The density oracles add plain Fractions one operation at a time: zeta
 tails floor by floor, interval products from all their endpoint products,
 and the Delaunay product factor by factor.
 
-Five earlier versions are kept as they were.  prime_scan_rows_by_prime, the
+Six earlier versions are kept as they were.  prime_scan_rows_by_prime, the
 per-prime loop of prime_scan, shares the library's per-prime rules and
 checks only that the work lifted out of the loop changes no row.
 invariants_by_textbook_formulas, compute_invariants with b8 and Delta from
@@ -31,15 +31,19 @@ longer makes change no residue.  least_conductor_twist shares the library's Tate
 but not its twist rule: it tries every twist the rule chooses among.
 reduced_forms_by_divisor_walk, quadforms._reduced_forms before its table of
 square roots mod 4a, finds every a as a divisor of (b^2 - D)/4, and checks
-that the table range changes no form.
+that the table range changes no form.  census_by_class_listing, the census
+and d(p) before they counted forms, lists one curve of each
+F_p-isomorphism class by the orbits of a primitive root and asks
+finitefield._p_divides_order of each: it shares the predicate, not the
+forms.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import combinations, filterfalse
-from math import isqrt, log, prod
+from itertools import combinations, filterfalse, product
+from math import gcd, isqrt, log, prod
 
 from ellstat.arith import InputError, factorize, legendre, primes_up_to
 from ellstat.curves import Invariants, WeierstrassModel, compute_invariants
@@ -182,6 +186,57 @@ def census_by_pair_walk(p: int) -> tuple[int, int]:
                 classes += 1
                 members += size
     return classes, p**3 * members
+
+
+def _classes(p: int):
+    """(b2, b4, b6, n) for each F_p-isomorphism class of curves: one curve of
+    the class, and n, the number of triples in F_p^3 whose curve lies in it.
+
+    p >= 5: a class is an orbit of short forms y^2 = x^3 + A x + B, whose
+    (b2, b4, b6) is (0, 2A, 4B), under (s^4 A, s^6 B), and n is p times its
+    size, since b2 is free.  For a primitive root g, an orbit with A B != 0
+    has (p-1)/2 members and holds (k, k) or its twist (k g^2, k g^3),
+    k = A^3/B^2, as B/A is a square or not.  For A = 0, B is taken up to 6th
+    powers, whose cosets are g^i for i < gcd(6, p-1); for B = 0, A is taken
+    up to 4th powers.
+
+    p = 3: a class is an orbit of y^2 = x^3 + a2 x^2 + a4 x + a6 under
+    x -> x + r, and (a2, a4, a6) -> (b2, b4, b6) is a bijection of F_3^3.
+    """
+    if p == 3:
+        for a2, a4, a6 in product(range(3), repeat=3):
+            orbit = {(a2, (2 * a2 * r + a4) % 3, (r**3 + a2 * r * r + a4 * r + a6) % 3)
+                     for r in range(3)}
+            inv = compute_invariants(WeierstrassModel(0, a2, 0, a4, a6))
+            if (a2, a4, a6) == min(orbit) and inv.delta % 3:
+                yield inv.b2, inv.b4, inv.b6, len(orbit)
+        return
+    qs = factorize(p - 1)
+    g = next(x for x in range(2, p) if all(pow(x, (p - 1) // q, p) != 1 for q in qs))
+    for k in range(1, p):
+        if (4 * k + 27) % p:
+            yield 0, 2 * k % p, 4 * k % p, p * (p - 1) // 2
+            yield 0, 2 * k * g * g % p, 4 * k * g**3 % p, p * (p - 1) // 2
+    m6, m4 = gcd(6, p - 1), gcd(4, p - 1)
+    for i in range(m6):
+        yield 0, 0, 4 * pow(g, i, p) % p, p * (p - 1) // m6
+    for i in range(m4):
+        yield 0, 2 * pow(g, i, p) % p, 0, p * (p - 1) // m4
+
+
+def census_by_class_listing(p: int) -> tuple[int, int, int]:
+    """(classes with p | #E, d(p), nonsingular triples) for an odd prime p
+    from one curve of each F_p-isomorphism class, listed by _classes, and
+    one finitefield._p_divides_order call per class.  d(p) is p^2 times the
+    triples in the classes hit, and the last entry, the sum of n over all
+    classes, must be p^3 - p^2."""
+    classes = hits = total = 0
+    for b2, b4, b6, n in _classes(p):
+        total += n
+        if _p_divides_order(p, b2, b4, b6):
+            classes += 1
+            hits += n
+    return classes, p * p * hits, total
 
 
 def d_count_by_triples(p: int) -> int:

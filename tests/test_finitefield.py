@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -10,9 +12,7 @@ from ellstat.finitefield import (
     BadReductionError,
     CensusResult,
     ReducedCurve,
-    _census,
     _chi_table,
-    _classes,
     _order_is_p,
     _order_table,
     _p_divides_order,
@@ -27,7 +27,8 @@ from ellstat.density import frak_d_p_prime
 from ellstat.localdata import prime_scan
 from ellstat.quadforms import hurwitz_class_number
 
-from oracles import census_by_pair_walk, d_count_by_triples, d_count_literal, naive_group_order
+from oracles import (census_by_class_listing, census_by_pair_walk, d_count_by_triples, d_count_literal,
+                     naive_group_order)
 
 
 def test_group_order_examples():
@@ -352,33 +353,33 @@ def test_d_count_matches_triple_loop():
 
 
 def test_census_identities_below_1000():
-    # every nonsingular triple lies in one class; Deuring's count of the
-    # classes with #E = p (Lenstra, Ann. Math. 126, 1987, Prop. 1.9), plus
-    # #E = 2p where Hasse allows it; and the bound d(p)/p^5 <= d'_p
-    for p in primes_up_to(1000)[1:]:
-        assert sum(n for *_, n in _classes(p)) == p**3 - p * p, p
-        want = hurwitz_class_number(1 - 4 * p).h
-        if p <= 5:
-            want += hurwitz_class_number(p * p + 1 - 6 * p).h
-        assert census_torsion_classes(p).classes == want, p
-        assert d_count(p).d_over_p5 <= frak_d_p_prime(p), p
+    # the forms path against one predicate call per listed class, at every
+    # odd p < 1000 and at two seeded primes in (2^15, 2^16), about 1.5 s
+    # each; the listing holds every nonsingular triple once
+    rng = random.Random(41)
+    seeded = rng.sample([q for q in primes_up_to(1 << 16) if q > 1 << 15], 2)
+    for p in primes_up_to(1000)[1:] + seeded:
+        classes, d, triples = census_by_class_listing(p)
+        assert triples == p**3 - p * p, p
+        assert census_torsion_classes(p).classes == classes, p
+        assert d_count(p).d == d, p
 
 
-def test_census_and_d_list_the_classes_once(monkeypatch):
-    calls = []
-
-    def counting_classes(p):
-        calls.append(p)
-        return _classes(p)
-
-    monkeypatch.setattr("ellstat.finitefield._classes", counting_classes)
-    _census.cache_clear()
-    try:
-        assert census_torsion_classes(101).classes == hurwitz_class_number(1 - 4 * 101).h
-        d_count(101)
-    finally:
-        _census.cache_clear()
-    assert calls == [101]
+def test_d_over_p5_equals_frak_d_p_prime_but_at_extra_automorphisms():
+    # d'_p counts each class once, d(p)/p^5 by 2/#Aut: they part only where a
+    # class has j = 1728 (p = 5, trace -4) or j = 0 (4p - 1 = 3 f^2)
+    parted = []
+    for p in primes_up_to(2000)[1:]:
+        d, bound = d_count(p).d_over_p5, frak_d_p_prime(p)
+        f = isqrt((4 * p - 1) // 3)
+        if p == 5 or 3 * f * f == 4 * p - 1:
+            assert d < bound, p
+            parted.append(p)
+        else:
+            assert d == bound, p
+    assert parted[:5] == [5, 7, 19, 37, 61]
+    assert frak_d_p_prime(5) / d_count(5).d_over_p5 == Fraction(4, 3)
+    assert frak_d_p_prime(7) / d_count(7).d_over_p5 == Fraction(3, 2)
 
 
 def test_census_json():
