@@ -149,11 +149,14 @@ def legendre(a: int, p: int) -> int:
 
 def valuation(n: int, p: int) -> int:
     """Exponent of p in n.  Raises for n = 0 (infinite valuation) and for
-    p < 2, where no exponent is defined."""
+    p < 2, where no exponent is defined.  At p = 2 it is the position of
+    the lowest set bit, read off n & -n."""
     if p < 2:
         raise ValueError(f"valuation needs a base p >= 2, got {p}")
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
     n = abs(n)
     while n % p == 0:

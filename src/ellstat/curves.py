@@ -172,7 +172,7 @@ def transform(model: WeierstrassModel, u: int, r: int, s: int, t: int) -> Weiers
     n4 = a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t
     n6 = a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1
     if u == 1:
-        return WeierstrassModel(n1, n2, n3, n4, n6)
+        return tuple.__new__(WeierstrassModel, (n1, n2, n3, n4, n6))
     coeffs = []
     for n, w in zip((n1, n2, n3, n4, n6), _WEIGHTS):
         d = u**w

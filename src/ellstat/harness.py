@@ -42,15 +42,16 @@ under 0.1%.
 
 Kodaira types at a fixed ell (kodaira_frequency) are looked up, where they
 can be, in the residue tables of localdata._type_table, which says which
-residues decide which type; every other draw gets a Tate run.  classify reads
-the table at 2 to skip the Tate runs that cannot give p | c_2.
+residues decide which type.  Every other draw is typed by
+localdata._kodaira_label from its invariants: I0 where ell is prime to Delta,
+I_v with v = v_ell(Delta) where ell is prime to c4, and a Tate run only where
+ell divides c4.  classify reads the table at 2 to skip the Tate runs that
+cannot give p | c_2.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import os
 import pickle
@@ -60,17 +61,17 @@ from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
 from itertools import islice, product
 from math import gcd, inf, prod, sqrt
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from . import __version__
 from .arith import (FactorBudgetExceeded, InputError, _perfect_power, _primorial, _small_primes,
                     factorize, is_prime, require_odd_prime, valuation)
-from .curves import Invariants, SingularCurveError, WeierstrassModel, _box, compute_invariants
+from .curves import Invariants, WeierstrassModel, _box, compute_invariants
 from .density import CertifiedValue, rho, rho_Instar_ge1
 from .finitefield import _p_divides_order, _require_point_count_prime
 from .kodaira import parse_kodaira
-from .localdata import (_good_invariants, _residue_index, _split_multiplicative, _tate_run,
-                        _type_table)
+from .localdata import (_good_invariants, _kodaira_label, _residue_index, _split_multiplicative,
+                        _tate_run, _type_table)
 
 __all__ = [
     "SampleSpec",
@@ -379,10 +380,11 @@ def _count_chunk(spec: SampleSpec, index: int) -> dict[str, int]:
 
 
 # the estimated cost of one draw of _kodaira_chunk, as _CLASSIFY_US: with a
-# residue table (ell <= 5) 3.6 to 6.1 us, and with a Tate run on every draw
-# (ell = 7 and 11) 6.9 to 8.9 us, at H = 10^3 to 10^6 (chunks of 5000)
-_KODAIRA_TABLE_US = 4
-_KODAIRA_TATE_US = 7
+# residue table (ell <= 5) 3.4 to 5.3 us, and without one (ell = 7 and 11,
+# every draw typed by localdata._kodaira_label) 4.9 to 6.0 us, at H = 10^3
+# to 10^6 (median of 5 chunks of 5000).  The low end is taken
+_KODAIRA_TABLE_US = 3
+_KODAIRA_TATE_US = 5
 
 
 @cache
@@ -406,7 +408,10 @@ def _kodaira_chunk(spec: SampleSpec, ell: int, index: int) -> dict[str, int]:
     For ell <= 5 one lookup in _type_ids(ell) types most draws without
     computing an invariant; localdata._residue_type says why its labels
     hold for every lift and never for a singular model.  Every other model
-    gets a Tate run, which raises on a singular one.
+    is typed by localdata._kodaira_label, which computes its invariants once
+    and runs Tate only on a model with ell | c4: at 2, the draws with c4
+    even that the table leaves open, about 3% of all draws at H = 10^3 to
+    10^6.
     """
     m, ids, labels = _type_ids(ell) or (1, (), ())
     # draws per table label, added to the counts once per chunk
@@ -418,13 +423,7 @@ def _kodaira_chunk(spec: SampleSpec, ell: int, index: int) -> dict[str, int]:
             if i is not None:
                 tally[i] += 1
                 continue
-        # a Tate run computes the invariants once and raises on a singular
-        # model; its types are shared and keep their labels, so a label is
-        # computed once per type, not once per model
-        try:
-            key = _tate_run(model, ell)[1].kodaira.label
-        except SingularCurveError:
-            key = "singular"
+        key = _kodaira_label(model, ell)
         out[key] = out.get(key, 0) + 1
     for label, n in zip(labels, tally):
         if n:
@@ -456,13 +455,13 @@ def _require_threads(threads: int) -> None:
 # function:
 #   classify, H = 10^3, 512 / 768 / 1024 / 2048 samples:
 #     6.2 / 9.1 / 11.9 / 23.5 ms on one worker, 7.6 / 8.9 / 11.2 / 18.2 ms on two
-#   --kodaira-at 2, H = 5 * 10^4, 2000 / 3000 / 4000 draws:
-#     5.5 / 7.9 / 10.1 ms on one worker, 7.1 / 9.1 / 10.8 ms on two
-#   --kodaira-at 7, H = 10^3, 1000 / 2000 / 3000 draws:
-#     3.7 / 6.9 / 9.9 ms on one worker, 5.4 / 8.2 / 10.4 ms on two
-# For classify that is 770 to 900 samples (the plan forks from 910); the
-# Kodaira plans fork from 2500 and 1429 draws, below the 4000 and 3000 where
-# two workers pay, as _KODAIRA_TABLE_US and _KODAIRA_TATE_US are set high.
+#   --kodaira-at 2, H = 5 * 10^4, 1500 / 2000 / 2500 / 3000 draws:
+#     6.9 / 8.8 / 10.8 / 13.0 ms on one worker, 7.1 / 8.4 / 9.4 / 10.1 ms on two
+#   --kodaira-at 7, H = 10^3, 1500 / 2000 / 2500 / 3000 draws:
+#     7.8 / 10.1 / 12.5 / 14.7 ms on one worker, 8.0 / 9.1 / 10.0 / 11.0 ms on two
+# For classify that is 770 to 900 samples (the plan forks from 910), and for
+# both Kodaira calls 1500 to 2000 draws; their plans fork from 3334 draws at
+# ell <= 5 and from 2000 above, as the low end of the cost of a draw is taken.
 _FORK_US = 5000
 
 
@@ -599,8 +598,9 @@ def _wilson_ci(count: int, n: int, z: float) -> tuple[float, float]:
     return (centre - half, centre + half)
 
 
-@dataclass(frozen=True)
-class ReportRow:
+# a NamedTuple, like localdata.LocalData: a call builds one per label, and a
+# tuple is the cheapest immutable record to build
+class ReportRow(NamedTuple):
     flag: str
     count: int
     n: int
@@ -612,8 +612,16 @@ class ReportRow:
     z: float | None = None
 
 
+def _theory_floats(cert: CertifiedValue | None) -> tuple[float, float, float] | None:
+    """(lo, hi, midpoint) of a certified theory value as floats, the
+    midpoint rounded once from its exact value; None for None."""
+    if cert is None:
+        return None
+    return float(cert.lo), float(cert.hi), float(cert.midpoint)
+
+
 def _build_rows(spec: SampleSpec, entries) -> tuple[ReportRow, ...]:
-    """One row per (label, count, certified theory value or None).
+    """One row per (label, count, theory value as _theory_floats or None).
 
     Each row carries the proportion over the whole run, its normal or
     Wilson interval at spec.z and, where theory is given, the enclosure
@@ -622,13 +630,12 @@ def _build_rows(spec: SampleSpec, entries) -> tuple[ReportRow, ...]:
     n = spec.total
     ci_fn = _wilson_ci if spec.wilson else _normal_ci
     rows = []
-    for label, cnt, cert in entries:
+    for label, cnt, theory in entries:
         phat = cnt / n
         lo, hi = ci_fn(cnt, n, spec.z)
         tlo = thi = zscore = None
-        if cert is not None:
-            tlo, thi = float(cert.lo), float(cert.hi)
-            mid = float(cert.midpoint)
+        if theory is not None:
+            tlo, thi, mid = theory
             if 0 < mid < 1:
                 zscore = (phat - mid) / sqrt(mid * (1 - mid) / n)
         rows.append(ReportRow(label, cnt, n, phat, lo, hi, tlo, thi, zscore))
@@ -664,28 +671,18 @@ class _Report:
         raise KeyError(flag)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        for k, v in self._metadata():
-            buf.write(f"# {k}={v}\r\n")
-        w = csv.writer(buf)
-        w.writerow(
-            ["flag", "count", "N", "proportion", "ci_lo", "ci_hi", "theory_lo", "theory_hi", "z"]
-        )
-        for r in self.rows:
-            w.writerow(
-                [
-                    r.flag,
-                    r.count,
-                    r.n,
-                    repr(r.proportion),
-                    repr(r.ci_lo),
-                    repr(r.ci_hi),
-                    "" if r.theory_lo is None else repr(r.theory_lo),
-                    "" if r.theory_hi is None else repr(r.theory_hi),
-                    "" if r.z is None else repr(r.z),
-                ]
-            )
-        return buf.getvalue()
+        """The metadata as "# key=value" lines, the header and one line per
+        row, each ended by CRLF, with the floats as repr and None as an empty
+        field.
+        No label or number holds a comma, a quote or a line break, so these
+        are the bytes csv.writer writes, without its per-field scan."""
+        lines = [f"# {k}={v}" for k, v in self._metadata()]
+        lines.append("flag,count,N,proportion,ci_lo,ci_hi,theory_lo,theory_hi,z")
+        for flag, count, n, *floats in self.rows:
+            lines.append(",".join([flag, str(count), str(n),
+                                   *["" if x is None else repr(x) for x in floats]]))
+        lines.append("")
+        return "\r\n".join(lines)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
@@ -733,7 +730,8 @@ def estimate(
     _type_table(2)
     counts = _run_chunks(spec, partial(_count_chunk, spec), threads, _CLASSIFY_US)
     theory = theory or {}
-    rows = _build_rows(spec, [(flag, counts[flag], theory.get(flag)) for flag in _FLAG_ORDER])
+    rows = _build_rows(spec, [(flag, counts[flag], _theory_floats(theory.get(flag)))
+                              for flag in _FLAG_ORDER])
     return EmpiricalReport(spec, counts, rows)
 
 
@@ -765,16 +763,17 @@ class KodairaFrequencyReport(_Report):
 
 
 @lru_cache(maxsize=256)
-def _kodaira_theory(label: str, ell: int) -> CertifiedValue | None:
-    """The exact density at ell on the kodaira_frequency row of label: rho
-    of its type, the aggregate rho_Instar_ge1 on "I*n:>=1", and None on
-    "singular" and on each I_n* row, which has no table value of its own.
-    Bounded, as labels I_n and I_n* have no bound on n."""
+def _kodaira_theory(label: str, ell: int) -> tuple[float, float, float] | None:
+    """The exact density at ell on the kodaira_frequency row of label, as
+    _theory_floats gives it: rho of its type, the aggregate rho_Instar_ge1
+    on "I*n:>=1", and None on "singular" and on each I_n* row, which has no
+    table value of its own.  Bounded, as labels I_n and I_n* have no bound
+    on n; a call reads each of its rows' floats from here."""
     if label == "I*n:>=1":
-        return CertifiedValue.exact(rho_Instar_ge1(ell))
+        return _theory_floats(CertifiedValue.exact(rho_Instar_ge1(ell)))
     if label == "singular" or label.startswith("I*n:"):
         return None
-    return CertifiedValue.exact(rho(parse_kodaira(label), ell))
+    return _theory_floats(CertifiedValue.exact(rho(parse_kodaira(label), ell)))
 
 
 def kodaira_frequency(spec: SampleSpec, ell: int, threads: int = 1) -> KodairaFrequencyReport:

@@ -18,7 +18,11 @@ invariants.  The cusp shift and the II, III and IV tests are one function,
 _cusp_steps; _residue_type runs it on the a_i mod 4 to type at 2 every model
 of a residue class at once.  The residue tables, _type_table, hold its type
 of every residue class at ell <= 5; the sampler and classify look draws up
-in them instead of running Tate.
+in them instead of running Tate.  Beside _residue_type sits _kodaira_label,
+the sampler's rule for a draw its table leaves open and for every draw above
+ell = 5: from one computation of the invariants it reads I0 where ell is
+prime to Delta and I_v, v = v_ell(Delta), where ell is prime to c4, so only
+a draw with ell | c4 gets a Tate run.
 Roots of the I0* cubic are counted by T^p = T mod f and Stickelberger's
 parity rule on its discriminant (brute force only at 2).
 
@@ -27,13 +31,15 @@ types without an index are shared module constants, and I_n and I_n* come
 from caches keyed by n that keep the 256 most recent, so they do not grow
 with the input.  LocalData is a typing.NamedTuple, like WeierstrassModel and
 Invariants (see curves): immutable, hashed as its field tuple, and equal to
-a plain tuple of the same values.  Sampling at a fixed ell runs Tate once
-per draw, and the records were most of that cost: on a sampled H = 10^3
-chunk at ell = 2 (2 cores, Python 3.11), a frozen-dataclass LocalData and a
-new KodairaType took 3.8 us of a 6.6 us run; the NamedTuple and a shared
-type take 0.7 us of 3.0 us.  prime_scan's PrimeScanRow is a NamedTuple for
-the same reason: it builds one row per odd prime, in 0.32 us against
-0.80 us for a frozen dataclass (timeit, Python 3.11).
+a plain tuple of the same values; _tate_run builds it, and transform its
+models, by tuple.__new__, which skips the NamedTuple's Python-level
+__new__.  Sampling at a fixed ell once ran Tate on every draw the residue
+table left open, and the records were most of that cost: on a sampled
+H = 10^3 chunk at ell = 2 (2 cores, Python 3.11), a frozen-dataclass
+LocalData and a new KodairaType took 3.8 us of a 6.6 us run; the NamedTuple
+and a shared type take 0.7 us of 3.0 us.  prime_scan's PrimeScanRow is a
+NamedTuple for the same reason: it builds one row per odd prime, in 0.32 us
+against 0.80 us for a frozen dataclass (timeit, Python 3.11).
 
 The per-curve queries (conductor, tamagawa_p_divisible, compute_I_p,
 prime_scan) factor Delta once and run Tate once per bad prime; prime_scan
@@ -305,6 +311,28 @@ def _type_table(ell: int) -> tuple[int, tuple[str | None, ...]] | None:
         for a in product(range(m), repeat=5))
 
 
+def _kodaira_label(model: WeierstrassModel, ell: int) -> str:
+    """The Kodaira label at the prime ell of an integral model, "singular"
+    where Delta = 0.
+
+    The invariants are computed once.  Where ell is prime to Delta the
+    model has good reduction, I0.  Where ell divides Delta but not c4 it is
+    ell-minimal with a node, type I_v with v = v_ell(Delta): the first step
+    of Tate's algorithm (Silverman, Advanced Topics, IV.9.4), which holds
+    for every model, not only for a residue class.  Only a model with
+    ell | c4 gets a Tate run, started from these invariants.
+    """
+    inv = compute_invariants(model)
+    delta = inv.delta
+    if delta == 0:
+        return "singular"
+    if delta % ell:
+        return _I0.label
+    if inv.c4 % ell:
+        return _I_n(valuation(delta, ell)).label
+    return _tate_run(model, ell, inv)[1].kodaira.label
+
+
 def _tate_run(model: WeierstrassModel, ell: int,
               inv: Invariants | None = None) -> tuple[WeierstrassModel, LocalData]:
     """Full Tate loop; returns (ell-minimal model, LocalData).  inv, if
@@ -320,14 +348,14 @@ def _tate_run(model: WeierstrassModel, ell: int,
             raise SingularCurveError("Tate's algorithm needs a nonsingular curve")
         n = valuation(inv.delta, p)
         if n == 0:
-            return cur, LocalData(p, _I0, 1, 0, 0, scalings == 0, GOOD)
+            return cur, tuple.__new__(LocalData, (p, _I0, 1, 0, 0, scalings == 0, GOOD))
         if inv.c4 % p != 0:
             # node: type I_n on an automatically minimal model
             if _split_multiplicative(inv.c6, p):
                 c, reduction = n, SPLIT
             else:
                 c, reduction = 2 - n % 2, NONSPLIT
-            return cur, LocalData(p, _I_n(n), c, 1, n, scalings == 0, reduction)
+            return cur, tuple.__new__(LocalData, (p, _I_n(n), c, 1, n, scalings == 0, reduction))
         cur, ktype, c, t = _cusp_steps(cur, p, inv)
         if ktype is not None:
             break
@@ -388,7 +416,7 @@ def _tate_run(model: WeierstrassModel, ell: int,
     # additive: the last pass changed variables only with u = 1, which fixes
     # Delta, so v(Delta_min) is its n, and Ogg's formula gives f
     f = n + 1 - ktype.components
-    return cur, LocalData(p, ktype, c, f, n, scalings == 0, ADDITIVE)
+    return cur, tuple.__new__(LocalData, (p, ktype, c, f, n, scalings == 0, ADDITIVE))
 
 
 def local_minimal_model(model: WeierstrassModel, ell: int) -> tuple[WeierstrassModel, LocalData]:

@@ -35,11 +35,15 @@ that the table range changes no form.  census_by_class_listing, the census
 and d(p) before they counted forms, lists one curve of each
 F_p-isomorphism class by the orbits of a primitive root and asks
 finitefield._p_divides_order of each: it shares the predicate, not the
-forms.
+forms.  valuation_by_division is arith.valuation before its bit path at
+p = 2, and report_csv_by_writer is a report's to_csv before it joined its
+fields itself: the header and every row go through csv.writer.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations, filterfalse, product
@@ -660,3 +664,27 @@ def least_conductor_twist(base: WeierstrassModel) -> WeierstrassModel:
                 N = prod(ell ** tate(twisted, ell).conductor_exponent for ell in primes)
                 keyed.append(((N, absd, d < 0), twisted))
     return min(keyed)[1]
+
+
+def valuation_by_division(n: int, p: int) -> int:
+    """Exponent of the prime p in n != 0, by dividing p out one at a time."""
+    v = 0
+    n = abs(n)
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def report_csv_by_writer(report) -> str:
+    """The CSV form of a sampling report, the header and rows through csv.writer."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    for k, v in report._metadata():
+        buf.write(f"# {k}={v}\r\n")
+    w.writerow(["flag", "count", "N", "proportion", "ci_lo", "ci_hi", "theory_lo", "theory_hi",
+                "z"])
+    for r in report.rows:
+        w.writerow([r.flag, r.count, r.n, repr(r.proportion), repr(r.ci_lo), repr(r.ci_hi),
+                    *("" if x is None else repr(x) for x in (r.theory_lo, r.theory_hi, r.z))])
+    return buf.getvalue()

@@ -27,7 +27,8 @@ from ellstat.arith import (
 from ellstat.curves import compute_invariants
 from ellstat.harness import sample_tuple
 
-from oracles import affine_multiple, ladder_reducing_each_product, montgomery_multiple
+from oracles import (affine_multiple, ladder_reducing_each_product, montgomery_multiple,
+                     valuation_by_division)
 
 
 def test_sieve_matches_trial_division():
@@ -114,6 +115,25 @@ def test_require_odd_prime_raises_input_error(p):
 def test_input_error_is_a_value_error_exported_by_the_package():
     assert issubclass(InputError, ValueError)
     assert ellstat.InputError is InputError
+
+
+def test_valuation_bit_path_matches_division_loop():
+    # at p = 2 the valuation is the lowest set bit; the division loop is the
+    # oracle, on +-n, powers of 2, +-1 and n above 10^300
+    rng = random.Random(150)
+    values = [1, 2, 3, 12, 10**300 + 1, 10**301, 3**700 << 1000]
+    values += [1 << k for k in range(0, 1200, 13)]
+    values += [(2 * rng.getrandbits(rng.randrange(1, 1100)) + 1) << rng.randrange(0, 1100)
+               for _ in range(200)]
+    assert any(n > 10**300 and n % 2 == 0 for n in values)
+    for n in values:
+        for m in (n, -n):
+            assert valuation(m, 2) == valuation_by_division(m, 2), m
+    assert valuation(1, 2) == valuation(-1, 2) == 0
+    with pytest.raises(ValueError):
+        valuation(0, 2)
+    with pytest.raises(ValueError):
+        valuation(0, 1)
 
 
 def test_valuation_and_iroot():

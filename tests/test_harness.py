@@ -37,10 +37,11 @@ from ellstat.harness import (
     kodaira_frequency,
     sample_tuple,
 )
-from ellstat.localdata import _TYPE_TABLE_MAX_ELL, _type_table, tamagawa_p_divisible, tate
+from ellstat.localdata import (_TYPE_TABLE_MAX_ELL, _kodaira_label, _type_table,
+                               tamagawa_p_divisible, tate)
 
 from oracles import (c4_and_discriminant, cube_share_bound, good_after_minimising,
-                     sample_tuple_by_randrange)
+                     report_csv_by_writer, sample_tuple_by_randrange)
 
 
 def test_sample_height_one_is_origin():
@@ -614,6 +615,25 @@ def test_report_csv_schema_and_json():
     assert rep.valid
 
 
+def test_to_csv_matches_csv_writer():
+    # to_csv joins its fields itself, and csv.writer is the oracle.  The
+    # classify report has rows with no theory value and one, at theory value
+    # 0, with no z; the Kodaira report has "singular" and I_n* rows with no
+    # theory value, and "I*n:>=1"
+    spec = SampleSpec(height=20, p=3, count=500, seed=5, chunk_size=100)
+    theory = {"bad_at_p": CertifiedValue.exact(sp_doubleprime_density(3)),
+              "unclassified": CertifiedValue.exact(0)}
+    rep = estimate(spec, theory)
+    kod = kodaira_frequency(SampleSpec(height=2, p=3, count=3000, seed=7, chunk_size=1000), 2)
+    for report in (rep, kod):
+        assert report.to_csv() == report_csv_by_writer(report)
+    assert rep.row("bad_at_p").z is not None
+    assert rep.row("unclassified").theory_lo == 0.0 and rep.row("unclassified").z is None
+    assert rep.row("singular").theory_lo is None
+    assert kod.row("singular").theory_lo is None and kod.row("I*n:1").theory_lo is None
+    assert kod.row("I*n:>=1").theory_lo is not None
+
+
 def test_report_wilson_toggle():
     spec = SampleSpec(height=20, p=3, count=400, seed=5, wilson=True)
     rep = estimate(spec)
@@ -852,9 +872,15 @@ def test_classify_skip_at_two_matches_tate(p):
 
 
 @pytest.mark.parametrize("ell", [7, 11])
-def test_kodaira_chunk_matches_tate_without_table(ell):
+def test_kodaira_chunk_matches_tate_without_a_table(ell):
+    # above ell = 5 localdata._kodaira_label types every draw: I0 where ell
+    # is prime to Delta, I_v where it is prime to c4, a Tate run where ell |
+    # c4.  Each draw's label is checked against tate, and the chunk's counts
+    # against theirs, on seeded chunks at H = 10^3 and 5 * 10^4 and an H = 2
+    # chunk that holds singular draws
     assert ell > _TYPE_TABLE_MAX_ELL and _type_table(ell) is None
-    for height, seed, index in ((1000, 23, 0), (50000, 24, 1), (2, 31, 3)):
+    branches = set()
+    for height, seed, index in ((1000, 23, 0), (1000, 42, 2), (50000, 24, 1), (2, 31, 3)):
         spec = SampleSpec(height=height, p=3, count=8000, seed=seed, chunk_size=2000)
         want = {}
         for m in _iter_chunk(spec, index):
@@ -862,8 +888,16 @@ def test_kodaira_chunk_matches_tate_without_table(ell):
                 key = tate(m, ell).kodaira.label
             except SingularCurveError:
                 key = "singular"
+            inv = compute_invariants(m)
+            if inv.delta:
+                branches.add("I0" if inv.delta % ell else
+                             f"I{min(valuation(inv.delta, ell), 2)}" if inv.c4 % ell else "tate")
+            assert _kodaira_label(m, ell) == key, m
             want[key] = want.get(key, 0) + 1
         assert _kodaira_chunk(spec, ell, index) == want
+        assert ("singular" in want) == (height == 2)
+    # every rule ran, the multiplicative one at v = 1 and at v >= 2
+    assert branches == {"I0", "I1", "I2", "tate"}
 
 
 def test_kodaira_frequency_at_large_ell_builds_no_table(monkeypatch):
@@ -1049,6 +1083,7 @@ FORKING_CALLS = [
     (3, 1000, 20003, 4999, 3),
     (3, 1000, 20003, 4999, 5),
     (3, 1000000, 20003, 4999, 2),
+    (3, 1000, 20003, 4999, 7),
     (3, 1000, 8000, 2000, None),
 ]
 # and these run in one process: the benchmark's Kodaira call of sample-tall
