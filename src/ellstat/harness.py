@@ -5,12 +5,14 @@ walks the whole box.  A draw calls rng.getrandbits with the rejection loop
 of random.Random.randrange, so a seed gives the stream of five randrange
 calls per sample, while the bounds are worked out once per chunk.  Work is
 split into fixed-size chunks whose RNG streams are derived from (master
-seed, chunk index) and whose results are folded in chunk order, so reports,
-key order included, are bit-identical for a given (seed, chunk size)
-whatever the worker count.  Workers are forked (os.fork), so call with more
-than one worker only from a single-threaded process.  A call forks only the
-workers its estimated work pays for, at a measured cost per fork, so a
-short call runs in one process however many workers it asks for.
+seed, chunk index).  Each worker sums the counts of one contiguous block of
+chunks, and the block sums are summed in block order, which is the sum in
+chunk order, so reports, key order included, are bit-identical for a given
+(seed, chunk size) whatever the worker count.  Workers are forked
+(os.fork), so call with more than one worker only from a single-threaded
+process.  A call forks only the workers its estimated work pays for, at a
+measured cost per fork, so a short call runs in one process however many
+workers it asks for.
 
 Classification at p decides S_p by one rule: p | c_ell needs ell^3 | Delta
 (at ell | c4 Ogg's formula gives c_ell < v_ell(Delta), and Tate runs only
@@ -467,9 +469,9 @@ _FORK_US = 5000
 
 def _run_chunks(spec: SampleSpec, chunk_fn, threads: int, sample_us: int) -> dict[str, int]:
     """Sum the per-chunk counts chunk_fn(index) over every chunk of spec, in
-    chunk order: the one fold of _fork_join's results, so the sum, key order
-    included, is the same for every worker count.  threads >= 1, and
-    sample_us is the estimated cost of one sample of chunk_fn in us.
+    chunk order (see _fork_join), so the sum, key order included, is the
+    same for every worker count.  threads >= 1, and sample_us is the
+    estimated cost of one sample of chunk_fn in us.
 
     The worker plan is decided here and nowhere else.  The CPUs this
     process may run on are its affinity set, or os.cpu_count() where that
@@ -478,8 +480,7 @@ def _run_chunks(spec: SampleSpec, chunk_fn, threads: int, sample_us: int) -> dic
     one and k - 1 forked children.  W = spec.total * sample_us is the
     estimated work of the call, so each worker is given at least _FORK_US
     of it, about what forking one costs.  k is 1 where os.fork is missing,
-    and with k = 1 every chunk runs here, nothing is started, and each
-    chunk's counts are folded as the chunk ends, so no list of them is held.
+    and with k = 1 every chunk runs here and nothing is started.
 
     The workers are pinned one per CPU of the set exactly when k > 1 is the
     set's size: every CPU is then busy anyway.  A larger set (several runs
@@ -490,32 +491,33 @@ def _run_chunks(spec: SampleSpec, chunk_fn, threads: int, sample_us: int) -> dic
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     k = min(threads, n_chunks, len(cpus) or os.cpu_count() or 1,
             max(1, spec.total * sample_us // _FORK_US)) if hasattr(os, "fork") else 1
-    if k == 1:
-        return _sum_counts(map(chunk_fn, range(n_chunks)))
-    return _sum_counts(_fork_join(chunk_fn, n_chunks, k, cpus if k == len(cpus) else []))
+    return _fork_join(chunk_fn, n_chunks, k, cpus if 1 < k == len(cpus) else [])
 
 
-def _fork_join(chunk_fn, n_chunks: int, k: int, cpus: list[int]) -> list:
-    """[chunk_fn(i) for i in range(n_chunks)] on k workers: worker w runs
-    chunks w, w + k, w + 2k, ... into those slots.  Worker 0 is this process,
-    so the caches its chunks fill stay here; 1 to k - 1 are forked children.
+def _fork_join(chunk_fn, n_chunks: int, k: int, cpus: list[int]) -> dict[str, int]:
+    """_sum_counts(map(chunk_fn, range(n_chunks))) on k workers.  Worker w
+    runs the block of chunks from ceil(w n_chunks / k) to ceil((w + 1)
+    n_chunks / k) and folds each chunk's counts as the chunk ends, so no
+    list of them is held; the k block sums are then folded in block order.
+    That is the same dict, key order included, as the fold of every chunk
+    in order: each block adds its new keys after those of the blocks before
+    it.  Worker 0 is this process, so the caches its chunks fill stay here;
+    1 to k - 1 are forked children, and with k = 1 nothing is started.
 
     cpus is empty, or holds one CPU per worker: then worker w runs on
     cpus[w] (see _pin).  Left to itself the scheduler may keep a forked
     child on its parent's CPU, and two workers then run no faster than one.
     This process gets the affinity set cpus back before it reaps.
 
-    Each child pickles the list of its n_chunks / k results into its own
-    pipe; one --kodaira-at chunk (31 labels: ell = 2, H = 10^3, 65536 draws)
-    is 312 bytes and 11 us to pickle and unpickle, a classify one 104 and 3.
-    Every child is reaped before this returns or raises; children still
-    running when this process fails (its own chunk raising, an interrupt, a
-    failed fork) are killed first.  A child's exception is re-raised here,
-    and a child that ends without a result raises RuntimeError.
+    Each child pickles its one block sum into its own pipe.  Every child is
+    reaped before this returns or raises; children still running when this
+    process fails (its own chunk raising, an interrupt, a failed fork) are
+    killed first.  A child's exception is re-raised here, and a child that
+    ends without a result raises RuntimeError.
     """
+    bounds = [-(-w * n_chunks // k) for w in range(k + 1)]  # block w: bounds[w] to bounds[w + 1]
     children = []  # (pid, read end of its pipe)
     replies: list[bytes] = []
-    results: list = [None] * n_chunks
     try:
         for w in range(1, k):
             r, wr = os.pipe()
@@ -527,11 +529,11 @@ def _fork_join(chunk_fn, n_chunks: int, k: int, cpus: list[int]) -> list:
                 raise
             if pid == 0:
                 os.close(r)
-                _child(wr, chunk_fn, range(w, n_chunks, k), cpus[w : w + 1])
+                _child(wr, chunk_fn, range(bounds[w], bounds[w + 1]), cpus[w : w + 1])
             os.close(wr)
             children.append((pid, open(r, "rb")))
         _pin(cpus[:1])
-        results[::k] = map(chunk_fn, range(0, n_chunks, k))
+        sums = [_sum_counts(map(chunk_fn, range(bounds[1])))]
         for _, pipe in children:
             replies.append(pipe.read())
     finally:
@@ -542,7 +544,7 @@ def _fork_join(chunk_fn, n_chunks: int, k: int, cpus: list[int]) -> list:
             if len(replies) < len(children):
                 os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitpid(pid, 0)[1])
-    for w, (pid, _), data, status in zip(range(1, k), children, replies, statuses):
+    for (pid, _), data, status in zip(children, replies, statuses):
         code = os.waitstatus_to_exitcode(status)
         if code != 0:
             how = f"by signal {-code}" if code < 0 else f"with exit code {code}"
@@ -550,8 +552,8 @@ def _fork_join(chunk_fn, n_chunks: int, k: int, cpus: list[int]) -> list:
         ok, value = pickle.loads(data)
         if not ok:
             raise value
-        results[w::k] = value
-    return results
+        sums.append(value)
+    return _sum_counts(sums)
 
 
 def _pin(cpus: list[int]) -> None:
@@ -567,14 +569,14 @@ def _pin(cpus: list[int]) -> None:
 
 def _child(wr: int, chunk_fn, indices, cpus: list[int]) -> NoReturn:
     """Body of a forked worker: pin itself to cpus (see _pin), run its
-    chunks, write (ok, their results in order, or exception) to wr and leave
-    by os._exit, so that the parent's stdio buffers and exit hooks never run
-    here.  It exits 0 only once the reply is written."""
+    chunks, write (ok, the in-order fold of their counts, or exception) to
+    wr and leave by os._exit, so that the parent's stdio buffers and exit
+    hooks never run here.  It exits 0 only once the reply is written."""
     code = 1
     try:
         _pin(cpus)
         try:
-            reply = (True, list(map(chunk_fn, indices)))
+            reply = (True, _sum_counts(map(chunk_fn, indices)))
         except Exception as exc:
             reply = (False, exc)
         with open(wr, "wb") as f:

@@ -30,6 +30,7 @@ from ellstat.harness import (
     _iter_chunk,
     _kodaira_chunk,
     _run_chunks,
+    _sum_counts,
     _type_ids,
     classify,
     estimate,
@@ -988,7 +989,7 @@ def _count_forks(monkeypatch, cpus: int) -> list[int]:
 
 @needs_fork
 def test_run_chunks_shares_chunks_with_children(monkeypatch):
-    # three workers: this process runs chunks 0, 3, 6 and two children the rest
+    # three workers: this process runs chunks 0 to 2 and two children the rest
     forks = _count_forks(monkeypatch, cpus=4)
     parent = os.getpid()
     counts = _run_chunks(EIGHT_CHUNKS, lambda i: {"index": i, "in_child": os.getpid() != parent},
@@ -1002,12 +1003,21 @@ def test_run_chunks_shares_chunks_with_children(monkeypatch):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n_chunks", [1, 7, 8, 13])
 def test_fork_join_returns_results_in_chunk_order(monkeypatch, n_chunks, k):
-    # worker w runs chunks w, w + k, ...; worker 0 is this process
+    # worker w sums chunks ceil(w n / k) to ceil((w + 1) n / k) - 1, and
+    # worker 0 is this process.  Each chunk brings a key of its own, so the
+    # sum has the key order of the in-order fold only if the blocks are
+    # contiguous and folded in order: a stride or unordered fold fails
     _fake_cpus(monkeypatch, k)
     parent = os.getpid()
-    results = _fork_join(lambda i: (i, os.getpid() == parent), n_chunks, k,
-                         list(range(k)) if k > 1 else [])
-    assert results == [(i, i % k == 0) for i in range(n_chunks)]
+
+    def chunk(i):
+        return {"n": 1, f"chunk{i}": i, f"here{i}": os.getpid() == parent}
+
+    counts = _fork_join(chunk, n_chunks, k, list(range(k)) if k > 1 else [])
+    in_order = _sum_counts(map(chunk, range(n_chunks)))  # every chunk run here
+    assert list(counts) == list(in_order)
+    first_block = -(-n_chunks // k)
+    assert counts == {**in_order, **{f"here{i}": i < first_block for i in range(n_chunks)}}
     _assert_no_children()
 
 
@@ -1057,6 +1067,53 @@ def test_one_worker_folds_each_chunk_as_it_ends():
         tracemalloc.stop()
     assert sum(counts.values()) == 20000
     assert peak < 1_000_000
+
+
+@needs_fork
+def test_two_workers_fold_each_chunk_as_it_ends(monkeypatch):
+    # two workers keep no list of chunk results either: this process folds
+    # its own block as each chunk ends and unpickles one block sum from its
+    # child.  Holding its 10000 chunk results and the child's 10000 until
+    # one fold, it peaks at about 4 MB of traced memory; folded, under 0.1 MB
+    forks = _count_forks(monkeypatch, cpus=2)
+    spec = SampleSpec(height=1000, p=3, count=20000, seed=1, chunk_size=1)
+    kodaira_frequency(SampleSpec(height=1000, p=3, count=16, seed=1), 2, threads=1)
+    tracemalloc.start()
+    try:
+        counts = kodaira_frequency(spec, 2, threads=2).counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(forks) == 1
+    assert sum(counts.values()) == 20000
+    assert peak < 1_000_000
+    _assert_no_children()
+
+
+# (samples, chunk size) of the byte-identity runs: neither size is a
+# multiple of its chunk size, and the 287 chunks of the second split into
+# blocks of unequal size on 2, 3 and 4 workers
+IDENTITY_SIZES = [(20003, 4999), (2003, 7)]
+
+
+@needs_fork
+@pytest.mark.parametrize("samples, chunk_size", IDENTITY_SIZES)
+@pytest.mark.parametrize("ell", [None, 2, 7], ids=["classify", "ell2", "ell7"])
+def test_reports_are_byte_identical_across_worker_counts(monkeypatch, ell, samples, chunk_size):
+    # the CSV bytes and the counts, key order included, at 1, 2, 3 and 8
+    # planned workers; the plan may run fewer where the work or the chunk
+    # count caps it
+    spec = SampleSpec(height=1000, p=3, count=samples, seed=5, chunk_size=chunk_size)
+    reports = []
+    for workers in (1, 2, 3, 8):
+        _fake_cpus(monkeypatch, workers)
+        if ell is None:
+            rep = estimate(spec, threads=workers)
+        else:
+            rep = kodaira_frequency(spec, ell, threads=workers)
+        reports.append((rep.to_csv(), list(rep.counts.items())))
+    assert all(r == reports[0] for r in reports)
+    _assert_no_children()
 
 
 @needs_fork
