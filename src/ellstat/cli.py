@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from collections.abc import Callable
 from fractions import Fraction
@@ -28,9 +27,10 @@ from . import __version__
 from .curves import (
     SingularCurveError,
     WeierstrassModel,
+    _json_text,
+    compute_invariants,
     curve_from_j,
     format_rational,
-    j_invariant,
     quadratic_twist,
     zywina_j2,
 )
@@ -57,10 +57,12 @@ def _parse_curve(text: str) -> WeierstrassModel:
 
 def _curve_report(model: WeierstrassModel) -> tuple[str, int, list[LocalData]]:
     """j, the conductor and the Tate data at every prime dividing Delta,
-    which is factored once."""
-    locs = [data for _, data in _local_table(model).values()]
+    which is factored once, all from one computation of the invariants."""
+    inv = compute_invariants(model)
+    locs = [data for _, data in _local_table(model, inv).values()]
     N = prod(d.prime**d.conductor_exponent for d in locs)
-    return format_rational(j_invariant(model)), N, locs
+    # _local_table has refused Delta = 0, so this is j_invariant(model)
+    return format_rational(Fraction(inv.c4**3, inv.delta)), N, locs
 
 
 def _emit(args, payload: Callable[[], dict], text_lines: Callable[[], list[str]]) -> None:
@@ -68,7 +70,7 @@ def _emit(args, payload: Callable[[], dict], text_lines: Callable[[], list[str]]
     is built only for its own format, so JSON spells out no text line and
     text builds no payload, which spells out every exact rational."""
     if args.format == "json":
-        print(json.dumps(payload(), indent=2, sort_keys=True))
+        print(_json_text(payload()))
     else:
         for line in text_lines():
             print(line)
@@ -223,11 +225,17 @@ def cmd_families(args) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
     later one (and by `main`); parse_args keeps no state between calls, but
     a caller that adds arguments changes them for the whole process."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and the map from each command name to the subparser
+    it registers under that name."""
     ap = argparse.ArgumentParser(
         prog="ellstat",
         description="Local invariants and height-ordered statistics of elliptic curves over Q.",
@@ -292,12 +300,31 @@ def build_parser() -> argparse.ArgumentParser:
                         "the untwisted curve")
     add_format(p)
     p.set_defaults(func=cmd_families)
-    return ap
+    return ap, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace, exit or error of build_parser().parse_args(argv).
+
+    Given a command first, the full parser hands every later argument to
+    that command's subparser, so this runs the subparser alone.  The full
+    parser runs instead where it would do more: where the subparser leaves
+    arguments over, which it reports as unrecognized, and where an argument
+    starts "-=" or "--=", which its own scan of argv may reject, before any
+    subparser runs, as an ambiguous abbreviation of its -h, --help and
+    --version (Python 3.13 rejects both spellings, 3.11 only "--=").
+    """
+    ap, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None and not any(a.startswith(("-=", "--=")) for a in argv):
+        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except InputError as exc:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import prod
 from typing import NamedTuple
 
@@ -270,6 +271,52 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+
+
+# how json writes each value that is not a container, by exact type
+_JSON_SCALAR = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, for
+    dicts with str keys, lists, tuples, str, int, bool, None and float.
+
+    json's encoder takes its pure-Python path whenever indent is set; this
+    writer skips its generators and its cycle check.  Anything else raises
+    TypeError, a non-str key included (encode_basestring_ascii refuses it).
+    """
+    write = _JSON_SCALAR.get(type(obj))
+    if write is not None:
+        return write(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in sorted(obj.items()):
+            write = _JSON_SCALAR.get(type(value))
+            items.append(encode_basestring_ascii(key) + ": "
+                         + (write(value) if write is not None else _json_text(value, inner)))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + indent + "]"
+    for base in (str, int, float):  # a subclass is written as json writes its base
+        if isinstance(obj, base):
+            return _JSON_SCALAR[base](obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -54,7 +54,6 @@ cannot give p | c_2.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 import random
@@ -68,7 +67,7 @@ from typing import NamedTuple, NoReturn
 from . import __version__
 from .arith import (FactorBudgetExceeded, InputError, _perfect_power, _primorial, _small_primes,
                     factorize, is_prime, require_odd_prime, valuation)
-from .curves import Invariants, WeierstrassModel, _box, compute_invariants
+from .curves import Invariants, WeierstrassModel, _box, _json_text, compute_invariants
 from .density import CertifiedValue, rho, rho_Instar_ge1
 from .finitefield import _p_divides_order, _require_point_count_prime
 from .kodaira import parse_kodaira
@@ -687,7 +686,7 @@ class _Report:
         return "\r\n".join(lines)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return _json_text(self.to_json_dict())
 
 
 @dataclass(frozen=True)

@@ -448,18 +448,23 @@ def tate(model: WeierstrassModel, ell: int) -> LocalData:
 
 def bad_primes(model: WeierstrassModel) -> list[int]:
     """Primes dividing the discriminant of the given model, ascending."""
-    delta = compute_invariants(model).delta
+    return _primes_of_delta(compute_invariants(model).delta)
+
+
+def _primes_of_delta(delta: int) -> list[int]:
     if delta == 0:
         raise SingularCurveError("singular model has no bad-prime set")
     return sorted(factorize(delta))
 
 
-def _local_table(model: WeierstrassModel) -> dict[int, tuple[WeierstrassModel, LocalData]]:
+def _local_table(model: WeierstrassModel,
+                 inv: Invariants | None = None) -> dict[int, tuple[WeierstrassModel, LocalData]]:
     """ell -> (ell-minimal model, LocalData) at every prime dividing Delta,
     ascending: one factorisation and one Tate run per prime, each started
-    from the invariants of model."""
-    inv = compute_invariants(model)
-    return {ell: _tate_run(model, ell, inv) for ell in bad_primes(model)}
+    from inv, the invariants of model (computed here if not given)."""
+    if inv is None:
+        inv = compute_invariants(model)
+    return {ell: _tate_run(model, ell, inv) for ell in _primes_of_delta(inv.delta)}
 
 
 def conductor(model: WeierstrassModel) -> int:
@@ -594,9 +599,9 @@ def prime_scan(model: WeierstrassModel, p_max: int) -> PrimeScanReport:
     torsion rules only when p divides the product.  Nothing is kept between
     calls.
     """
-    table = _local_table(model)
-    truly_bad = {ell: entry for ell, entry in table.items() if not entry[1].kodaira.is_good}
     inv = compute_invariants(model)
+    table = _local_table(model, inv)
+    truly_bad = {ell: entry for ell, entry in table.items() if not entry[1].kodaira.is_good}
     # _good_invariants at each p | Delta, read off the Tate run at p
     good_at = {ell: compute_invariants(minimal) if d.kodaira.is_good else None
                for ell, (minimal, d) in table.items()}

@@ -506,3 +506,59 @@ def test_broken_pipe_exits_0(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     assert main(["hurwitz", "--disc", "-7"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def _outcome(capsys, monkeypatch, parse, argv):
+    """(exit code, stdout, stderr, repr of each parsed namespace's vars) of
+    main(argv) with parse in place of its parser; a repr, as --z=nan parses
+    to a float unequal to itself."""
+    import ellstat.cli
+
+    parsed = []
+
+    def spy(args):
+        parsed.append(parse(args))
+        return parsed[-1]
+
+    monkeypatch.setattr(ellstat.cli, "_parse", spy)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, [repr(vars(ns)) for ns in parsed]
+
+
+def _golden_argvs():
+    from test_golden import CASES
+
+    return [CASES[name] for name in sorted(CASES)]
+
+
+E1_CURVE = "--curve=1,0,1,-141,624"
+DISPATCH = [argv.split() for argv, _ in INVALID] + [
+    ["local"],
+    ["local", "--curve=", "1,0,1,-141,624"],
+    ["local", E1_CURVE, "--form", "json"],
+    ["local", "-h"],
+    ["--version"],
+    ["frob"],
+    [],
+    ["local", E1_CURVE, "--version"],
+    # the full parser's own scan of argv rejects "--=" (and "-=" on 3.13)
+    # as an ambiguous option before the subparser runs
+    ["local", E1_CURVE, "--=json"],
+    ["local", E1_CURVE, "-=json"],
+    ["local", "--", E1_CURVE],
+    ["theory", "--p", "3", "--p", "5", "--format", "json"],
+    ["--version", "local", E1_CURVE],
+] + _golden_argvs()
+
+
+@pytest.mark.parametrize("argv", DISPATCH, ids=[" ".join(a) or "<empty>" for a in DISPATCH])
+def test_dispatch_matches_full_parser(capsys, monkeypatch, argv):
+    from ellstat import cli
+
+    real = cli._parse
+    want = _outcome(capsys, monkeypatch, lambda a: cli.build_parser().parse_args(a), argv)
+    assert _outcome(capsys, monkeypatch, real, argv) == want

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 import pickle
 import random
@@ -10,6 +13,7 @@ from ellstat.curves import (
     NonIntegralTransformError,
     SingularCurveError,
     WeierstrassModel,
+    _json_text,
     compute_invariants,
     curve_from_j,
     format_rational,
@@ -334,3 +338,122 @@ def test_height_sort_key_orders_by_height_then_lex():
     assert ordered[0] == WeierstrassModel(1, 0, 0, 0, 0)
     assert ordered[1] == WeierstrassModel(0, 0, 0, 0, 63)
     assert ordered[2:] == [WeierstrassModel(0, 4, 0, 0, 0), WeierstrassModel(2, 0, 0, 0, 0)]
+
+
+def _stdlib_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+# JSON payloads of every command that writes one: the reference curves,
+# with and without --prime, a singular twist base (j and conductor null),
+# theory at the smallest and at a large p, census with and without d(p)
+JSON_ARGVS = [
+    ["local", "--curve=1,0,1,-141,624", "--format", "json"],
+    ["local", "--curve=0,0,0,-83667346875,-10711930420406250", "--format", "json"],
+    ["local", "--curve=1,0,1,-141,624", "--prime", "71", "--format", "json"],
+    ["local", "--curve=0,1,0,-2,-8", "--prime", "5", "--format", "json"],
+    ["theory", "--p", "3", "--format", "json"],
+    ["theory", "--p", "9973", "--format", "json"],
+    ["census", "--p", "7", "--format", "json"],
+    ["census", "--p", "7", "--with-d", "--format", "json"],
+    ["hurwitz", "--disc", "-48", "--format", "json"],
+    ["hurwitz", "--disc", "-4", "--format", "json"],
+    ["families", "--family", "twist", "--base=1,0,1,-141,624", "--range=-6..10", "--format", "json"],
+    ["families", "--family", "twist", "--base", "0,0,0,0,0", "--range", "1..2", "--format", "json"],
+    ["families", "--family", "zywina", "--range", "1..6", "--minimal-twist", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_ARGVS, ids=[" ".join(a[:3]) for a in JSON_ARGVS])
+def test_json_text_matches_stdlib_on_cli_payloads(monkeypatch, argv):
+    from ellstat import cli
+
+    payloads = []
+
+    def record(obj):
+        payloads.append(obj)
+        return _json_text(obj)
+
+    monkeypatch.setattr(cli, "_json_text", record)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    [payload] = payloads
+    assert out.getvalue() == _stdlib_json(payload) + "\n"
+
+
+@pytest.mark.parametrize("wilson", [False, True])
+def test_json_text_matches_stdlib_on_reports(wilson):
+    from ellstat.cli import _theory_column
+    from ellstat.harness import SampleSpec, estimate, kodaira_frequency
+
+    spec = SampleSpec(height=30, p=3, count=300, seed=7, chunk_size=128, wilson=wilson)
+    for rep in (estimate(spec, dict(_theory_column(3))), estimate(spec),
+                kodaira_frequency(spec, 2)):
+        assert rep.to_json() == _stdlib_json(rep.to_json_dict())
+
+
+_JSON_CHARS = ["a", "Z", "0", " ", "/", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f",
+               "\u00e9", "\u2028", "\u20ac", "\U0001d11e", "\ud800"]
+_JSON_FLOATS = [0.0, -0.0, 1e-300, 5e-324, 1.5, 1e16, 1e300, -2.5e-7, 0.1 + 0.2,
+                math.nan, math.inf, -math.inf]
+
+
+def _random_json_value(rng, depth=0):
+    kind = rng.randrange(9 if depth < 4 else 6)
+    if kind == 0:
+        return "".join(rng.choice(_JSON_CHARS) for _ in range(rng.randrange(6)))
+    if kind == 1:
+        return rng.choice([rng.randrange(-2**80, 2**80), 2**64, 2**64 + 1, -2**64 - 1, 0, -1])
+    if kind == 2:
+        return rng.choice(_JSON_FLOATS + [rng.uniform(-1, 1) * 10.0 ** rng.randrange(-30, 30)])
+    if kind == 3:
+        return rng.choice([True, False, None])
+    if kind == 4:
+        return {}
+    if kind == 5:
+        return rng.choice([[], ()])
+    if kind == 6:
+        return {"".join(rng.choice(_JSON_CHARS) for _ in range(rng.randrange(4))):
+                _random_json_value(rng, depth + 1) for _ in range(rng.randrange(5))}
+    values = [_random_json_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    return tuple(values) if kind == 7 else values
+
+
+def test_json_text_matches_stdlib_on_seeded_values():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        value = _random_json_value(rng)
+        assert _json_text(value) == _stdlib_json(value), value
+
+
+class _Label(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+class _Share(float):
+    pass
+
+
+def test_json_text_writes_subclasses_as_their_base():
+    value = {"label": _Label("I\u00e90"), "n": [_Count(-7), _Count(2**70)],
+             "shares": (_Share(0.25), _Share("nan"), _Share("-inf")), "flag": _Count(0) == 0}
+    assert _json_text(value) == _stdlib_json(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1: "a"},
+    {"a": [{"b": 1, None: 2}]},
+    {("a",): 1},
+    Fraction(1, 2),
+    {"a": [set()]},
+    [b"bytes"],
+    {"a": object()},
+])
+def test_json_text_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
