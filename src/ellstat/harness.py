@@ -59,7 +59,7 @@ import pickle
 import random
 import signal
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import islice, product
 from math import gcd, inf, prod, sqrt
 from typing import NamedTuple, NoReturn
@@ -388,47 +388,26 @@ _KODAIRA_TABLE_US = 3
 _KODAIRA_TATE_US = 5
 
 
-@cache
-def _type_ids(ell: int) -> tuple[int, tuple[int | None, ...], tuple[str, ...]] | None:
-    """_type_table(ell) by label id, (m, ids, labels), or None where there
-    is no table: labels holds each label of the table once, in order of
-    first residue index, and ids, at each residue index, the position of its
-    label in labels, or None where a Tate run must decide."""
-    table = _type_table(ell)
-    if table is None:
-        return None
-    m, names = table
-    labels = tuple(dict.fromkeys(filter(None, names)))
-    return m, tuple(map({label: i for i, label in enumerate(labels)}.get, names)), labels
-
-
 def _kodaira_chunk(spec: SampleSpec, ell: int, index: int) -> dict[str, int]:
     """Kodaira label -> count over the models of one chunk, "singular" for
-    a singular model; ell is prime.
+    a singular model; ell is prime.  Labels come in the order the chunk
+    first meets them.
 
-    For ell <= 5 one lookup in _type_ids(ell) types most draws without
+    For ell <= 5 the label of most draws is read from the residue table
+    _type_table(ell), at the _residue_index of the draw's a_i mod m, without
     computing an invariant; localdata._residue_type says why its labels
-    hold for every lift and never for a singular model.  Every other model
-    is typed by localdata._kodaira_label, which computes its invariants once
+    hold for every lift and never for a singular model.  A draw whose entry
+    is None, and every draw above ell = 5, where there is no table, is
+    typed by localdata._kodaira_label, which computes its invariants once
     and runs Tate only on a model with ell | c4: at 2, the draws with c4
     even that the table leaves open, about 3% of all draws at H = 10^3 to
     10^6.
     """
-    m, ids, labels = _type_ids(ell) or (1, (), ())
-    # draws per table label, added to the counts once per chunk
-    tally = [0] * len(labels)
+    m, labels = _type_table(ell) or (1, ())
     out: dict[str, int] = {}
     for model in _iter_chunk(spec, index):
-        if ids:
-            i = ids[_residue_index(model, m)]
-            if i is not None:
-                tally[i] += 1
-                continue
-        key = _kodaira_label(model, ell)
+        key = labels and labels[_residue_index(model, m)] or _kodaira_label(model, ell)
         out[key] = out.get(key, 0) + 1
-    for label, n in zip(labels, tally):
-        if n:
-            out[label] = out.get(label, 0) + n
     return out
 
 
@@ -449,20 +428,24 @@ def _require_threads(threads: int) -> None:
 # call: k workers run only if the call's work is at least k * _FORK_US.  A
 # forked worker costs the fork, the copy-on-write faults on both sides, a
 # pipe, a pickle and a waitpid: a _fork_join of 4 empty chunks takes 2.4 ms
-# on two workers (2.9 pinned) against 0.02 ms on one.  Medians of 61
+# on two workers (2.9 pinned) against 0.02 ms on one.  Medians of
 # interleaved in-process cli.main calls in 4 chunks (2 vCPUs, Python 3.11,
-# _FORK_US forced to 1 for two workers) break even at 9 to 11 ms on one
+# _FORK_US forced to 1 for two workers) break even at 8 to 11 ms on one
 # worker, about 1 ms of it the call's own fixed cost, for every chunk
 # function:
-#   classify, H = 10^3, 512 / 768 / 1024 / 2048 samples:
+#   classify, H = 10^3, 512 / 768 / 1024 / 2048 samples, 61 calls each:
 #     6.2 / 9.1 / 11.9 / 23.5 ms on one worker, 7.6 / 8.9 / 11.2 / 18.2 ms on two
-#   --kodaira-at 2, H = 5 * 10^4, 1500 / 2000 / 2500 / 3000 draws:
-#     6.9 / 8.8 / 10.8 / 13.0 ms on one worker, 7.1 / 8.4 / 9.4 / 10.1 ms on two
-#   --kodaira-at 7, H = 10^3, 1500 / 2000 / 2500 / 3000 draws:
-#     7.8 / 10.1 / 12.5 / 14.7 ms on one worker, 8.0 / 9.1 / 10.0 / 11.0 ms on two
-# For classify that is 770 to 900 samples (the plan forks from 910), and for
-# both Kodaira calls 1500 to 2000 draws; their plans fork from 3334 draws at
-# ell <= 5 and from 2000 above, as the low end of the cost of a draw is taken.
+#   --kodaira-at 2, H = 5 * 10^4, 1500 / 2000 / 2500 / 3000 / 3500 draws,
+#   183 calls each:
+#     5.6 / 7.3 / 9.1 / 10.7 / 12.6 ms on one worker,
+#     6.9 / 7.6 / 8.2 / 9.2 / 10.3 ms on two, which won 19 / 67 / 106 / 116 / 130
+#   --kodaira-at 7, H = 10^3, the same draws and calls:
+#     6.4 / 8.4 / 10.5 / 12.6 / 14.6 ms on one worker,
+#     7.3 / 7.7 / 8.8 / 9.8 / 11.0 ms on two, which won 63 / 114 / 128 / 158 / 162
+# For classify that is 770 to 900 samples (the plan forks from 910), at
+# ell = 2 2000 to 2500 draws and at ell = 7 1500 to 2000; the Kodaira plans
+# fork from 3334 draws at ell <= 5 and from 2000 above, as the low end of
+# the cost of a draw is taken.
 _FORK_US = 5000
 
 
@@ -787,8 +770,10 @@ def kodaira_frequency(spec: SampleSpec, ell: int, threads: int = 1) -> KodairaFr
     _require_threads(threads)
     if not is_prime(ell):
         raise InputError(f"{ell} is not prime")
-    # built here, so that forked workers inherit it
-    sample_us = _KODAIRA_TABLE_US if _type_ids(ell) else _KODAIRA_TATE_US
+    # the residue table, or None above _TYPE_TABLE_MAX_ELL, sets the cost of
+    # a draw; reading it here builds it before any fork, so forked workers
+    # inherit it
+    sample_us = _KODAIRA_TABLE_US if _type_table(ell) else _KODAIRA_TATE_US
     counts = _run_chunks(spec, partial(_kodaira_chunk, spec, ell), threads, sample_us)
     entries = [(label, counts[label], _kodaira_theory(label, ell)) for label in sorted(counts)]
     instar_total = sum(c for label, c in counts.items() if label.startswith("I*n:"))

@@ -31,7 +31,6 @@ from ellstat.harness import (
     _kodaira_chunk,
     _run_chunks,
     _sum_counts,
-    _type_ids,
     classify,
     estimate,
     exhaustive_box_size,
@@ -700,9 +699,10 @@ def test_kodaira_chunk_matches_direct_loop(ell):
 
 @pytest.mark.parametrize("ell", [2, 3, 5])
 def test_kodaira_chunk_matches_tate_on_sampled_chunks(ell):
-    # seeded draws at H = 10^3, and at H = 2, where this chunk holds five
-    # singular models
-    for height, seed, index in ((1000, 21, 0), (1000, 22, 3), (2, 31, 3)):
+    # seeded draws at H = 10^3, 5 * 10^4 and 10^6, and at H = 2, where this
+    # chunk holds five singular models
+    for height, seed, index in ((1000, 21, 0), (1000, 22, 3), (50000, 25, 1), (10**6, 26, 2),
+                                (2, 31, 3)):
         spec = SampleSpec(height=height, p=3, count=8000, seed=seed, chunk_size=2000)
         want = {}
         for m in _iter_chunk(spec, index):
@@ -764,18 +764,6 @@ def test_type_table_labels_pinned(ell, size, digest):
     labels = table[1] if len(table) == 2 else table
     assert len(labels) == size
     assert hashlib.sha256(repr(labels).encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize("ell", [2, 3, 5, 7])
-def test_type_ids_name_the_table_labels(ell):
-    # the label ids _kodaira_chunk tallies by read back as the residue table
-    if _type_table(ell) is None:
-        assert _type_ids(ell) is None
-        return
-    m, table = _type_table(ell)
-    m_ids, ids, labels = _type_ids(ell)
-    assert m_ids == m and len(labels) == len(set(labels))
-    assert [None if i is None else labels[i] for i in ids] == list(table)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5])
@@ -910,9 +898,8 @@ def test_kodaira_frequency_at_large_ell_builds_no_table(monkeypatch):
     residue_type = localdata._residue_type
     monkeypatch.setattr(localdata, "_residue_type",
                         lambda a, ell: typed.append(ell) or residue_type(a, ell))
-    # kodaira_frequency reads the table through its label ids
+    # kodaira_frequency reads the table, so a cleared cache builds it afresh
     _type_table.cache_clear()
-    _type_ids.cache_clear()
     rep = kodaira_frequency(SampleSpec(height=1000, p=3, count=10, seed=0), 1000003)
     assert sum(rep.counts.values()) == 10
     assert typed == []
@@ -1131,7 +1118,9 @@ def test_run_chunks_gives_each_worker_a_fork_of_work(monkeypatch):
 
 # (p, height, samples, chunk size, ell or None for classify) of calls whose
 # two-worker plan is pinned: each case of CI's 1- vs 2-worker cmp loop and
-# the benchmark's 8000-sample classify call (sample-h1e3) fork a child
+# the benchmark's 8000-sample classify call (sample-h1e3) fork a child, as
+# do the smallest Kodaira calls whose work pays for two workers, 3334 draws
+# with a residue table (_KODAIRA_TABLE_US) and 2000 without (_KODAIRA_TATE_US)
 FORKING_CALLS = [
     (3, 1000, 20000, 5000, None),
     (3, 1000, 20003, 4999, None),
@@ -1142,12 +1131,18 @@ FORKING_CALLS = [
     (3, 1000000, 20003, 4999, 2),
     (3, 1000, 20003, 4999, 7),
     (3, 1000, 8000, 2000, None),
+    (3, 1000, 3334, 834, 2),
+    (3, 1000, 2000, 500, 7),
 ]
 # and these run in one process: the benchmark's Kodaira call of sample-tall
-# (also a cmp-loop case) and its 64-sample warm-up call
+# (also a cmp-loop case), its 64-sample warm-up call, and the largest
+# Kodaira calls whose work pays for one worker only, a draw short of the
+# forking ones
 IN_PROCESS_CALLS = [
     (3, 50000, 1000, 250, 2),
     (3, 1000, 64, 16, None),
+    (3, 1000, 3333, 834, 2),
+    (3, 1000, 1999, 500, 7),
 ]
 
 
