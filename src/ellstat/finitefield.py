@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import product
 
-from .arith import InputError, _ladder, is_prime, require_odd_prime
+from .arith import InputError, _ladder, is_prime, require_odd_prime, valuation
 from .curves import WeierstrassModel, compute_invariants, format_rational
 from .quadforms import _reduced_forms
 
@@ -211,15 +211,18 @@ def is_anomalous(model: WeierstrassModel, p: int) -> bool:
     inv = compute_invariants(model)
     if inv.delta == 0:
         raise BadReductionError("singular curve")
-    good = _good_invariants(model, inv, p)
+    good = _good_invariants(model, inv, p, valuation(inv.delta, p))
     if good is None:
         raise BadReductionError(f"bad reduction at {p}")
     return _p_divides_order(p, good.b2, good.b4, good.b6)
 
 
 # Odd primes below this bound are the point-count range of sampling, the
-# census and d(p).  The census and d(p) count forms and take milliseconds at
-# 65521; the bound only keeps the primes they accept unchanged.
+# census and d(p).  What it guards today is SampleSpec's p, which reaches
+# _p_divides_order on every draw with p prime to Delta: the tests check that
+# predicate against point counts only for p < 2^16.  The census and d(p)
+# count forms and take milliseconds at 65521: they share the cap without
+# needing it.
 _P_BOUND = 1 << 16
 
 

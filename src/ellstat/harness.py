@@ -5,14 +5,17 @@ walks the whole box.  A draw calls rng.getrandbits with the rejection loop
 of random.Random.randrange, so a seed gives the stream of five randrange
 calls per sample, while the bounds are worked out once per chunk.  Work is
 split into fixed-size chunks whose RNG streams are derived from (master
-seed, chunk index).  Each worker sums the counts of one contiguous block of
-chunks, and the block sums are summed in block order, which is the sum in
-chunk order, so reports, key order included, are bit-identical for a given
-(seed, chunk size) whatever the worker count.  Workers are forked
-(os.fork), so call with more than one worker only from a single-threaded
-process.  A call forks only the workers its estimated work pays for, at a
-measured cost per fork, so a short call runs in one process however many
-workers it asks for.
+seed, chunk index).  Each draw is classified to one joint index, its place
+in _FLAGS, the ten reachable combinations of flags; a chunk tallies those
+indices (collections.Counter, in C), and estimate derives its five counts
+and its rows from the summed joint table in one place.  Each worker sums
+the tables of one contiguous block of chunks, and the block sums are
+summed in block order, which is the sum in chunk order, so reports, key
+order included, are bit-identical for a given (seed, chunk size) whatever
+the worker count.  Workers are forked (os.fork), so call with more than
+one worker only from a single-threaded process.  A call forks only the
+workers its estimated work pays for, at a measured cost per fork, so a
+short call runs in one process however many workers it asks for.
 
 Classification at p decides S_p by one rule: p | c_ell needs ell^3 | Delta
 (at ell | c4 Ogg's formula gives c_ell < v_ell(Delta), and Tate runs only
@@ -58,9 +61,10 @@ import os
 import pickle
 import random
 import signal
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import islice, product
+from itertools import islice
 from math import gcd, inf, prod, sqrt
 from typing import NamedTuple, NoReturn
 
@@ -103,10 +107,14 @@ class ClassificationFlags:
     unclassified: bool = False
 
 
-_SINGULAR = ClassificationFlags(True, False, False, False)
-# the flags of a nonsingular model, one shared instance per
-# (bad_at_p, tamagawa_divisible, anomalous_good, unclassified)
-_NONSINGULAR = {key: ClassificationFlags(False, *key) for key in product((False, True), repeat=4)}
+# the reachable flags, indexed by what _classify_chunk yields: 0 for a
+# singular model, and 1 + a + 3 b for a nonsingular one, with a = 0, 1, 2
+# for neither, bad_at_p and anomalous_good (bad_at_p needs p | Delta and
+# anomalous_good p prime to it) and b = 0, 1, 2 for S_p decided no, decided
+# yes and unclassified
+_FLAGS = (ClassificationFlags(True, False, False, False),
+          *(ClassificationFlags(False, a == 1, b == 1, a == 2, b == 2)
+            for b in range(3) for a in range(3)))
 
 
 def classify(model: WeierstrassModel, p: int) -> ClassificationFlags:
@@ -121,23 +129,25 @@ def classify(model: WeierstrassModel, p: int) -> ClassificationFlags:
     q = 10007, is split I3 at q with c_q = 3, so it lies in S_3, yet
     classify(model, 3).tamagawa_divisible is False.
     """
-    return next(_classify_chunk((model,), p))
+    return _FLAGS[next(_classify_chunk((model,), p))]
 
 
 def _classify_chunk(models, p: int):
-    """classify(model, p) for each model of the iterable, in order.
+    """The index into _FLAGS of classify(model, p) for each model of the
+    iterable, in order.
 
     Models are read _BLOCK at a time, never all at once.  The primorial is
     reduced once per batch, modulo the product of the batch's C = |Delta|
-    with p divided out; each C divides that product, so its gcd with the
-    remainder is its gcd with the primorial.
+    with p divided out, built as the batch is read; each C divides that
+    product, so its gcd with the remainder is its gcd with the primorial.
     """
     require_odd_prime(p)
     models = iter(models)
     while batch := list(islice(models, _BLOCK)):
-        # (model, invariants, C, v_p(Delta)) of each nonsingular model; None
-        # for a singular one
+        # (model, invariants, C, index so far) of each nonsingular model;
+        # None for a singular one
         rows = []
+        product_of_c = 1
         for model in batch:
             inv = compute_invariants(model)
             if inv.delta == 0:
@@ -148,23 +158,26 @@ def _classify_chunk(models, p: int):
             while C % p == 0:
                 C //= p
                 vp += 1
-            rows.append((model, inv, C, vp))
-        r = _primorial() % prod(row[2] for row in rows if row)
+            # 1 + a, a as in _FLAGS: with p | Delta, S_p'' is bad reduction
+            # at p on the p-minimal model; with p prime to the given
+            # discriminant, S_p' is a rational p-torsion point on the
+            # reduction, i.e. p | #E(F_p)
+            i = (1 + (_good_invariants(model, inv, p, vp) is None) if vp
+                 else 3 if _p_divides_order(p, inv.b2, inv.b4, inv.b6) else 1)
+            rows.append((model, inv, C, i))
+            product_of_c *= C
+        r = _primorial() % product_of_c
         for row in rows:
             if row is None:
-                yield _SINGULAR
+                yield 0
                 continue
-            model, inv, C, vp = row
-            # S_p'': bad reduction at p on the p-minimal model
-            bad_at_p = vp > 0 and _good_invariants(model, inv, p) is None
-            # S_p': p does not divide the given discriminant and the
-            # reduction has a rational p-torsion point, i.e. p | #E(F_p).
-            anomalous_good = vp == 0 and _p_divides_order(p, inv.b2, inv.b4, inv.b6)
+            model, inv, C, i = row
             try:
-                tam, unclassified = _tamagawa_divisible(model, C, gcd(C, r), inv, p), False
+                if _tamagawa_divisible(model, C, gcd(C, r), inv, p):
+                    i += 3
             except FactorBudgetExceeded:
-                tam, unclassified = False, True
-            yield _NONSINGULAR[bad_at_p, tam, anomalous_good, unclassified]
+                i += 6
+            yield i
 
 
 def _c_ell_divisible(model: WeierstrassModel, ell: int, v: int, inv: Invariants,
@@ -213,22 +226,24 @@ def _tamagawa_divisible(model: WeierstrassModel, C: int, s: int, inv: Invariants
     # primes below the trial bound: cubed holds those dividing C at least
     # three times.  Three factors of each are stripped at once, then the
     # rest of each, split off cubed by trial division, giving its v
-    s2 = gcd(C // s, s)
-    cubed = gcd(C // s // s2, s2)
-    C //= s * s2 * cubed
-    primes = iter(_small_primes())
-    while cubed > 1:
-        ell = next(primes)
-        if ell * ell > cubed:
-            ell = cubed  # what is left of the squarefree cubed is a prime
-        if cubed % ell == 0:
-            cubed //= ell
-            v = 3
-            while C % ell == 0:
-                C //= ell
-                v += 1
-            if _c_ell_divisible(model, ell, v, inv, p):
-                return True
+    C //= s
+    s2 = gcd(C, s)
+    C //= s2
+    if (cubed := gcd(C, s2)) > 1:
+        C //= cubed
+        primes = iter(_small_primes())
+        while cubed > 1:
+            ell = next(primes)
+            if ell * ell > cubed:
+                ell = cubed  # what is left of the squarefree cubed is a prime
+            if cubed % ell == 0:
+                cubed //= ell
+                v = 3
+                while C % ell == 0:
+                    C //= ell
+                    v += 1
+                if _c_ell_divisible(model, ell, v, inv, p):
+                    return True
 
     # primes above the trial bound: the additive (or non-minimal) ones
     # divide c4, and gcd(C, 0) = C
@@ -356,28 +371,24 @@ def _iter_chunk(spec: SampleSpec, index: int):
 
 
 _FLAG_ORDER = ("singular", "bad_at_p", "tamagawa_divisible", "anomalous_good", "unclassified")
+# flag -> the _FLAGS indices it counts.  An unclassified sample is counted
+# only in "unclassified": its bad_at_p and anomalous_good are dropped,
+# although every row's N is the run size (spec.total)
+_FLAG_INDICES = [(flag, [i for i, f in enumerate(_FLAGS) if getattr(f, flag)
+                         and f.unclassified == (flag == "unclassified")]) for flag in _FLAG_ORDER]
 # the estimated cost of one sample of _count_chunk, for the worker plan of
 # _run_chunks.  Median of 5 chunks of 3000 draws (2 vCPUs, Python 3.11):
 # 11 to 12 us at H = 10^3, 14 at 5 * 10^4 and 16 to 17 at 10^6, for p = 3
-# and 7.  The low end is taken.
+# and 7.  The low end is taken.  Re-measured on the joint-index loop, with
+# the five-counter loop before it alternating in the same session on a
+# machine then about 30% slower: 4 to 10% below it at every height and p.
+# The fork break-even below did not pass 910 samples, so 11 stays.
 _CLASSIFY_US = 11
 
 
-def _count_chunk(spec: SampleSpec, index: int) -> dict[str, int]:
-    """Flag -> count over the samples of one chunk.  An unclassified sample
-    is counted only in "unclassified": its bad_at_p and anomalous_good are
-    dropped, although every row's N is the run size (spec.total)."""
-    singular = bad = tam = anom = uncl = 0
-    for flags in _classify_chunk(_iter_chunk(spec, index), spec.p):
-        if flags.singular:
-            singular += 1
-        elif flags.unclassified:
-            uncl += 1
-        else:
-            bad += flags.bad_at_p
-            tam += flags.tamagawa_divisible
-            anom += flags.anomalous_good
-    return dict(zip(_FLAG_ORDER, (singular, bad, tam, anom, uncl)))
+def _count_chunk(spec: SampleSpec, index: int) -> Counter:
+    """The joint table of one chunk: _FLAGS index -> count over its samples."""
+    return Counter(_classify_chunk(_iter_chunk(spec, index), spec.p))
 
 
 # the estimated cost of one draw of _kodaira_chunk, as _CLASSIFY_US: with a
@@ -411,8 +422,8 @@ def _kodaira_chunk(spec: SampleSpec, ell: int, index: int) -> dict[str, int]:
     return out
 
 
-def _sum_counts(parts) -> dict[str, int]:
-    counts: dict[str, int] = {}
+def _sum_counts(parts) -> dict:
+    counts = {}
     for part in parts:
         for k, v in part.items():
             counts[k] = counts.get(k, 0) + v
@@ -442,14 +453,18 @@ def _require_threads(threads: int) -> None:
 #   --kodaira-at 7, H = 10^3, the same draws and calls:
 #     6.4 / 8.4 / 10.5 / 12.6 / 14.6 ms on one worker,
 #     7.3 / 7.7 / 8.8 / 9.8 / 11.0 ms on two, which won 63 / 114 / 128 / 158 / 162
-# For classify that is 770 to 900 samples (the plan forks from 910), at
-# ell = 2 2000 to 2500 draws and at ell = 7 1500 to 2000; the Kodaira plans
-# fork from 3334 draws at ell <= 5 and from 2000 above, as the low end of
-# the cost of a draw is taken.
+# The classify row re-measured on the joint-index loop, on a machine then
+# about 30% slower (one worker's samples cost more against a fork):
+#     8.4 / 13.0 / 17.3 / 32.6 ms on one worker (512 / 768 / 1024 / 2048),
+#     9.2 / 11.8 / 13.7 / 22.2 ms on two, which won 12 / 33 / 43 / 58 of 61
+# For classify that is 770 to 900 samples (600 to 770 in the re-measure;
+# the plan forks from 910), at ell = 2 2000 to 2500 draws and at ell = 7
+# 1500 to 2000; the Kodaira plans fork from 3334 draws at ell <= 5 and from
+# 2000 above, as the low end of the cost of a draw is taken.
 _FORK_US = 5000
 
 
-def _run_chunks(spec: SampleSpec, chunk_fn, threads: int, sample_us: int) -> dict[str, int]:
+def _run_chunks(spec: SampleSpec, chunk_fn, threads: int, sample_us: int) -> dict:
     """Sum the per-chunk counts chunk_fn(index) over every chunk of spec, in
     chunk order (see _fork_join), so the sum, key order included, is the
     same for every worker count.  threads >= 1, and sample_us is the
@@ -476,7 +491,7 @@ def _run_chunks(spec: SampleSpec, chunk_fn, threads: int, sample_us: int) -> dic
     return _fork_join(chunk_fn, n_chunks, k, cpus if 1 < k == len(cpus) else [])
 
 
-def _fork_join(chunk_fn, n_chunks: int, k: int, cpus: list[int]) -> dict[str, int]:
+def _fork_join(chunk_fn, n_chunks: int, k: int, cpus: list[int]) -> dict:
     """_sum_counts(map(chunk_fn, range(n_chunks))) on k workers.  Worker w
     runs the block of chunks from ceil(w n_chunks / k) to ceil((w + 1)
     n_chunks / k) and folds each chunk's counts as the chunk ends, so no
@@ -712,7 +727,8 @@ def estimate(
     _require_threads(threads)
     # built here, so that forked workers inherit it
     _type_table(2)
-    counts = _run_chunks(spec, partial(_count_chunk, spec), threads, _CLASSIFY_US)
+    joint = _run_chunks(spec, partial(_count_chunk, spec), threads, _CLASSIFY_US)
+    counts = {flag: sum(joint.get(i, 0) for i in indices) for flag, indices in _FLAG_INDICES}
     theory = theory or {}
     rows = _build_rows(spec, [(flag, counts[flag], _theory_floats(theory.get(flag)))
                               for flag in _FLAG_ORDER])

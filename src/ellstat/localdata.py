@@ -52,8 +52,9 @@ p prime to Delta is good on the given model; a model with v(c4) = 0 or
 v(Delta) < 12 is already p-minimal (Cremona, Algorithms for Modular Elliptic
 Curves, 3.2), so p | Delta makes it bad; otherwise Tate's algorithm decides,
 and p | #E(F_p) is decided on the p-minimal model it returns.  classify and
-is_anomalous call it.  prime_scan reads the same answer off the Tate run it
-already has at each p | Delta.
+is_anomalous call it with v_p(Delta): classify has it from dividing p out
+of Delta, and is_anomalous computes it.  prime_scan reads the same answer
+off the Tate run it already has at each p | Delta.
 
 Multiplicative reduction is split exactly when -c6 is a square in Q_ell
 (Legendre test for odd ell, unit = 1 mod 8 at ell = 2).  Local p-torsion
@@ -426,12 +427,14 @@ def local_minimal_model(model: WeierstrassModel, ell: int) -> tuple[WeierstrassM
     return _tate_run(model, ell)
 
 
-def _good_invariants(model: WeierstrassModel, inv: Invariants, p: int) -> Invariants | None:
+def _good_invariants(model: WeierstrassModel, inv: Invariants, p: int,
+                     v: int) -> Invariants | None:
     """Invariants of a p-minimal model of E if E has good reduction at the
-    odd prime p, else None; inv are the invariants of model, Delta != 0."""
-    if inv.delta % p:
+    odd prime p, else None; inv are the invariants of model, Delta != 0,
+    and v = v_p(Delta)."""
+    if not v:
         return inv
-    if inv.c4 % p or valuation(inv.delta, p) < 12:
+    if inv.c4 % p or v < 12:
         return None  # already p-minimal, so bad
     minimal, data = _tate_run(model, p, inv)
     return compute_invariants(minimal) if data.kodaira.is_good else None

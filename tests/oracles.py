@@ -19,7 +19,7 @@ The density oracles add plain Fractions one operation at a time: zeta
 tails floor by floor, interval products from all their endpoint products,
 and the Delaunay product factor by factor.
 
-Six earlier versions are kept as they were.  prime_scan_rows_by_prime, the
+Nine earlier versions are kept as they were.  prime_scan_rows_by_prime, the
 per-prime loop of prime_scan, shares the library's per-prime rules and
 checks only that the work lifted out of the loop changes no row.
 invariants_by_textbook_formulas, compute_invariants with b8 and Delta from
@@ -38,6 +38,9 @@ finitefield._p_divides_order of each: it shares the predicate, not the
 forms.  valuation_by_division is arith.valuation before its bit path at
 p = 2, and report_csv_by_writer is a report's to_csv before it joined its
 fields itself: the header and every row go through csv.writer.
+flag_counts_by_classify is estimate's tally before it counted joint flag
+indices: five counters over public classify calls, so it shares the
+classifier and checks only the tally.
 """
 
 from __future__ import annotations
@@ -49,9 +52,10 @@ from fractions import Fraction
 from itertools import combinations, filterfalse, product
 from math import gcd, isqrt, log, prod
 
-from ellstat.arith import InputError, factorize, legendre, primes_up_to
+from ellstat.arith import InputError, factorize, legendre, primes_up_to, valuation
 from ellstat.curves import Invariants, WeierstrassModel, compute_invariants
 from ellstat.finitefield import _p_divides_order
+from ellstat.harness import classify
 from ellstat.localdata import PrimeScanRow, _good_invariants, _local_table, _mult_rank, tate
 from ellstat.quadforms import _MAX_DISC, BinaryQuadraticForm, reduce_form
 
@@ -270,7 +274,7 @@ def prime_scan_rows_by_prime(model: WeierstrassModel, p_max: int) -> list[PrimeS
     inv = compute_invariants(model)
     rows = []
     for p in primes_up_to(p_max)[1:]:
-        good = _good_invariants(model, inv, p)
+        good = _good_invariants(model, inv, p, valuation(inv.delta, p))
         anomalous = good is not None and _p_divides_order(p, good.b2, good.b4, good.b6)
         away = [entry for ell, entry in truly_bad.items() if ell != p]
         tam = any(d.tamagawa % p == 0 for _, d in away)
@@ -688,3 +692,22 @@ def report_csv_by_writer(report) -> str:
         w.writerow([r.flag, r.count, r.n, repr(r.proportion), repr(r.ci_lo), repr(r.ci_hi),
                     *("" if x is None else repr(x) for x in (r.theory_lo, r.theory_hi, r.z))])
     return buf.getvalue()
+
+
+def flag_counts_by_classify(models, p: int) -> dict[str, int]:
+    """estimate's counts over models, in its key order, by five counters fed
+    one public classify call per model.  An unclassified model is counted
+    only in "unclassified"."""
+    singular = bad = tam = anom = uncl = 0
+    for model in models:
+        flags = classify(model, p)
+        if flags.singular:
+            singular += 1
+        elif flags.unclassified:
+            uncl += 1
+        else:
+            bad += flags.bad_at_p
+            tam += flags.tamagawa_divisible
+            anom += flags.anomalous_good
+    return {"singular": singular, "bad_at_p": bad, "tamagawa_divisible": tam,
+            "anomalous_good": anom, "unclassified": uncl}

@@ -20,6 +20,7 @@ from ellstat.density import CertifiedValue, sp_doubleprime_density
 from ellstat.finitefield import reduce_model, group_order
 from ellstat.harness import (
     _BLOCK,
+    _FLAGS,
     _FORK_US,
     ClassificationFlags,
     SampleSpec,
@@ -40,8 +41,8 @@ from ellstat.harness import (
 from ellstat.localdata import (_TYPE_TABLE_MAX_ELL, _kodaira_label, _type_table,
                                tamagawa_p_divisible, tate)
 
-from oracles import (c4_and_discriminant, cube_share_bound, good_after_minimising,
-                     report_csv_by_writer, sample_tuple_by_randrange)
+from oracles import (c4_and_discriminant, cube_share_bound, flag_counts_by_classify,
+                     good_after_minimising, report_csv_by_writer, sample_tuple_by_randrange)
 
 
 def test_sample_height_one_is_origin():
@@ -363,6 +364,77 @@ def test_unclassified_model_counts_only_as_unclassified(monkeypatch):
     assert not short.valid and short.to_json_dict()["valid"] is False
 
 
+def test_flags_list_each_reachable_combination_once():
+    # a singular model has no other flag; bad_at_p needs p | Delta and
+    # anomalous_good p prime to it; an unclassified model's S_p is undecided,
+    # so False
+    def reachable(f):
+        if f.singular:
+            return not (f.bad_at_p or f.tamagawa_divisible or f.anomalous_good or f.unclassified)
+        return not (f.bad_at_p and f.anomalous_good or f.tamagawa_divisible and f.unclassified)
+
+    every = [ClassificationFlags(*t) for t in itertools.product((False, True), repeat=5)]
+    assert sorted(_FLAGS, key=dataclasses.astuple) == [f for f in every if reachable(f)]
+
+
+# (seed, samples, chunk size) of the tally checks: three chunks, the last
+# one short
+TALLY_RUN = (17, 700, 300)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
+@pytest.mark.parametrize("height", [1, 2, 1000, 50000, 10**6])
+def test_estimate_counts_match_five_counter_tally(height, p):
+    seed, samples, chunk_size = TALLY_RUN
+    spec = SampleSpec(height=height, p=p, count=samples, seed=seed, chunk_size=chunk_size)
+    models = [m for i in range(3) for m in _iter_chunk(spec, i)]
+    assert len(models) == samples
+    counts = estimate(spec).counts
+    want = flag_counts_by_classify(models, p)
+    assert list(counts.items()) == list(want.items())
+
+
+def test_forced_unclassified_draws_drop_their_other_flags(monkeypatch):
+    # every draw of the first chunk is scaled by u = 10007 (a_i -> u^i a_i),
+    # so u divides c4 and Delta and each nonsingular draw not already found
+    # in S_p below the trial bound reaches factorize, which raises here.
+    # v_p(Delta) and the reduction mod p do not change, so the unclassified
+    # draws keep their bad_at_p and anomalous_good, which the tally must drop
+    import ellstat.harness as harness
+    from ellstat.arith import FactorBudgetExceeded
+
+    def no_factorisation(n, *, rho_budget):
+        raise FactorBudgetExceeded(n)
+
+    real = harness._iter_chunk
+    u = 10007
+
+    def chunk(spec, index):
+        models = real(spec, index)
+        if index == 0:
+            for m in models:
+                yield WeierstrassModel(*(u**i * a for i, a in zip((1, 2, 3, 4, 6), m)))
+        else:
+            # and a singular model for the first draw of the others
+            next(models)
+            yield WeierstrassModel(0, 0, 0, 0, 0)
+            yield from models
+
+    monkeypatch.setattr(harness, "factorize", no_factorisation)
+    monkeypatch.setattr(harness, "_iter_chunk", chunk)
+    spec = SampleSpec(height=8, p=3, count=3000, seed=2, chunk_size=1000)
+    models = [m for i in range(3) for m in chunk(spec, i)]
+    flags = [classify(m, 3) for m in models]
+    unclassified = [f for f in flags if f.unclassified]
+    assert any(f.bad_at_p for f in unclassified) and any(f.anomalous_good for f in unclassified)
+    assert all(f.singular or f.unclassified or f.tamagawa_divisible for f in flags[:1000])
+    # these draws reach every reachable combination of flags
+    assert set(flags) == set(_FLAGS)
+    counts = estimate(spec).counts
+    assert list(counts.items()) == list(flag_counts_by_classify(models, 3).items())
+    assert counts["unclassified"] == len(unclassified)
+
+
 def test_classify_flags_pinned():
     # every flag of every sample, hashed; the hash was recorded on the
     # per-sample classify that preceded the grouped one
@@ -392,6 +464,10 @@ def _alternating_s3(n, seed):
     return [pools[i % 2][i] for i in range(n)]
 
 
+def _chunk_flags(models, p):
+    return [_FLAGS[i] for i in _classify_chunk(models, p)]
+
+
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 31, 32, 33, 65])
 def test_classify_chunk_matches_classify(n):
     drawn = _alternating_s3(n, n)
@@ -401,9 +477,9 @@ def test_classify_chunk_matches_classify(n):
     for at in (0, min(n - 1, 17), n - 1):
         models = drawn[:at] + [WeierstrassModel(0, 0, 0, 0, 0)] + drawn[at + 1 :]
         for p in (3, 5):
-            assert list(_classify_chunk(models, p)) == [classify(m, p) for m in models]
-    assert list(_classify_chunk(iter(drawn), 3)) == [classify(m, 3) for m in drawn]
-    assert list(_classify_chunk([], 3)) == []
+            assert _chunk_flags(models, p) == [classify(m, p) for m in models]
+    assert _chunk_flags(iter(drawn), 3) == [classify(m, 3) for m in drawn]
+    assert _chunk_flags([], 3) == []
 
 
 def test_classify_chunk_across_an_all_singular_batch():
@@ -414,7 +490,7 @@ def test_classify_chunk_across_an_all_singular_batch():
     assert not any(compute_invariants(m).delta for m in singular)
     models = drawn[:_BLOCK] + singular + drawn[_BLOCK:]
     for p in (3, 5):
-        assert list(_classify_chunk(models, p)) == [classify(m, p) for m in models]
+        assert _chunk_flags(models, p) == [classify(m, p) for m in models]
 
 
 def test_classify_tate_runs_at_ii_and_iii_compute_no_invariants(monkeypatch):
@@ -475,7 +551,7 @@ def test_classification_flags_are_bools():
     rng = random.Random(9)
     models = [sample_tuple(rng, 8) for _ in range(300)] + [WeierstrassModel(0, 0, 0, 0, 0)]
     seen = set()
-    for flags in _classify_chunk(models, 3):
+    for flags in _chunk_flags(models, 3):
         assert all(type(v) is bool for v in dataclasses.astuple(flags))
         seen.add(dataclasses.astuple(flags))
     assert len(seen) >= 4
